@@ -18,7 +18,7 @@ from .association import STATE_COLUMNS, STATE_ROWS, active_d2d_density, state_ma
 from .config import NetworkConfig, load_config
 from .montecarlo import run_monte_carlo
 from .outage import sinr_cdf
-from .presets import PRESET_NAMES, run_preset
+from .presets import default_config, run_preset
 from .queueing import (
     STEADY_NODE_NAMES,
     baseline_model,
@@ -40,7 +40,12 @@ def _add_common(p: argparse.ArgumentParser, presets: tuple[str, ...] = ()) -> No
 
 
 def _base_cfg(args) -> NetworkConfig:
-    return load_config(args.config) if args.config else NetworkConfig()
+    """The ``--config`` file, else the default of the preset asked for, else
+    the default config; the same config is run and echoed."""
+    if args.config:
+        return load_config(args.config)
+    preset = getattr(args, "preset", None)
+    return default_config(preset) if preset else NetworkConfig()
 
 
 def _db_to_linear(db: float) -> float:

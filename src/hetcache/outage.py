@@ -1,20 +1,19 @@
 """Outage probabilities (SINR CDF at a threshold) of the content-access cases.
 
-Cases 1 and 2 reduce to closed forms with zero noise and to a single distance
-integral otherwise; case 3 keeps its one-dimensional integral over the
-normalized blocker distance and is interference-limited only.  Case 4 (own
-cache) never experiences outage.
+The outage of a radio case is one minus its coverage at the threshold, from
+the single coverage function per case in ``rates.py``: closed forms for
+cases 1/2 without noise, a distance integral with noise, and case 3's
+integral over the normalized blocker distance (interference-limited only).
+Case 4 (own cache) never experiences outage.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import NetworkConfig
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_interval, integrate_semi_infinite
-from .rates import _x2_blocked_kernel, interference_coefficients
-from .specfun import kernel_z1, kernel_z2
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
+from .rates import _coverage, _regime, interference_coefficients
 
 
 @dataclass(frozen=True)
@@ -33,77 +32,31 @@ class OutageResult:
             raise ValueError("SINR threshold must be non-negative")
 
 
-def _coverage_with_noise(cfg: NetworkConfig, tier_i: int, q: float, tau: float,
-                         bracket_at_tau: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Coverage probability with noise; u = pi*q*x^2 rescaling as in the rates."""
-    p_i = cfg.powers[tier_i - 1]
-    sigma2 = cfg.noise
-    beta = cfg.beta
-
-    def integrand(u: float) -> float:
-        x_beta = (u / (math.pi * q)) ** (beta / 2.0)
-        return math.exp(-x_beta * tau * sigma2 / p_i - u * (1.0 + bracket_at_tau))
-
-    return integrate_semi_infinite(integrand, spec)
+def _outage(cfg: NetworkConfig, case_id: int, tier: int, tau: float,
+            spec: QuadratureSpec) -> OutageResult:
+    if tau < 0.0:
+        raise ValueError("SINR threshold must be non-negative")
+    cov, err = _coverage(cfg, interference_coefficients(cfg), case_id, tier, spec)(tau)
+    return OutageResult(1.0 - cov, case_id, tier, tau, _regime(cfg), err)
 
 
 def outage_case1(cfg: NetworkConfig, tier_i: int, tau: float,
                  spec: QuadratureSpec = DEFAULT_QUAD) -> OutageResult:
     """Outage of a non-caching user served by its strongest node in tier i."""
-    if tier_i not in (1, 2, 3):
-        raise ValueError("case-1 serving tier must be 1, 2 or 3")
-    if tau < 0.0:
-        raise ValueError("SINR threshold must be non-negative")
-    co = interference_coefficients(cfg)
-    bracket = co.c1 * kernel_z1(tau, cfg.beta)
-    if cfg.noise == 0.0:
-        return OutageResult(1.0 - 1.0 / (1.0 + bracket), 1, tier_i, tau,
-                            "interference-limited", 0.0)
-    q = co.s_total / cfg.powers[tier_i - 1] ** (2.0 / cfg.beta)
-    cov, err = _coverage_with_noise(cfg, tier_i, q, tau, bracket, spec)
-    return OutageResult(1.0 - cov, 1, tier_i, tau, "with-noise", err)
+    return _outage(cfg, 1, tier_i, tau, spec)
 
 
 def outage_case2(cfg: NetworkConfig, tier_i: int, tau: float,
                  spec: QuadratureSpec = DEFAULT_QUAD) -> OutageResult:
     """Outage of a cache-enabled user served by the stronger of relay/BS."""
-    if tier_i not in (2, 3):
-        raise ValueError("case-2 serving tier must be 2 or 3")
-    if tau < 0.0:
-        raise ValueError("SINR threshold must be non-negative")
-    co = interference_coefficients(cfg)
-    bracket = kernel_z1(tau, cfg.beta) + co.c2 * kernel_z2(tau, cfg.beta)
-    if cfg.noise == 0.0:
-        return OutageResult(1.0 - 1.0 / (1.0 + bracket), 2, tier_i, tau,
-                            "interference-limited", 0.0)
-    q = co.s_relay_bs / cfg.powers[tier_i - 1] ** (2.0 / cfg.beta)
-    cov, err = _coverage_with_noise(cfg, tier_i, q, tau, bracket, spec)
-    return OutageResult(1.0 - cov, 2, tier_i, tau, "with-noise", err)
+    return _outage(cfg, 2, tier_i, tau, spec)
 
 
 def outage_case3(cfg: NetworkConfig, tier_j: int, tau: float,
                  spec: QuadratureSpec = DEFAULT_QUAD) -> OutageResult:
     """Outage of a non-caching user whose strongest node is a cache-enabled
     user without the content.  Interference-limited regime only."""
-    if tier_j not in (2, 3):
-        raise ValueError("case-3 serving tier must be 2 or 3")
-    if tau < 0.0:
-        raise ValueError("SINR threshold must be non-negative")
-    if cfg.noise != 0.0:
-        raise ValueError("case-3 outage is defined in the interference-limited regime only")
-    if cfg.alpha == 0.0:
-        raise ValueError("case 3 is empty without cache-enabled users (alpha = 0)")
-    co = interference_coefficients(cfg)
-    beta = cfg.beta
-    g = co.g31 / (1.0 - co.g31)
-    z1 = kernel_z1(tau, beta)
-
-    def integrand(x: float) -> float:
-        den = 1.0 + z1 + g * x * x + co.c2 * _x2_blocked_kernel(tau, x, beta)
-        return 2.0 * x * (1.0 + g) / (den * den)
-
-    cov, err = integrate_interval(integrand, 0.0, 1.0, spec)
-    return OutageResult(1.0 - cov, 3, tier_j, tau, "interference-limited", err)
+    return _outage(cfg, 3, tier_j, tau, spec)
 
 
 def outage_case4(cfg: NetworkConfig, tau: float) -> OutageResult:
@@ -117,12 +70,6 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float,
              spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """CDF of the SINR at threshold ``tau`` for the given case/serving tier
     (identical to the outage probability at that threshold)."""
-    if case_id == 1:
-        return outage_case1(cfg, tier, tau, spec).value
-    if case_id == 2:
-        return outage_case2(cfg, tier, tau, spec).value
-    if case_id == 3:
-        return outage_case3(cfg, tier, tau, spec).value
     if case_id == 4:
         return outage_case4(cfg, tau).value
-    raise ValueError("case index must be 1..4")
+    return _outage(cfg, case_id, tier, tau, spec).value

@@ -28,6 +28,12 @@ from .rates import rate_case1, rate_case2, rate_case3
 PRESET_NAMES = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "steady")
 
 
+def default_config(name: str) -> NetworkConfig:
+    """The config a preset runs on when it is given none: the queueing set
+    for the queueing presets, the default set for the others."""
+    return fig6_config() if name in ("fig6", "fig7", "steady") else NetworkConfig()
+
+
 @dataclass(frozen=True)
 class PresetResult:
     name: str
@@ -36,9 +42,8 @@ class PresetResult:
     meta: dict = field(default_factory=dict)
 
 
-def preset_fig2(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig2(cfg: NetworkConfig) -> PresetResult:
     """Association/state probabilities versus the popularity skew."""
-    cfg = cfg or NetworkConfig()
     columns = ["gamma", "case1", "case2", "case3", "case4", "g1", "g2", "g3"]
     rows = []
     tiers = three_tier_spec(cfg)
@@ -70,20 +75,18 @@ def _rate_sweep(cfg: NetworkConfig, name: str) -> PresetResult:
     return PresetResult(name, columns, rows, meta)
 
 
-def preset_fig3a(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig3a(cfg: NetworkConfig) -> PresetResult:
     """Case rates and active-D2D density versus alpha, default power set."""
-    return _rate_sweep(cfg or NetworkConfig(), "fig3a")
+    return _rate_sweep(cfg, "fig3a")
 
 
-def preset_fig3b(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig3b(cfg: NetworkConfig) -> PresetResult:
     """Same sweep with the low-power D2D set (P1 = 13 dBm)."""
-    base = cfg or NetworkConfig()
-    return _rate_sweep(base.with_updates(p1=10 ** (13 / 10) * 1e-3), "fig3b")
+    return _rate_sweep(cfg.with_updates(p1=10 ** (13 / 10) * 1e-3), "fig3b")
 
 
-def preset_fig4(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig4(cfg: NetworkConfig) -> PresetResult:
     """Outage versus alpha at tau in {-10, -5} dB for cases 1..3."""
-    cfg = cfg or NetworkConfig()
     columns = ["alpha", "tau_db", "outage_case1", "outage_case2", "outage_case3"]
     rows = []
     for tau_db in (-10.0, -5.0):
@@ -100,9 +103,8 @@ def preset_fig4(cfg: NetworkConfig | None = None) -> PresetResult:
     return PresetResult("fig4", columns, rows)
 
 
-def preset_fig5(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig5(cfg: NetworkConfig) -> PresetResult:
     """SINR CDF curves over a dB grid at alpha = 0.05 and 0.10."""
-    cfg = cfg or NetworkConfig()
     columns = ["tau_db", "alpha", "cdf_case1", "cdf_case2", "cdf_case3"]
     rows = []
     for alpha in (0.05, 0.10):
@@ -119,9 +121,8 @@ def preset_fig5(cfg: NetworkConfig | None = None) -> PresetResult:
     return PresetResult("fig5", columns, rows)
 
 
-def preset_fig6(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_fig6(cfg: NetworkConfig) -> PresetResult:
     """Per-class throughput per request, cached network versus baseline."""
-    cfg = cfg or fig6_config()
     columns = ["model", "class_row", "node", "throughput_per_request", "mean_requests", "delay"]
     rows = []
     for model_name, model in (("cached", network_model(cfg)), ("baseline", baseline_model(cfg))):
@@ -142,11 +143,10 @@ def preset_fig6(cfg: NetworkConfig | None = None) -> PresetResult:
     return PresetResult("fig6", columns, rows, {"config": cfg.to_flat_dict()})
 
 
-def preset_fig7(cfg: NetworkConfig | None = None, seed: int = 0,
+def preset_fig7(cfg: NetworkConfig, seed: int = 0,
                 horizon: float = 1000.0, slot: float = 0.2) -> PresetResult:
     """Slot-averaged occupancy trace of the D2D-transmitter queue, with the
     analytic stationary mean for comparison."""
-    cfg = cfg or fig6_config()
     _, loads, rates = network_model(cfg)
     metrics = queue_metrics(cfg, loads, rates)
     analytic = float(metrics.n_class[:, 0].sum())
@@ -164,10 +164,9 @@ def preset_fig7(cfg: NetworkConfig | None = None, seed: int = 0,
     return PresetResult("fig7", columns, rows, meta)
 
 
-def preset_steady(cfg: NetworkConfig | None = None) -> PresetResult:
+def preset_steady(cfg: NetworkConfig) -> PresetResult:
     """Steady rulers versus the arrival rate plus critical-rate gains over the
     baseline at two popularity skews and a backhaul-penalty sensitivity sweep."""
-    cfg = cfg or fig6_config()
     columns = ["gamma", "kappa", "varsigma_star_cached", "varsigma_star_baseline",
                "gain", "target_gain"]
     targets = {0.8: 0.133, 1.8: 0.573}
@@ -195,6 +194,10 @@ def preset_steady(cfg: NetworkConfig | None = None) -> PresetResult:
 
 
 def run_preset(name: str, cfg: NetworkConfig | None = None, seed: int = 0) -> PresetResult:
+    """Run a preset on ``cfg``, or on the preset's default config when None."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    cfg = cfg if cfg is not None else default_config(name)
     if name == "fig7":
         return preset_fig7(cfg, seed=seed)
     funcs = {
@@ -202,6 +205,4 @@ def run_preset(name: str, cfg: NetworkConfig | None = None, seed: int = 0) -> Pr
         "fig4": preset_fig4, "fig5": preset_fig5, "fig6": preset_fig6,
         "steady": preset_steady,
     }
-    if name not in funcs:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return funcs[name](cfg)

@@ -240,8 +240,7 @@ def baseline_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD
     cfg0 = cfg.with_updates(alpha=0.0)
     states = baseline_state_matrix(cfg)
     u = np.zeros((4, 4))
-    u[0, 1] = rate_case1(cfg0, 2, spec).value
-    u[0, 2] = rate_case1(cfg0, 3, spec).value
+    u[0, 1:3] = rate_case1(cfg0, 3, spec).value  # tier-independent, as in case_rate_table
     loads = class_loads(cfg0, states)
     rates = rate_matrix(cfg, u, states)
     return states, loads, rates

@@ -1,10 +1,14 @@
-"""Average ergodic rates of the four content-access cases.
+"""Average ergodic rates of the four content-access cases, and the coverage
+probability that every rate and outage figure is derived from.
 
-All rates are in nats/s/Hz; the conversion to bits/s (eta * w) happens only
-when the queueing layer builds its service-rate matrix.  With zero noise the
-closed single-integral forms are used; otherwise the nested double integral
-(outer distance variable, inner rate-threshold variable) is evaluated.
-Case 3 is defined in the interference-limited regime only.
+Each radio case has one coverage function tau -> P(SINR > tau), built by
+``_coverage``: a closed form for cases 1/2 without noise, a distance integral
+for cases 1/2 with noise, and an integral over the normalized blocker
+distance for case 3 (interference-limited only).  A rate is the coverage
+integrated over the rate threshold, E[ln(1 + SINR)] = int_0^inf P(SINR >
+e^t - 1) dt; an outage probability (``outage.py``) is one minus the coverage
+at the threshold.  All rates are in nats/s/Hz; the conversion to bits/s
+(eta * w) happens only when the queueing layer builds its service-rate matrix.
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from .association import (
     three_tier_spec,
 )
 from .config import NetworkConfig
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureError,
-    QuadratureSpec,
-    integrate_interval,
-    integrate_semi_infinite,
-)
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_interval, integrate_semi_infinite
 from .specfun import kernel_z1, kernel_z2, kernel_z2_scale
 
 
@@ -82,88 +80,12 @@ def _regime(cfg: NetworkConfig) -> str:
     return "interference-limited" if cfg.noise == 0.0 else "with-noise"
 
 
-# beyond this t the integrands are < 1e-100; returning 0 avoids expm1 overflow
-_T_CUTOFF = 700.0
+# beyond this exponent the integrands are < 1e-100; returning 0 avoids
+# expm1 and power overflow
+_EXP_CUTOFF = 700.0
 
-
-def _rate_single_integral(bracket, spec: QuadratureSpec) -> tuple[float, float]:
-    """integral over t of 1 / (1 + bracket(e^t - 1))."""
-    def integrand(t: float) -> float:
-        if t > _T_CUTOFF:
-            return 0.0
-        return 1.0 / (1.0 + bracket(math.expm1(t)))
-    return integrate_semi_infinite(integrand, spec)
-
-
-def _rate_double_integral(cfg: NetworkConfig, tier_i: int, q: float, bracket,
-                          spec: QuadratureSpec) -> tuple[float, float]:
-    """Noise-inclusive nested form.  With u = pi*q*x^2 the distance integral
-    is O(1)-scaled:  int_0^inf du int_0^inf exp(-x(u)^beta v sigma^2 / P_i
-    - u*(1 + bracket(v))) dt, v = e^t - 1."""
-    p_i = cfg.powers[tier_i - 1]
-    sigma2 = cfg.noise
-    beta = cfg.beta
-    inner_spec = spec.tightened()
-
-    def outer(u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        x_beta = (u / (math.pi * q)) ** (beta / 2.0)
-
-        def inner(t: float) -> float:
-            if t > _T_CUTOFF:
-                return 0.0
-            v = math.expm1(t)
-            return math.exp(-x_beta * v * sigma2 / p_i - u * (1.0 + bracket(v)))
-
-        try:
-            return integrate_semi_infinite(inner, inner_spec)[0]
-        except QuadratureError as exc:
-            # at large u the inner integrand is ~e^-u everywhere and QUADPACK
-            # can flag slow convergence on a value that is already negligible
-            # against the O(1) outer integral; accept it, otherwise re-raise
-            if abs(exc.partial) < 1e-9:
-                return exc.partial
-            raise
-
-    return integrate_semi_infinite(outer, spec)
-
-
-def rate_case1(cfg: NetworkConfig, tier_i: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
-    """Rate of a non-caching user served by its strongest node in tier i."""
-    if tier_i not in (1, 2, 3):
-        raise ValueError("case-1 serving tier must be 1, 2 or 3")
-    co = interference_coefficients(cfg)
-    beta = cfg.beta
-
-    def bracket(v: float) -> float:
-        return co.c1 * kernel_z1(v, beta)
-
-    if cfg.noise == 0.0:
-        value, err = _rate_single_integral(bracket, spec)
-    else:
-        q = co.s_total / cfg.powers[tier_i - 1] ** (2.0 / beta)
-        value, err = _rate_double_integral(cfg, tier_i, q, bracket, spec)
-    return RateResult(value, 1, tier_i, _regime(cfg), err)
-
-
-def rate_case2(cfg: NetworkConfig, tier_i: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
-    """Rate of a cache-enabled user (content not self-cached) served by the
-    stronger of relay/BS; active D2D transmitters interfere from distance 0."""
-    if tier_i not in (2, 3):
-        raise ValueError("case-2 serving tier must be 2 or 3")
-    co = interference_coefficients(cfg)
-    beta = cfg.beta
-
-    def bracket(v: float) -> float:
-        return kernel_z1(v, beta) + co.c2 * kernel_z2(v, beta)
-
-    if cfg.noise == 0.0:
-        value, err = _rate_single_integral(bracket, spec)
-    else:
-        q = co.s_relay_bs / cfg.powers[tier_i - 1] ** (2.0 / beta)
-        value, err = _rate_double_integral(cfg, tier_i, q, bracket, spec)
-    return RateResult(value, 2, tier_i, _regime(cfg), err)
+# serving tiers each radio case admits
+_SERVING_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
 
 
 def _x2_blocked_kernel(v: float, x: float, beta: float) -> float:
@@ -176,35 +98,99 @@ def _x2_blocked_kernel(v: float, x: float, beta: float) -> float:
     return x * x * kernel_z1(v * x ** (-beta), beta)
 
 
+def _coverage(cfg: NetworkConfig, co: InterferenceCoefficients, case_id: int, tier: int,
+              spec: QuadratureSpec):
+    """Coverage of a radio case served from ``tier``: a function
+    tau -> (P(SINR > tau), error estimate).  Validates the case, the tier and
+    the regime once, before any threshold is evaluated."""
+    if case_id not in _SERVING_TIERS:
+        raise ValueError("radio case index must be 1, 2 or 3")
+    if tier not in _SERVING_TIERS[case_id]:
+        raise ValueError(f"case-{case_id} serving tier must be one of {_SERVING_TIERS[case_id]}")
+    beta = cfg.beta
+
+    if case_id == 3:
+        if cfg.noise != 0.0:
+            raise ValueError("case 3 is defined in the interference-limited regime only")
+        if cfg.alpha == 0.0:
+            raise ValueError("case 3 is empty without cache-enabled users (alpha = 0)")
+        g = co.g31 / (1.0 - co.g31)
+
+        def blocked(tau: float) -> tuple[float, float]:
+            z1 = kernel_z1(tau, beta)
+
+            def integrand(x: float) -> float:
+                den = 1.0 + z1 + g * x * x + co.c2 * _x2_blocked_kernel(tau, x, beta)
+                return 2.0 * x * (1.0 + g) / (den * den)
+
+            return integrate_interval(integrand, 0.0, 1.0, spec)
+
+        return blocked
+
+    if case_id == 1:
+        weight = co.s_total
+
+        def bracket(tau: float) -> float:
+            return co.c1 * kernel_z1(tau, beta)
+    else:
+        weight = co.s_relay_bs
+
+        def bracket(tau: float) -> float:
+            return kernel_z1(tau, beta) + co.c2 * kernel_z2(tau, beta)
+
+    if cfg.noise == 0.0:
+        return lambda tau: (1.0 / (1.0 + bracket(tau)), 0.0)
+
+    p_i = cfg.powers[tier - 1]
+    q = weight / p_i ** (2.0 / beta)
+
+    def noisy(tau: float) -> tuple[float, float]:
+        # distance integral over u = pi*q*x^2, rescaled by s = u*b to unit width
+        b = 1.0 + bracket(tau)
+        scale = b * math.pi * q
+        snr_term = tau * cfg.noise / p_i
+
+        def integrand(s: float) -> float:
+            if s > _EXP_CUTOFF:
+                return 0.0
+            return math.exp(-(s / scale) ** (beta / 2.0) * snr_term - s)
+
+        value, err = integrate_semi_infinite(integrand, spec)
+        return value / b, err / b
+
+    return noisy
+
+
+def _rate(cfg: NetworkConfig, case_id: int, tier: int, spec: QuadratureSpec) -> RateResult:
+    """E[ln(1 + SINR)] = int_0^inf P(SINR > e^t - 1) dt; a coverage that is
+    itself a quadrature runs one order tighter so the outer estimate holds."""
+    coverage = _coverage(cfg, interference_coefficients(cfg), case_id, tier, spec.tightened())
+
+    def integrand(t: float) -> float:
+        if t > _EXP_CUTOFF:
+            return 0.0
+        return coverage(math.expm1(t))[0]
+
+    value, err = integrate_semi_infinite(integrand, spec)
+    return RateResult(value, case_id, tier, _regime(cfg), err)
+
+
+def rate_case1(cfg: NetworkConfig, tier_i: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
+    """Rate of a non-caching user served by its strongest node in tier i."""
+    return _rate(cfg, 1, tier_i, spec)
+
+
+def rate_case2(cfg: NetworkConfig, tier_i: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
+    """Rate of a cache-enabled user (content not self-cached) served by the
+    stronger of relay/BS; active D2D transmitters interfere from distance 0."""
+    return _rate(cfg, 2, tier_i, spec)
+
+
 def rate_case3(cfg: NetworkConfig, tier_j: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
     """Rate of a non-caching user whose strongest node is a cache-enabled
     user without the content, served by the stronger of relay/BS.
     Interference-limited regime only."""
-    if tier_j not in (2, 3):
-        raise ValueError("case-3 serving tier must be 2 or 3")
-    if cfg.noise != 0.0:
-        raise ValueError("case-3 rate is defined in the interference-limited regime only")
-    if cfg.alpha == 0.0:
-        raise ValueError("case 3 is empty without cache-enabled users (alpha = 0)")
-    co = interference_coefficients(cfg)
-    beta = cfg.beta
-    g = co.g31 / (1.0 - co.g31)
-    inner_spec = spec.tightened()
-
-    def outer(t: float) -> float:
-        if t > _T_CUTOFF:
-            return 0.0
-        v = math.expm1(t)
-        z1 = kernel_z1(v, beta)
-
-        def inner(x: float) -> float:
-            den = 1.0 + z1 + g * x * x + co.c2 * _x2_blocked_kernel(v, x, beta)
-            return 2.0 * x * (1.0 + g) / (den * den)
-
-        return integrate_interval(inner, 0.0, 1.0, inner_spec)[0]
-
-    value, err = integrate_semi_infinite(outer, spec)
-    return RateResult(value, 3, tier_j, "interference-limited", err)
+    return _rate(cfg, 3, tier_j, spec)
 
 
 def rate_local(cfg: NetworkConfig) -> RateResult:
@@ -216,15 +202,12 @@ def case_rate_table(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD) -> 
     """4x4 table of case rates U[case-1, column] in nats/s/Hz, columns
     ordered (d2d, relay, bs, local).  Structurally impossible states are 0.
     Feeds the queueing service-rate matrix."""
+    # one rate per case fills every serving tier: P_i cancels between q and tau*sigma^2/P_i
     u = np.zeros((4, 4))
-    u[0, 0] = rate_case1(cfg, 1, spec).value
-    u[0, 1] = rate_case1(cfg, 2, spec).value
-    u[0, 2] = rate_case1(cfg, 3, spec).value
+    u[0, 0:3] = rate_case1(cfg, 3, spec).value
     if cfg.alpha > 0.0:
-        u[1, 1] = rate_case2(cfg, 2, spec).value
-        u[1, 2] = rate_case2(cfg, 3, spec).value
+        u[1, 1:3] = rate_case2(cfg, 3, spec).value
         if cfg.noise == 0.0:
-            u[2, 1] = rate_case3(cfg, 2, spec).value
-            u[2, 2] = rate_case3(cfg, 3, spec).value
+            u[2, 1:3] = rate_case3(cfg, 3, spec).value
     u[3, 3] = cfg.local_rate_ul
     return u

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import importlib.metadata
 import json
 import subprocess
 from pathlib import Path
 
 
+@functools.cache
 def _version_string() -> str:
+    """Git description of the checkout holding this package (not of the
+    caller's working directory), else the installed version; once per process."""
     try:
         out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
+            ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty"],
             capture_output=True, text=True, check=True, timeout=5,
         )
         return out.stdout.strip()

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from hetcache import results
 from hetcache.cli import main
+from hetcache.config import fig6_config
 from hetcache.presets import PRESET_NAMES, run_preset
 from hetcache.results import emit_results, load_envelope
 
@@ -32,6 +34,15 @@ def test_emit_results_rejects_bad_rows(tmp_path, cfg):
     with pytest.raises(ValueError):
         emit_results([{"a": 1.0}], ["a", "b"], tmp_path, "bad",
                      config=cfg.to_flat_dict(), seed=0, meta={})
+
+
+def test_version_stamp_ignores_working_directory(tmp_path, monkeypatch):
+    # the stamp names the checkout holding the package, wherever it is called from
+    results._version_string.cache_clear()
+    here = results._version_string()
+    results._version_string.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    assert results._version_string() == here
 
 
 def test_cli_association_writes_csv_and_json(tmp_path):
@@ -64,6 +75,18 @@ def test_cli_steady_meta(tmp_path):
     env = json.loads((tmp_path / "steady.json").read_text())
     assert env["meta"]["varsigma_star"] > 0.0
     assert env["meta"]["binding_node"] in ("d2d", "relay", "bs", "local")
+
+
+def test_cli_preset_runs_on_the_preset_config(tmp_path):
+    # without --config the steady preset runs on, and echoes, fig6_config
+    main(["steady", "--preset", "steady", "--out", str(tmp_path)])
+    env = json.loads((tmp_path / "steady.json").read_text())
+    assert env["config"] == fig6_config().to_flat_dict()
+    library = run_preset("steady")
+    assert [r["gain"] for r in env["rows"]] == [r["gain"] for r in library.rows]
+    gains = {r["gamma"]: r["gain"] for r in env["rows"] if r["kappa"] == 0.8}
+    assert gains[0.8] == pytest.approx(0.046, abs=1e-3)
+    assert gains[1.8] == pytest.approx(0.436, abs=1e-3)
 
 
 def test_cli_config_file_dbm_keys(tmp_path):

@@ -120,6 +120,21 @@ def test_noise_case1_tier_independent(cfg):
     assert weaker < vals[2]
 
 
+# mpmath (20 digits) tanh-sinh nested quadrature of the rate in its original
+# variables, int_0^120 dt int_0^inf 2 pi q r exp(-pi q r^2 (1 + bracket(v))
+# - r^beta v sigma^2 / P_3) dr with v = e^t - 1, Z1 from mpmath.hyp2f1 and the
+# coefficients from interference_coefficients; each value takes ~35 s to
+# compute, so they are hard-coded.  The coverage at t = 120 is below 1e-27.
+@pytest.mark.parametrize("rate_fn,alpha,noise,oracle", [
+    (rate_case1, 0.05, 1e-6, 0.17903732944068007),
+    (rate_case2, 0.25, 1e-9, 0.59922760973740384),
+    (rate_case2, 0.05, 1e-6, 0.11516351759525764),
+])
+def test_noisy_rate_against_mpmath_oracle(rate_fn, alpha, noise, oracle):
+    value = rate_fn(NetworkConfig(alpha=alpha, noise=noise), 3).value
+    assert value == pytest.approx(oracle, rel=1e-9)
+
+
 def test_case3_rejects_noise_and_zero_alpha(cfg):
     with pytest.raises(ValueError):
         rate_case3(cfg.with_updates(noise=1e-9), 3)
