@@ -1,89 +1,36 @@
 """Gauss hypergeometric function on the real axis and the interference kernels.
 
-Only the real branch z < 1 is supported: every kernel argument below is of
-the form -v or -v * x^(-beta) with v >= 0, so no complex continuation is
-needed.  Evaluation strategy:
+Only the real branch z < 1 is supported: every kernel argument below is
+non-positive, so no complex continuation is needed.  Evaluation strategy:
 
-  * |z| <= 0.5              direct power series,
-  * 0.5 < z < 1             power series with a raised term budget,
-  * -2 <= z < -0.5          Pfaff transformation z -> z/(z-1),
-  * z < -2                  1/z connection formula (fast for huge |z|),
-                            falling back to Pfaff when a - b is integral.
+  * 2F1 is scipy's ``hyp2f1`` ufunc; ``gauss_2f1`` adds the domain checks
+    (pole in c, z >= 1) and stays the one scalar entry point,
+  * Z1, Z3 and the cut-off Z2 are scalar closed forms in
+    2F1(1, 1-2/beta; 2-2/beta; .); the a = 0 Z2 needs no 2F1,
+  * ``kernel_x2z3`` is x^2 * Z3 on an array of x, written through the
+    complementary family 2F1(1, 2/beta; 1+2/beta; .) so that it stays finite
+    and smooth down to x = 0 (no x^(-beta) is ever formed).
 """
 
 from __future__ import annotations
 
 import math
 
-_MAX_TERMS = 500_000
-_SERIES_TOL = 1e-16
+import numpy as np
+from scipy import special
 
 
 class ConvergenceError(RuntimeError):
-    """Series or quadrature failed to reach the requested accuracy."""
-
-
-def _series_2f1(a: float, b: float, c: float, z: float, max_terms: int = _MAX_TERMS) -> float:
-    term = 1.0
-    total = 1.0
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_TOL * max(1.0, abs(total)):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge for (a={a}, b={b}, c={c}, z={z}); "
-        f"last term {term:.3e} after {max_terms} terms"
-    )
-
-
-def _pfaff_2f1(a: float, b: float, c: float, z: float) -> float:
-    # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)); maps z<-0.5 to (1/3, 1)
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)
-
-
-def _large_z_2f1(a: float, b: float, c: float, z: float) -> float:
-    # Inversion formula for z < -2 (requires a - b non-integral):
-    # 2F1 = G(c)G(b-a)/(G(b)G(c-a)) (-z)^-a 2F1(a, a-c+1; a-b+1; 1/z)
-    #     + G(c)G(a-b)/(G(a)G(c-b)) (-z)^-b 2F1(b, b-c+1; b-a+1; 1/z)
-    inv = 1.0 / z
-    ga = math.gamma
-    t1 = ga(c) * ga(b - a) / (ga(b) * ga(c - a)) * (-z) ** (-a) \
-        * _series_2f1(a, a - c + 1.0, a - b + 1.0, inv)
-    t2 = ga(c) * ga(a - b) / (ga(a) * ga(c - b)) * (-z) ** (-b) \
-        * _series_2f1(b, b - c + 1.0, b - a + 1.0, inv)
-    return t1 + t2
-
-
-def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
+    """An iteration or quadrature failed to reach the requested accuracy."""
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1."""
-    if _is_nonpositive_integer(c):
+    if c <= 1e-12 and abs(c - round(c)) < 1e-12:
         raise ValueError(f"2F1 parameter pole: c = {c} is a non-positive integer")
     if z >= 1.0:
         raise ValueError(f"argument z = {z} outside the supported branch z < 1")
-    if z == 0.0:
-        return 1.0
-    if abs(z) <= 0.5:
-        return _series_2f1(a, b, c, z)
-    if z > 0.0:
-        # slow convergence near 1 is tolerated; the kernels never land here
-        return _series_2f1(a, b, c, z)
-    if z >= -2.0:
-        return _pfaff_2f1(a, b, c, z)
-    ab_diff = a - b
-    if abs(ab_diff - round(ab_diff)) < 1e-9:
-        # degenerate inversion; Pfaff still converges, just more slowly
-        return _pfaff_2f1(a, b, c, z)
-    # gamma() overflows for large parameters; fall back to Pfaff there too
-    try:
-        return _large_z_2f1(a, b, c, z)
-    except (OverflowError, ValueError):
-        return _pfaff_2f1(a, b, c, z)
+    return float(special.hyp2f1(a, b, c, z))
 
 
 def _check_beta(beta: float) -> None:
@@ -133,8 +80,8 @@ def kernel_z3(v: float, x: float, beta: float) -> float:
     """Interference kernel at normalized serving-vs-blocker distance x in (0, 1].
 
     Z3(v; x) = (2v / (beta-2)) x^(-beta) 2F1(1, 1-2/beta; 2-2/beta; -v x^(-beta)),
-    which equals Z1(v * x^(-beta)).  Diverges as x -> 0; callers integrate it
-    against an x^2 weight and must use open-endpoint rules near 0.
+    which equals Z1(v * x^(-beta)).  Diverges as x -> 0; integrals against an
+    x^2 weight use ``kernel_x2z3`` instead.
     """
     _check_beta(beta)
     if v < 0.0:
@@ -144,6 +91,24 @@ def kernel_z3(v: float, x: float, beta: float) -> float:
     if v == 0.0:
         return 0.0
     return kernel_z1(v * x ** (-beta), beta)
+
+
+def kernel_x2z3(v: float, x: np.ndarray, beta: float) -> np.ndarray:
+    """x^2 * Z3(v; x) on an array of x in [0, 1], finite at x = 0.
+
+    With eps = x^2 v^(-2/beta), the integral below the exclusion radius is
+    int_0^eps du / (1 + u^(beta/2)) = eps 2F1(1, 2/beta; 1+2/beta; -eps^(beta/2)),
+    so x^2 Z1(v x^(-beta)) = v^(2/beta) [K - eps 2F1(...)] with
+    K = kernel_z2_scale(beta): v^(2/beta) K - x^2 + O(x^(2+beta)) near 0.
+    """
+    _check_beta(beta)
+    if v < 0.0:
+        raise ValueError("kernel argument must be non-negative")
+    if v == 0.0:
+        return np.zeros_like(x)
+    e = 2.0 / beta
+    eps = x * x * v ** -e
+    return v ** e * (kernel_z2_scale(beta) - eps * special.hyp2f1(1.0, e, 1.0 + e, -(x ** beta) / v))
 
 
 def kernel_z2_scale(beta: float) -> float:

@@ -1,7 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hetcache import (
+    NetworkConfig,
+    active_d2d_density,
     kernel_z1,
     kernel_z2,
     outage_case1,
@@ -10,6 +14,7 @@ from hetcache import (
     outage_case4,
     sinr_cdf,
 )
+from hetcache import rates
 from hetcache.rates import interference_coefficients
 
 
@@ -104,3 +109,51 @@ def test_domain_errors(cfg):
         outage_case3(cfg.with_updates(alpha=0.0), 3, 0.1)
     with pytest.raises(ValueError):
         sinr_cdf(cfg, 5, 3, 0.1)
+
+
+def _case3_outage_oracle(cfg, tau):
+    """Adaptive QUADPACK over x with the blocked kernel from mpmath, written as
+    int 2x(1+g) [1/a^2 - 1/d^2] dx so that no 1 - coverage cancels."""
+    co = interference_coefficients(cfg)
+    g = co.g31 / (1.0 - co.g31)
+    beta = mpmath.mpf(cfg.beta)
+
+    def z1(v):
+        return 2 * v / (beta - 2) * mpmath.hyp2f1(1, 1 - 2 / beta, 2 - 2 / beta, -v)
+
+    z1_tau = float(z1(mpmath.mpf(tau)))
+
+    def integrand(x):
+        xm = mpmath.mpf(x)
+        excess = z1_tau + co.c2 * float(xm * xm * z1(tau * xm ** -beta))
+        a = 1.0 + g * x * x
+        d = a + excess
+        return 2.0 * x * (1.0 + g) * excess * (d + a) / (a * a * d * d)
+
+    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12])
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_case3_outage_against_adaptive_oracle(beta, alpha, tau):
+    cfg = NetworkConfig(beta=beta, alpha=alpha)
+    assert outage_case3(cfg, 3, tau).value == pytest.approx(
+        _case3_outage_oracle(cfg, tau), rel=1e-10)
+
+
+def test_interference_coefficients_built_once_per_config(cfg, monkeypatch):
+    interference_coefficients.cache_clear()
+    built = []
+
+    def counting(c):
+        built.append(c)
+        return active_d2d_density(c)
+
+    monkeypatch.setattr(rates, "active_d2d_density", counting)
+    for tau in (0.1, 1.0, 10.0):
+        for case_id in (1, 2, 3):
+            sinr_cdf(cfg, case_id, 3, tau)
+    sinr_cdf(NetworkConfig(), 1, 3, 0.1)  # an equal config is the same key
+    assert built == [cfg]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hetcache import QuadratureError, QuadratureSpec, integrate_interval, integrate_semi_infinite
+from hetcache.quadrature import gauss_legendre
 
 
 def test_finite_interval_polynomial():
@@ -41,3 +42,14 @@ def test_failure_carries_partial_estimate():
 def test_non_finite_result_rejected():
     with pytest.raises(QuadratureError):
         integrate_interval(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
+    x, w = gauss_legendre(96)
+    assert ((x > 0.0) & (x < 1.0)).all()
+    assert (w > 0.0).all()
+    for k in (0, 1, 7, 64, 191):
+        assert math.fsum(w * x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+    x3, w3 = gauss_legendre(3)
+    assert sorted(x3) == pytest.approx([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)], abs=1e-15)
+    assert sorted(w3) == pytest.approx([5 / 18, 5 / 18, 8 / 18], abs=1e-15)

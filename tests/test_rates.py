@@ -80,6 +80,19 @@ def test_case3_bounds_and_limit(cfg):
     assert rate_case3(tiny, 3).value == pytest.approx(expect, rel=1e-4)
 
 
+# case-3 rates from the nested adaptive quadrature (QUADPACK over x inside
+# QUADPACK over t, 2F1 by its own series) that the fixed inner rule replaced
+@pytest.mark.parametrize("beta,alpha,expect", [
+    (2.5, 0.05, 0.17642535493930744),
+    (2.5, 0.3, 0.18567944685263807),
+    (3.0, 0.05, 0.29599910717493993),
+    (5.5, 0.3, 0.42280782821323404),
+])
+def test_case3_rate_against_nested_adaptive_values(beta, alpha, expect):
+    value = rate_case3(NetworkConfig(beta=beta, alpha=alpha), 3).value
+    assert value == pytest.approx(expect, rel=1e-9)
+
+
 def test_case3_tier_independent(cfg):
     assert rate_case3(cfg, 2).value == pytest.approx(rate_case3(cfg, 3).value, rel=1e-9)
 

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from hetcache import ConvergenceError, gauss_2f1, kernel_z1, kernel_z2, kernel_z3
-from hetcache.specfun import kernel_z2_scale
+from hetcache import ConvergenceError, NetworkConfig, gauss_2f1, kernel_z1, kernel_z2, kernel_z3
+from hetcache.quadrature import DEFAULT_QUAD
+from hetcache.rates import _CASE3_X, _EXP_CUTOFF, _coverage, interference_coefficients
+from hetcache.specfun import kernel_x2z3, kernel_z2_scale
 
 
 def mp_2f1(a, b, c, z):
@@ -97,3 +100,38 @@ def test_beta_domain_errors():
 
 def test_convergence_error_is_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+@pytest.mark.parametrize("v", [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12])
+def test_x2z3_array_kernel_matches_scalar_form(beta, v):
+    x = np.logspace(-8, 0, 33)
+    scalar = [xi * xi * kernel_z1(v * xi ** -beta, beta) for xi in x]
+    # the array form subtracts from v^(2/beta) K, so its error scales with that
+    np.testing.assert_allclose(kernel_x2z3(v, x, beta), scalar, rtol=1e-12,
+                               atol=1e-15 * v ** (2.0 / beta) * kernel_z2_scale(beta))
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_x2z3_array_kernel_limit_at_zero(beta):
+    for v in (1e-6, 1.0, 1e6):
+        limit = v ** (2.0 / beta) * kernel_z2_scale(beta)
+        near = kernel_x2z3(v, np.array([0.0, 1e-300, 1e-12]), beta)
+        np.testing.assert_allclose(near, limit, rtol=1e-12)
+    assert (kernel_x2z3(0.0, np.array([0.0, 0.5, 1.0]), beta) == 0.0).all()
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.5])
+def test_x2z3_array_kernel_finite_over_outer_rule_range(beta):
+    # the rate integrates the coverage at tau = e^t - 1 for t up to _EXP_CUTOFF
+    x = np.concatenate(([0.0], _CASE3_X, [1.0]))
+    cfg = NetworkConfig(beta=beta, alpha=0.3)
+    coverage = _coverage(cfg, interference_coefficients(cfg), 3, 3, DEFAULT_QUAD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in np.concatenate((np.logspace(-12, 0, 13), np.linspace(1.0, _EXP_CUTOFF, 71))):
+            tau = math.expm1(t)
+            vals = kernel_x2z3(tau, x, beta)
+            assert np.isfinite(vals).all() and (vals >= 0.0).all()
+            cov, err = coverage(tau)
+            assert 0.0 <= cov <= 1.0 and err == 0.0
