@@ -6,6 +6,15 @@ SINR distributions, ergodic rates, and outage empirically.  It is the
 independent cross-check for all closed-form layers, so it shares no kernel
 code with them: everything here is literal geometry plus sampling.
 
+The work is batched per topology and (case, serving tier).  One distance
+matrix from the reference users to every active D2D transmitter, relay and
+BS becomes a matrix of interference weights P d^-beta, in which an excluded
+node (the reference user itself, its serving node, and the nearest other
+cache-enabled user when that is the strongest node) is infinitely far and
+weighs 0.  Rayleigh fading is drawn as one independent exponential per
+(user, node, redraw), in row blocks of at most ``FADING_BLOCK`` numbers, and
+each block is reduced with ``einsum``.
+
 Two boundary treatments: ``margin`` restricts reference users to a central
 sub-window (interference fields near the edge are depleted), ``torus`` wraps
 distances.  Replications split a master seed through ``SeedSequence`` so runs
@@ -23,6 +32,10 @@ from .association import active_d2d_density
 from .config import NetworkConfig
 
 BOUNDARY_MODES = ("margin", "torus")
+
+# Largest number of fading draws held at once (rows x nodes x redraws):
+# 2**21 float64 values, 16 MiB.
+FADING_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -93,13 +106,49 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
 
 def _distances(points: np.ndarray, targets: np.ndarray, window: float,
                boundary: str) -> np.ndarray:
-    """(len(points), len(targets)) distance matrix, torus-wrapped on demand."""
+    """(len(points), len(targets)) distance matrix, torus-wrapped on demand.
+
+    Squared offsets are added one axis at a time into the result, so the
+    working set is three (points x targets) arrays.
+    """
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary mode must be one of {BOUNDARY_MODES}")
-    delta = np.abs(points[:, None, :] - targets[None, :, :])
-    if boundary == "torus":
-        delta = np.minimum(delta, window - delta)
-    return np.sqrt((delta * delta).sum(axis=2))
+    shape = (len(points), len(targets))
+    sq = np.zeros(shape)
+    delta = np.empty(shape)
+    wrapped = np.empty(shape) if boundary == "torus" else None
+    for axis in range(2):
+        np.subtract.outer(points[:, axis], targets[:, axis], out=delta)
+        np.abs(delta, out=delta)
+        if wrapped is not None:
+            np.subtract(window, delta, out=wrapped)
+            np.minimum(delta, wrapped, out=delta)
+        np.multiply(delta, delta, out=delta)
+        sq += delta
+    return np.sqrt(sq, out=sq)
+
+
+def _exclude(d: np.ndarray, row_users: np.ndarray, col_users: np.ndarray) -> None:
+    """Set d[r, c] to inf wherever col_users[c] == row_users[r].
+
+    ``col_users`` is sorted and holds each user at most once, so every row
+    matches at most one column.
+    """
+    if len(col_users) == 0:
+        return
+    col = np.minimum(np.searchsorted(col_users, row_users), len(col_users) - 1)
+    hit = col_users[col] == row_users
+    d[np.flatnonzero(hit), col[hit]] = math.inf
+
+
+def _cache_distances(real: SpatialRealization, ref: np.ndarray,
+                     boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cache-enabled user indices and the distances from the reference users
+    to them; a cache-enabled reference user is infinitely far from itself."""
+    cache_users = np.flatnonzero(real.cache_flags)
+    d = _distances(real.users[ref], real.users[cache_users], real.window, boundary)
+    _exclude(d, ref, cache_users)
+    return cache_users, d
 
 
 def central_indices(real: SpatialRealization, margin: float) -> np.ndarray:
@@ -149,15 +198,10 @@ def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray,
     r_relay = d_relay[np.arange(len(ref)), relay_idx]
     r_bs = d_bs[np.arange(len(ref)), bs_idx]
 
-    cache_users = np.flatnonzero(real.cache_flags)
     r_cache = np.full(len(ref), math.inf)
     cache_idx = np.full(len(ref), -1, dtype=np.int64)
+    cache_users, d_cache = _cache_distances(real, ref, boundary)
     if len(cache_users) > 0:
-        d_cache = _distances(pts, real.users[cache_users], real.window, boundary)
-        for row, u in enumerate(ref):  # a cache-enabled reference skips itself
-            same = np.flatnonzero(cache_users == u)
-            if len(same) > 0:
-                d_cache[row, same[0]] = math.inf
         best = d_cache.argmin(axis=1)
         r_cache = d_cache[np.arange(len(ref)), best]
         cache_idx = cache_users[best]
@@ -202,18 +246,11 @@ def nearest_distances(real: SpatialRealization, tier: int,
     if tier not in (1, 2, 3):
         raise ValueError("tier must be 1, 2 or 3")
     ref = edge_correction_policy(real, margin, boundary)
-    pts = real.users[ref]
     if tier == 1:
-        targets = real.users[real.cache_flags]
-        d = _distances(pts, targets, real.window, boundary)
-        cache_users = np.flatnonzero(real.cache_flags)
-        for row, u in enumerate(ref):
-            same = np.flatnonzero(cache_users == u)
-            if len(same) > 0:
-                d[row, same[0]] = math.inf
+        _, d = _cache_distances(real, ref, boundary)
     else:
         targets = real.relays if tier == 2 else real.bs
-        d = _distances(pts, targets, real.window, boundary)
+        d = _distances(real.users[ref], targets, real.window, boundary)
     if d.shape[1] == 0:
         return np.full(len(ref), math.inf)
     return d.min(axis=1)
@@ -238,54 +275,59 @@ def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: 
     return np.flatnonzero(~caching & (geo.winner == 1) & pick)
 
 
+def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
+                          rows: np.ndarray, case_id: int, tier: int,
+                          boundary: str) -> np.ndarray:
+    """Interference weights P_j d_j^-beta, shape (len(rows), nodes).
+
+    Columns are every active D2D transmitter (in user order), then every
+    relay, then every BS.  A node that does not interfere weighs 0: the
+    reference user itself, the serving relay or BS, and (when the strongest
+    node is a cache-enabled user, i.e. case 1/tier 1 and case 3) that
+    nearest cache-enabled user.
+    """
+    d2d_served = case_id == 1 and tier == 1
+    ref = geo.ref[rows]
+    active = np.flatnonzero(real.active_flags)
+    nodes = np.concatenate((real.users[active], real.relays, real.bs))
+    power = np.repeat((cfg.p1, cfg.p2, cfg.p3), (len(active), len(real.relays), len(real.bs)))
+    d = _distances(real.users[ref], nodes, real.window, boundary)
+    d2d = d[:, :len(active)]
+    _exclude(d2d, ref, active)
+    if d2d_served or case_id == 3:
+        _exclude(d2d, geo.cache_idx[rows], active)
+    if not d2d_served:
+        serving = geo.relay_idx[rows] if tier == 2 else len(real.relays) + geo.bs_idx[rows]
+        d[np.arange(len(rows)), len(active) + serving] = math.inf
+    np.power(d, -cfg.beta, out=d)
+    d *= power
+    return d
+
+
 def _sinr_samples(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
                   rows: np.ndarray, case_id: int, tier: int, n_fading: int,
                   rng: np.random.Generator, boundary: str) -> np.ndarray:
-    """SINR draws, shape (len(rows), n_fading).
-
-    Interferers: every active D2D transmitter, relay and BS except the serving
-    node, the reference user itself, and (when the strongest node is a
-    cache-enabled user, i.e. case 1/tier 1 and case 3) that nearest
-    cache-enabled user.
-    """
+    """SINR draws, shape (len(rows), n_fading), over the interferers of
+    ``_interference_weights``; every (user, node, redraw) fades independently."""
     if len(rows) == 0:
         return np.empty((0, n_fading))
-    beta = cfg.beta
-    d2d_served = case_id == 1 and tier == 1
+    if case_id == 1 and tier == 1:
+        r_serv, p_serv = geo.r_cache[rows], cfg.p1
+    elif tier == 2:
+        r_serv, p_serv = geo.r_relay[rows], cfg.p2
+    else:
+        r_serv, p_serv = geo.r_bs[rows], cfg.p3
+    w = _interference_weights(real, cfg, geo, rows, case_id, tier, boundary)
 
-    active_users = np.flatnonzero(real.active_flags)
-    out = np.empty((len(rows), n_fading))
-    for k, row in enumerate(rows):
-        u = geo.ref[row]
-        pos = real.users[u][None, :]
-        if d2d_served:
-            r_serv, p_serv = geo.r_cache[row], cfg.p1
-        elif tier == 2:
-            r_serv, p_serv = geo.r_relay[row], cfg.p2
-        else:
-            r_serv, p_serv = geo.r_bs[row], cfg.p3
-
-        exclude_cache = geo.cache_idx[row] if (d2d_served or case_id == 3) else -1
-        d2d_idx = active_users[(active_users != u) & (active_users != exclude_cache)]
-        weights = []
-        if len(d2d_idx) > 0:
-            d = _distances(pos, real.users[d2d_idx], real.window, boundary)[0]
-            weights.append(cfg.p1 * d ** (-beta))
-        relay_mask = np.ones(len(real.relays), dtype=bool)
-        bs_mask = np.ones(len(real.bs), dtype=bool)
-        if not d2d_served and tier == 2:
-            relay_mask[geo.relay_idx[row]] = False
-        if not d2d_served and tier == 3:
-            bs_mask[geo.bs_idx[row]] = False
-        d = _distances(pos, real.relays[relay_mask], real.window, boundary)[0]
-        weights.append(cfg.p2 * d ** (-beta))
-        d = _distances(pos, real.bs[bs_mask], real.window, boundary)[0]
-        weights.append(cfg.p3 * d ** (-beta))
-        w = np.concatenate(weights)
-
-        g0 = rng.exponential(size=n_fading)
-        interference = w @ rng.exponential(size=(len(w), n_fading))
-        out[k] = g0 * p_serv * r_serv ** (-beta) / (interference + cfg.noise)
+    out = rng.standard_exponential((len(rows), n_fading))
+    out *= (p_serv * r_serv ** (-cfg.beta))[:, None]
+    step = max(1, FADING_BLOCK // (w.shape[1] * n_fading))
+    fading = np.empty((min(step, len(rows)), w.shape[1], n_fading))
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        block = fading[:hi - lo]
+        rng.standard_exponential(out=block)
+        out[lo:hi] /= np.einsum("rn,rnf->rf", w[lo:hi], block) + cfg.noise
     return out
 
 

@@ -284,6 +284,10 @@ class CtmcTrace:
     seed: int
 
 
+# Holding times and jump uniforms are drawn this many at a time.
+_DRAW_BLOCK = 1024
+
+
 def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
                   node_type: int, horizon: float, seed: int,
                   slot: float = 0.2, warmup: float = 0.0) -> CtmcTrace:
@@ -293,7 +297,8 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     resident requests, so class i departs at rate (varrho * A_i / S) *
     (x_i / x_total).  Gillespie exact-jump scheme; the holding time is drawn
     from the total outflow rate, the jump from the rate-proportional
-    categorical distribution.
+    categorical distribution.  Unit exponentials and uniforms come from the
+    generator in blocks of ``_DRAW_BLOCK``.
     """
     if not 1 <= node_type <= N_NODE_TYPES:
         raise ValueError("node type must be 1..4")
@@ -302,77 +307,93 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     if not 0.0 <= warmup < horizon:
         raise ValueError("warmup must lie in [0, horizon)")
     j = node_type - 1
-    zeta = loads.zeta[:, j].copy()
+    zeta = loads.zeta[:, j]
     # departure rate per resident request when alone: varrho * A / S
     mu = rates.a[:, j] / (cfg.content_size_s * cfg.varrho_inv)
     if ((zeta > 0.0) & (mu == 0.0)).any():
         raise ValueError("a class with arrivals has zero service rate")
 
+    # a class without arrivals never holds a request, so only these move
+    classes = [int(i) for i in np.flatnonzero(zeta > 0.0)]
+    lam = [float(zeta[i]) for i in classes]
+    rate = [float(mu[i]) for i in classes]
+    x = [0] * len(classes)
+    arrival_total = sum(lam)
+
     rng = np.random.default_rng(seed)
-    x = np.zeros(N_CLASSES, dtype=np.int64)
     t = 0.0
     times = [0.0]
-    states = [x.copy()]
-    occupancy_time = np.zeros(N_CLASSES)  # integral of x over [warmup, horizon]
-    arrival_total = zeta.sum()
-
-    while t < horizon:
-        total = x.sum()
-        if total > 0:
-            dep = mu * (x / total)
-        else:
-            dep = np.zeros(N_CLASSES)
-        out_rate = arrival_total + dep.sum()
-        if out_rate == 0.0:
-            dt = horizon - t
-        else:
-            dt = rng.exponential(1.0 / out_rate)
-        t_next = min(t + dt, horizon)
-        overlap = max(0.0, t_next - max(t, warmup))
-        occupancy_time += x * overlap
-        t = t_next
+    jumps = []  # per event: class index for an arrival, N_CLASSES + index for a departure
+    k = _DRAW_BLOCK
+    while arrival_total > 0.0:
+        if k == _DRAW_BLOCK:
+            holds = rng.standard_exponential(_DRAW_BLOCK).tolist()
+            picks = rng.random(_DRAW_BLOCK).tolist()
+            k = 0
+        total = sum(x)
+        dep = [m * n for m, n in zip(rate, x)]  # departure rates times total
+        out_rate = arrival_total + (sum(dep) / total if total else 0.0)
+        t += holds[k] / out_rate
         if t >= horizon:
             break
-        rates_vec = np.concatenate((zeta, dep))
-        k = rng.choice(2 * N_CLASSES, p=rates_vec / out_rate)
-        if k < N_CLASSES:
-            x[k] += 1
+        target = picks[k] * out_rate
+        k += 1
+        if target < arrival_total:
+            c = _pick(lam, target)
+            x[c] += 1
+            jumps.append(classes[c])
         else:
-            x[k - N_CLASSES] -= 1
+            c = _pick(dep, (target - arrival_total) * total)
+            x[c] -= 1
+            jumps.append(N_CLASSES + classes[c])
         times.append(t)
-        states.append(x.copy())
 
     times_arr = np.asarray(times)
-    states_arr = np.asarray(states)
+    codes = np.asarray(jumps, dtype=np.int64)
+    steps = np.zeros((len(times), N_CLASSES), dtype=np.int64)
+    steps[np.arange(1, len(times)), codes % N_CLASSES] = np.where(codes < N_CLASSES, 1, -1)
+    states_arr = np.cumsum(steps, axis=0)
     slot_times, slot_occ = _slot_average(times_arr, states_arr.sum(axis=1), horizon, slot)
-    time_avg = occupancy_time / (horizon - warmup)
+    time_avg = _time_average(times_arr, states_arr, horizon, warmup)
     return CtmcTrace(times_arr, states_arr, slot_times, slot_occ, time_avg,
                      node_type, seed)
 
 
+def _pick(weights: list[float], target: float) -> int:
+    """First index whose cumulative weight exceeds ``target``; when rounding
+    leaves ``target`` at or above the total, the last positive weight."""
+    for c, w in enumerate(weights):
+        if w > 0.0:
+            last = c
+            target -= w
+            if target < 0.0:
+                return c
+    return last
+
+
+def _time_average(times: np.ndarray, states: np.ndarray, horizon: float,
+                  warmup: float) -> np.ndarray:
+    """Per-class time-average of the piecewise-constant path over
+    [warmup, horizon]; states row r holds on [times[r], times[r+1])."""
+    ends = np.append(times[1:], horizon)
+    overlap = np.maximum(ends, warmup) - np.maximum(times, warmup)
+    return overlap @ states / (horizon - warmup)
+
+
 def _slot_average(times: np.ndarray, totals: np.ndarray, horizon: float,
                   slot: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time-average of the piecewise-constant total occupancy per slot."""
+    """Time-average of the piecewise-constant total occupancy per slot: the
+    cumulative area at the event times, read off at the slot edges."""
     if slot <= 0.0:
         raise ValueError("slot duration must be positive")
     edges = np.arange(0.0, horizon + slot, slot)
     edges[-1] = min(edges[-1], horizon)
     if edges[-1] <= edges[-2]:
         edges = edges[:-1]
-    averages = np.empty(len(edges) - 1)
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k], edges[k + 1]
-        idx = np.searchsorted(times, lo, side="right") - 1
-        acc = 0.0
-        t = lo
-        while idx < len(times) and t < hi:
-            t_next = times[idx + 1] if idx + 1 < len(times) else hi
-            seg_end = min(t_next, hi)
-            acc += totals[idx] * (seg_end - t)
-            t = seg_end
-            idx += 1
-        averages[k] = acc / (hi - lo)
-    return edges[:-1], averages
+    area = np.concatenate(([0.0], np.cumsum(totals[:-1] * np.diff(times))))
+    idx = np.searchsorted(times, edges, side="right") - 1
+    area_at_edges = area[idx] + totals[idx] * (edges - times[idx])
+    return edges[:-1], np.diff(area_at_edges) / np.diff(edges)
 
 
 def ctmc_mean_occupancy(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,

@@ -15,7 +15,10 @@ from hetcache import (
 )
 from hetcache.association import active_d2d_density, three_tier_spec
 from hetcache.montecarlo import (
+    _CASE_TIERS,
     SpatialRealization,
+    _geometry,
+    _interference_weights,
     central_indices,
     edge_correction_policy,
 )
@@ -158,6 +161,70 @@ def test_single_interferer_sinr_distribution(cfg):
     scale = (c.p3 * 100.0 ** -c.beta) / (c.p2 * 400.0 ** -c.beta)
     cdf = lambda x: x / (x + 1.0)
     assert stats.kstest(sinr / scale, cdf).pvalue > 0.01
+
+
+def _loop_distance(a, b, window, boundary):
+    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+    if boundary == "torus":
+        dx, dy = min(dx, window - dx), min(dy, window - dy)
+    return math.hypot(dx, dy)
+
+
+@pytest.fixture(params=["torus", "margin"])
+def small_topology(request, cfg):
+    c = cfg.with_updates(alpha=0.25)
+    real = sample_topology(c, 1200.0, 4)
+    boundary = request.param
+    ref = edge_correction_policy(real, 300.0, boundary)
+    assert len(ref) > 20 and real.active_flags.sum() > 5
+    return c, real, boundary, _geometry(real, c, ref, boundary)
+
+
+def test_nearest_other_cache_user_matches_loop(small_topology):
+    c, real, boundary, geo = small_topology
+    cache_users = np.flatnonzero(real.cache_flags)
+    assert real.cache_flags[geo.ref].any()  # some reference users must skip themselves
+    for row, u in enumerate(geo.ref):
+        d = {v: _loop_distance(real.users[u], real.users[v], real.window, boundary)
+             for v in cache_users if v != u}
+        best = min(d, key=d.get)
+        assert geo.cache_idx[row] == best
+        assert geo.r_cache[row] == pytest.approx(d[best], rel=1e-12)
+    if boundary == "torus":
+        np.testing.assert_allclose(nearest_distances(real, 1, boundary="torus"),
+                                   geo.r_cache, rtol=1e-12)
+
+
+def test_interference_weights_match_per_user_loop(small_topology):
+    # the batched (rows x nodes) matrix against the per-user construction:
+    # active D2D transmitters, relays, BSs; excluded nodes weigh 0
+    c, real, boundary, geo = small_topology
+    rows = np.arange(len(geo.ref))
+    active = np.flatnonzero(real.active_flags)
+    for case_id, tiers in _CASE_TIERS.items():
+        for tier in tiers:
+            d2d_served = case_id == 1 and tier == 1
+            got = _interference_weights(real, c, geo, rows, case_id, tier, boundary)
+            expect = np.zeros_like(got)
+            for row in rows:
+                u, pos = geo.ref[row], real.users[geo.ref[row]]
+                skip_cache = geo.cache_idx[row] if (d2d_served or case_id == 3) else -1
+                col = 0
+                for v in active:
+                    if v not in (u, skip_cache):
+                        d = _loop_distance(pos, real.users[v], real.window, boundary)
+                        expect[row, col] = c.p1 * d ** -c.beta
+                    col += 1
+                for tier_nodes, p, serving, served_here in (
+                        (real.relays, c.p2, geo.relay_idx[row], tier == 2),
+                        (real.bs, c.p3, geo.bs_idx[row], tier == 3)):
+                    for n, node in enumerate(tier_nodes):
+                        if d2d_served or not (served_here and n == serving):
+                            d = _loop_distance(pos, node, real.window, boundary)
+                            expect[row, col] = p * d ** -c.beta
+                        col += 1
+            assert np.array_equal(got == 0.0, expect == 0.0), (case_id, tier)
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
 
 
 def test_empirical_estimate_ci(cfg):

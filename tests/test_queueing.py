@@ -17,8 +17,12 @@ from hetcache import (
     throughput_gain,
 )
 from hetcache.queueing import (
+    _DRAW_BLOCK,
     QueueClassLoad,
     RateMatrix,
+    _pick,
+    _slot_average,
+    _time_average,
     baseline_state_matrix,
     ctmc_mean_occupancy,
 )
@@ -230,10 +234,91 @@ def test_ctmc_domain_errors(cfg):
 
 def test_ctmc_deterministic(cfg):
     loads, rates = _single_class_model(cfg, zeta=0.6, mu=1.0)
-    a = ctmc_simulate(cfg, loads, rates, 3, horizon=100.0, seed=9)
-    b = ctmc_simulate(cfg, loads, rates, 3, horizon=100.0, seed=9)
+    a = ctmc_simulate(cfg, loads, rates, 3, horizon=2000.0, seed=9)
+    b = ctmc_simulate(cfg, loads, rates, 3, horizon=2000.0, seed=9)
+    assert len(a.times) > 2 * _DRAW_BLOCK  # the random draws were refilled
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.slot_occupancy, b.slot_occupancy)
+
+
+def _slot_average_loop(times, totals, horizon, slot):
+    """Per-slot walk over the path's segments: the reference for _slot_average."""
+    edges = np.arange(0.0, horizon + slot, slot)
+    edges[-1] = min(edges[-1], horizon)
+    if edges[-1] <= edges[-2]:
+        edges = edges[:-1]
+    averages = np.empty(len(edges) - 1)
+    for k in range(len(edges) - 1):
+        lo, hi = edges[k], edges[k + 1]
+        idx = np.searchsorted(times, lo, side="right") - 1
+        acc = 0.0
+        t = lo
+        while idx < len(times) and t < hi:
+            t_next = times[idx + 1] if idx + 1 < len(times) else hi
+            seg_end = min(t_next, hi)
+            acc += totals[idx] * (seg_end - t)
+            t = seg_end
+            idx += 1
+        averages[k] = acc / (hi - lo)
+    return edges[:-1], averages
+
+
+def _random_path(rng, n_events, horizon):
+    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, horizon, n_events))))
+    states = np.zeros((n_events + 1, 8), dtype=np.int64)
+    for r in range(1, n_events + 1):
+        states[r] = states[r - 1]
+        cls = rng.integers(8)
+        states[r, cls] += 1 if states[r, cls] == 0 or rng.random() < 0.55 else -1
+    return times, states
+
+
+@pytest.mark.parametrize("n_events,horizon,slot", [
+    (300, 50.0, 0.2),    # a multiple of the slot
+    (300, 50.07, 0.2),   # a short last slot
+    (5, 0.13, 0.2),      # shorter than one slot
+    (0, 7.3, 0.5),       # no events
+    (2000, 40.0, 1.0),   # several events per slot
+])
+def test_slot_average_matches_per_slot_loop(n_events, horizon, slot):
+    times, states = _random_path(np.random.default_rng(n_events), n_events, horizon)
+    totals = states.sum(axis=1)
+    got_t, got = _slot_average(times, totals, horizon, slot)
+    ref_t, ref = _slot_average_loop(times, totals, horizon, slot)
+    assert np.array_equal(got_t, ref_t)
+    np.testing.assert_allclose(got, ref, rtol=1e-9)
+    assert (got >= 0.0).all()
+
+
+def _time_average_loop(times, states, horizon, warmup):
+    """Per-event accumulation of x * overlap with [warmup, horizon]."""
+    acc = np.zeros(states.shape[1])
+    for r in range(len(times)):
+        t_next = times[r + 1] if r + 1 < len(times) else horizon
+        acc += states[r] * max(0.0, t_next - max(times[r], warmup))
+    return acc / (horizon - warmup)
+
+
+def test_time_average_matches_per_event_accumulation(queue_model):
+    qcfg, (_, loads, rates) = queue_model
+    trace = ctmc_simulate(qcfg, loads, rates, 3, horizon=300.0, seed=4, warmup=40.0)
+    assert (trace.states.sum(axis=0) > 0).sum() > 1  # several classes move
+    np.testing.assert_allclose(trace.time_average,
+                               _time_average_loop(trace.times, trace.states, 300.0, 40.0),
+                               rtol=1e-12, atol=1e-15)
+    times, states = _random_path(np.random.default_rng(1), 500, 60.0)
+    np.testing.assert_allclose(_time_average(times, states, 60.0, 9.0),
+                               _time_average_loop(times, states, 60.0, 9.0),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_pick_follows_cumulative_weights():
+    assert _pick([0.5, 0.0, 1.0], 0.0) == 0
+    assert _pick([0.5, 0.0, 1.0], 0.5) == 2
+    assert _pick([0.5, 0.0, 1.0], 1.4999) == 2
+    # rounding past the total falls back to the last positive weight
+    assert _pick([0.5, 1.0, 0.0], 1.5) == 1
 
 
 def test_baseline_model_rates_all_backhauled(cfg):
