@@ -31,12 +31,6 @@ class PopularityModel:
         prefix.setflags(write=False)
         object.__setattr__(self, "_prefix", prefix)
 
-    @property
-    def normalizer(self) -> float:
-        """sum_{j=1..N} j^(-gamma)"""
-        ranks = np.arange(1, self.n_contents + 1, dtype=float)
-        return float((ranks ** (-self.gamma)).sum())
-
     def mass(self, rank: int) -> float:
         """Popularity f_rank of the content ranked ``rank`` (1-based)."""
         if not 1 <= rank <= self.n_contents:
@@ -55,10 +49,3 @@ class PopularityModel:
         """All N popularities as an array (used for sampling requests)."""
         return np.diff(self._prefix)
 
-
-def zipf_mass(pop: PopularityModel, rank: int) -> float:
-    return pop.mass(rank)
-
-
-def prefix_popularity(pop: PopularityModel, a: int, b: int) -> float:
-    return pop.prefix_sum(a, b)

@@ -1,18 +1,32 @@
-"""Named experiment presets: one per published figure's data series.
+"""The experiment registry: one record per subcommand and per figure preset.
 
-Each preset returns plot-ready rows (plus metadata) that the CLI persists as
-CSV + JSON.  All presets run on a desk-scale budget.
+An ``Experiment`` holds the function that computes an experiment's columns,
+rows and metadata from a config and a seed, its help text, its default
+config, its own command-line flags and, for a subcommand, the presets it
+accepts.  ``cli`` generates its parser from ``COMMANDS``, and ``run_preset``
+runs a record of ``PRESETS``; ``steady`` names one of each, with different
+outputs, hence two tables.  ``fig3b`` defaults to the low-power D2D set
+(P1 = 13 dBm) and the queueing presets to ``fig6_config()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .association import active_d2d_density, first_association_probability, state_matrix, three_tier_spec
-from .config import NetworkConfig, fig6_config
+from .association import (
+    STATE_COLUMNS,
+    STATE_ROWS,
+    active_d2d_density,
+    first_association_probability,
+    state_matrix,
+    three_tier_spec,
+)
+from .config import NetworkConfig, db_to_linear, dbm_to_watts, fig6_config
+from .montecarlo import run_monte_carlo
 from .outage import sinr_cdf
 from .queueing import (
     STEADY_NODE_NAMES,
@@ -23,15 +37,21 @@ from .queueing import (
     steady_ruler,
     throughput_gain,
 )
-from .rates import rate_case1, rate_case2, rate_case3
+from .rates import case_rate_table, rate_case1, rate_case2, rate_case3, rate_local
 
-PRESET_NAMES = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "steady")
+Table = tuple[list[str], list[dict], dict]
 
 
-def default_config(name: str) -> NetworkConfig:
-    """The config a preset runs on when it is given none: the queueing set
-    for the queueing presets, the default set for the others."""
-    return fig6_config() if name in ("fig6", "fig7", "steady") else NetworkConfig()
+@dataclass(frozen=True)
+class Experiment:
+    """``run(cfg, seed, **params) -> (columns, rows, meta)``; ``flags`` are
+    argparse ``(flag, kwargs)`` pairs whose destinations are the ``params``."""
+
+    run: Callable[..., Table]
+    help: str
+    config: Callable[[], NetworkConfig] = NetworkConfig
+    flags: tuple[tuple[str, dict], ...] = ()
+    presets: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -39,11 +59,163 @@ class PresetResult:
     name: str
     columns: list[str]
     rows: list[dict]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
-def preset_fig2(cfg: NetworkConfig) -> PresetResult:
-    """Association/state probabilities versus the popularity skew."""
+def _rulers(values) -> dict[str, float]:
+    return {n: float(r) for n, r in zip(STEADY_NODE_NAMES, values)}
+
+
+def _steady(cfg: NetworkConfig, model=network_model):
+    _, loads, rates = model(cfg)
+    return steady_ruler(cfg, loads, rates)
+
+
+def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
+    """One row per loaded (class, node) of a queueing model, plus its rulers."""
+    _, loads, rates = model
+    metrics = queue_metrics(cfg, loads, rates)
+    rows = [
+        {
+            "class_row": i + 1, "node": node,
+            "arrival_rate": float(loads.zeta[i, j]),
+            "service_rate": float(rates.a[i, j]),
+            "mean_requests": float(metrics.n_class[i, j]),
+            "throughput_per_request": float(metrics.t_class[i, j]),
+            "delay": float(metrics.d_class[i, j]),
+        }
+        for i in range(8)
+        for j, node in enumerate(STEADY_NODE_NAMES)
+        if loads.sigma[i, j] != 0.0
+    ]
+    return rows, metrics.steady_ruler
+
+
+def _cdf_rows(cfg: NetworkConfig, taus_db, column: str) -> list[dict]:
+    """SINR CDF of cases 1..3 at BS serving, one row per (tau, case); cases
+    2 and 3 need cache-enabled users."""
+    return [
+        {"tau_db": tau_db, "case": case_id,
+         column: sinr_cdf(cfg, case_id, 3, db_to_linear(tau_db))}
+        for tau_db in taus_db
+        for case_id in (1, 2, 3)
+        if case_id == 1 or cfg.alpha != 0.0
+    ]
+
+
+def association(cfg: NetworkConfig, seed: int) -> Table:
+    states = state_matrix(cfg)
+    columns = ["case", "backhaul", "node", "probability"]
+    rows = [
+        {"case": case, "backhaul": bh, "node": node,
+         "probability": float(states.d[i, j])}
+        for i, (case, bh) in enumerate(STATE_ROWS)
+        for j, node in enumerate(STATE_COLUMNS)
+    ]
+    return columns, rows, {}
+
+
+def d2d_density(cfg: NetworkConfig, seed: int, points: int) -> Table:
+    act0 = active_d2d_density(cfg)
+    columns = ["alpha", "lambda1_active"]
+    rows = []
+    for alpha in np.linspace(0.0, 0.99, points):
+        act = active_d2d_density(cfg.with_updates(alpha=float(alpha)))
+        rows.append({"alpha": float(alpha), "lambda1_active": act.lambda1_active})
+    meta = {"alpha_star": act0.alpha_star, "alpha_hat": act0.alpha_hat}
+    return columns, rows, meta
+
+
+def rate(cfg: NetworkConfig, seed: int) -> Table:
+    table = case_rate_table(cfg)
+    columns = ["case", "node", "rate_nats"]
+    rows = [
+        {"case": m + 1, "node": STATE_COLUMNS[j], "rate_nats": float(table[m, j])}
+        for m in range(4) for j in range(4) if table[m, j] > 0.0
+    ]
+    return columns, rows, {"local_rate": rate_local(cfg).value}
+
+
+def outage(cfg: NetworkConfig, seed: int, tau_db: list[float]) -> Table:
+    return ["tau_db", "case", "outage"], _cdf_rows(cfg, tau_db, "outage"), {}
+
+
+def sinr_cdf_curves(cfg: NetworkConfig, seed: int, tau_min: float, tau_max: float,
+                    tau_step: float) -> Table:
+    taus_db = [float(t) for t in np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step)]
+    return ["tau_db", "case", "cdf"], _cdf_rows(cfg, taus_db, "cdf"), {}
+
+
+def queue(cfg: NetworkConfig, seed: int) -> Table:
+    rows, rulers = _queue_rows(cfg, network_model(cfg))
+    columns = ["class_row", "node", "arrival_rate", "service_rate",
+               "mean_requests", "throughput_per_request", "delay"]
+    return columns, rows, {"rulers": _rulers(rulers)}
+
+
+def steady(cfg: NetworkConfig, seed: int) -> Table:
+    analysis = _steady(cfg)
+    columns = ["node", "ruler"]
+    rows = [{"node": n, "ruler": r} for n, r in _rulers(analysis.rulers).items()]
+    meta = {"varsigma_star": analysis.varsigma_star, "binding_node": analysis.binding_node}
+    return columns, rows, meta
+
+
+def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
+    cached, base = _steady(cfg), _steady(cfg, baseline_model)
+    columns = ["model", "node", "ruler", "varsigma_star"]
+    rows = [
+        {"model": model_name, "node": n, "ruler": r, "varsigma_star": analysis.varsigma_star}
+        for model_name, analysis in (("cached", cached), ("baseline", base))
+        for n, r in _rulers(analysis.rulers).items()
+    ]
+    gain = {
+        "varsigma_star_cached": cached.varsigma_star,
+        "varsigma_star_baseline": base.varsigma_star,
+        "gain": cached.varsigma_star / base.varsigma_star - 1.0,
+    }
+    return columns, rows, gain
+
+
+def simulate(cfg: NetworkConfig, seed: int, topologies: int, fading: int, window: float,
+             boundary: str, margin: float, tau_db: list[float]) -> Table:
+    summary = run_monte_carlo(
+        cfg, n_topologies=topologies, n_fading=fading, seed=seed,
+        window=window, boundary=boundary, margin=margin,
+        tau_grid=tuple(db_to_linear(t) for t in tau_db),
+    )
+    columns = ["quantity", "case", "tau_db", "value", "std_error", "n_samples"]
+
+    def row(quantity, case_id, db, est):
+        return {"quantity": quantity, "case": case_id, "tau_db": db,
+                "value": est.value, "std_error": est.std_error, "n_samples": est.n_samples}
+
+    rows = [row("rate_nats", c, math.nan, e) for c, e in sorted(summary.rates.items())]
+    rows += [row("outage", c, 10.0 * math.log10(t), e) for (c, t), e in sorted(summary.outage.items())]
+    meta = {k: {"value": e.value, "std_error": e.std_error}
+            for k, e in summary.association.items()}
+    return columns, rows, meta
+
+
+_SWEEP_QUANTITIES = {
+    "varsigma_star": lambda c, tau_db: _steady(c).varsigma_star,
+    "rate_case1": lambda c, tau_db: rate_case1(c, 3).value,
+    "outage_case1": lambda c, tau_db: sinr_cdf(c, 1, 3, db_to_linear(tau_db)),
+}
+
+
+def sweep(cfg: NetworkConfig, seed: int, var: str, start: float, stop: float, num: int,
+          quantity: str, tau_db: float) -> Table:
+    grid = np.linspace(start, stop, num)
+    if len(grid) == 0 or (len(grid) > 1 and grid[1] <= grid[0]):
+        raise SystemExit("sweep grid must be non-empty and strictly increasing")
+    measure = _SWEEP_QUANTITIES[quantity]
+    rows = [{var: float(v), quantity: float(measure(cfg.with_updates(**{var: float(v)}), tau_db))}
+            for v in grid]
+    return [var, quantity], rows, {"variable": var, "quantity": quantity}
+
+
+def fig2(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["gamma", "case1", "case2", "case3", "case4", "g1", "g2", "g3"]
     rows = []
     tiers = three_tier_spec(cfg)
@@ -55,10 +227,10 @@ def preset_fig2(cfg: NetworkConfig) -> PresetResult:
             **{f"case{c}": states.case_probability(c) for c in (1, 2, 3, 4)},
             **g,
         })
-    return PresetResult("fig2", columns, rows)
+    return columns, rows, {}
 
 
-def _rate_sweep(cfg: NetworkConfig, name: str) -> PresetResult:
+def rate_sweep(cfg: NetworkConfig, seed: int) -> Table:
     act0 = active_d2d_density(cfg)
     columns = ["alpha", "rate_case1", "rate_case2", "rate_case3", "lambda1_active"]
     rows = []
@@ -66,92 +238,60 @@ def _rate_sweep(cfg: NetworkConfig, name: str) -> PresetResult:
         c = cfg.with_updates(alpha=float(alpha))
         rows.append({
             "alpha": float(alpha),
-            "rate_case1": rate_case1(c, 3).value,
-            "rate_case2": rate_case2(c, 3).value,
-            "rate_case3": rate_case3(c, 3).value,
+            **{f"rate_case{k}": f(c, 3).value
+               for k, f in enumerate((rate_case1, rate_case2, rate_case3), 1)},
             "lambda1_active": active_d2d_density(c).lambda1_active,
         })
     meta = {"alpha_star": act0.alpha_star, "alpha_hat": act0.alpha_hat}
-    return PresetResult(name, columns, rows, meta)
+    return columns, rows, meta
 
 
-def preset_fig3a(cfg: NetworkConfig) -> PresetResult:
-    """Case rates and active-D2D density versus alpha, default power set."""
-    return _rate_sweep(cfg, "fig3a")
-
-
-def preset_fig3b(cfg: NetworkConfig) -> PresetResult:
-    """Same sweep with the low-power D2D set (P1 = 13 dBm)."""
-    return _rate_sweep(cfg.with_updates(p1=10 ** (13 / 10) * 1e-3), "fig3b")
-
-
-def preset_fig4(cfg: NetworkConfig) -> PresetResult:
-    """Outage versus alpha at tau in {-10, -5} dB for cases 1..3."""
+def fig4(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["alpha", "tau_db", "outage_case1", "outage_case2", "outage_case3"]
     rows = []
     for tau_db in (-10.0, -5.0):
-        tau = 10 ** (tau_db / 10.0)
+        tau = db_to_linear(tau_db)
         for alpha in np.linspace(0.02, 0.6, 30):
             c = cfg.with_updates(alpha=float(alpha))
             rows.append({
                 "alpha": float(alpha),
                 "tau_db": tau_db,
-                "outage_case1": sinr_cdf(c, 1, 3, tau),
-                "outage_case2": sinr_cdf(c, 2, 3, tau),
-                "outage_case3": sinr_cdf(c, 3, 3, tau),
+                **{f"outage_case{k}": sinr_cdf(c, k, 3, tau) for k in (1, 2, 3)},
             })
-    return PresetResult("fig4", columns, rows)
+    return columns, rows, {}
 
 
-def preset_fig5(cfg: NetworkConfig) -> PresetResult:
-    """SINR CDF curves over a dB grid at alpha = 0.05 and 0.10."""
+def fig5(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["tau_db", "alpha", "cdf_case1", "cdf_case2", "cdf_case3"]
     rows = []
     for alpha in (0.05, 0.10):
         c = cfg.with_updates(alpha=alpha)
         for tau_db in np.arange(-20.0, 20.5, 1.0):
-            tau = 10 ** (tau_db / 10.0)
+            tau = db_to_linear(float(tau_db))
             rows.append({
                 "tau_db": float(tau_db),
                 "alpha": alpha,
-                "cdf_case1": sinr_cdf(c, 1, 3, tau),
-                "cdf_case2": sinr_cdf(c, 2, 3, tau),
-                "cdf_case3": sinr_cdf(c, 3, 3, tau),
+                **{f"cdf_case{k}": sinr_cdf(c, k, 3, tau) for k in (1, 2, 3)},
             })
-    return PresetResult("fig5", columns, rows)
+    return columns, rows, {}
 
 
-def preset_fig6(cfg: NetworkConfig) -> PresetResult:
-    """Per-class throughput per request, cached network versus baseline."""
+def fig6(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["model", "class_row", "node", "throughput_per_request", "mean_requests", "delay"]
-    rows = []
-    for model_name, model in (("cached", network_model(cfg)), ("baseline", baseline_model(cfg))):
-        _, loads, rates = model
-        metrics = queue_metrics(cfg, loads, rates)
-        for i in range(8):
-            for j, node in enumerate(STEADY_NODE_NAMES):
-                if loads.sigma[i, j] == 0.0:
-                    continue
-                rows.append({
-                    "model": model_name,
-                    "class_row": i + 1,
-                    "node": node,
-                    "throughput_per_request": metrics.t_class[i, j],
-                    "mean_requests": metrics.n_class[i, j],
-                    "delay": metrics.d_class[i, j],
-                })
-    return PresetResult("fig6", columns, rows, {"config": cfg.to_flat_dict()})
+    rows = [
+        {"model": model_name, **{c: row[c] for c in columns[1:]}}
+        for model_name, model in (("cached", network_model(cfg)), ("baseline", baseline_model(cfg)))
+        for row in _queue_rows(cfg, model)[0]
+    ]
+    return columns, rows, {"config": cfg.to_flat_dict()}
 
 
-def preset_fig7(cfg: NetworkConfig, seed: int = 0,
-                horizon: float = 1000.0, slot: float = 0.2) -> PresetResult:
-    """Slot-averaged occupancy trace of the D2D-transmitter queue, with the
-    analytic stationary mean for comparison."""
+def fig7(cfg: NetworkConfig, seed: int) -> Table:
+    horizon = 1000.0
     _, loads, rates = network_model(cfg)
     metrics = queue_metrics(cfg, loads, rates)
     analytic = float(metrics.n_class[:, 0].sum())
-    trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon,
-                          seed=seed, slot=slot)
+    trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon, seed=seed, slot=0.2)
     columns = ["slot_time", "occupancy", "analytic_mean"]
     rows = [{"slot_time": float(t), "occupancy": float(o), "analytic_mean": analytic}
             for t, o in zip(trace.slot_times, trace.slot_occupancy)]
@@ -161,48 +301,95 @@ def preset_fig7(cfg: NetworkConfig, seed: int = 0,
         "seed": seed,
         "horizon": horizon,
     }
-    return PresetResult("fig7", columns, rows, meta)
+    return columns, rows, meta
 
 
-def preset_steady(cfg: NetworkConfig) -> PresetResult:
-    """Steady rulers versus the arrival rate plus critical-rate gains over the
-    baseline at two popularity skews and a backhaul-penalty sensitivity sweep."""
+def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["gamma", "kappa", "varsigma_star_cached", "varsigma_star_baseline",
                "gain", "target_gain"]
     targets = {0.8: 0.133, 1.8: 0.573}
     rows = []
     for gamma in (0.8, 1.8):
         for kappa in (0.5, 0.8, 0.95):
-            c = cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)
-            g = throughput_gain(c)
             rows.append({
                 "gamma": gamma,
                 "kappa": kappa,
-                "varsigma_star_cached": g["varsigma_star_cached"],
-                "varsigma_star_baseline": g["varsigma_star_baseline"],
-                "gain": g["gain"],
+                **throughput_gain(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)),
                 "target_gain": targets[gamma] if kappa == 0.8 else math.nan,
             })
-    _, loads, rates = network_model(cfg)
-    steady = steady_ruler(cfg, loads, rates)
+    analysis = _steady(cfg)
     meta = {
-        "rulers": {n: float(r) for n, r in zip(STEADY_NODE_NAMES, steady.rulers)},
-        "binding_node": steady.binding_node,
-        "varsigma_star": steady.varsigma_star,
+        "rulers": _rulers(analysis.rulers),
+        "binding_node": analysis.binding_node,
+        "varsigma_star": analysis.varsigma_star,
     }
-    return PresetResult("steady", columns, rows, meta)
+    return columns, rows, meta
+
+
+_TAU_DB = ("--tau-db", dict(type=float, nargs="+", default=[-10.0, -5.0]))
+_SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig) if isinstance(f.default, float))
+
+COMMANDS: dict[str, Experiment] = {
+    "association": Experiment(association, "user-state probabilities", presets=("fig2",)),
+    "d2d-density": Experiment(d2d_density, "active D2D density versus alpha",
+                              flags=(("--points", dict(type=int, default=50)),)),
+    "rate": Experiment(rate, "analytic case rates", presets=("fig3a", "fig3b")),
+    "outage": Experiment(outage, "analytic outage probabilities", flags=(_TAU_DB,),
+                         presets=("fig4",)),
+    "sinr-cdf": Experiment(sinr_cdf_curves, "SINR CDF curves", presets=("fig5",), flags=(
+        ("--tau-min", dict(type=float, default=-20.0)),
+        ("--tau-max", dict(type=float, default=20.0)),
+        ("--tau-step", dict(type=float, default=1.0)),
+    )),
+    "queue": Experiment(queue, "queueing metrics per class and node", presets=("fig6",)),
+    "steady": Experiment(steady, "steady rulers and critical arrival rate", presets=("steady",)),
+    "baseline-compare": Experiment(baseline_compare, "cached network versus no-caching baseline"),
+    "simulate": Experiment(simulate, "Monte Carlo spatial simulation / CTMC trace",
+                           presets=("fig7",), flags=(
+        ("--topologies", dict(type=int, default=200)),
+        ("--fading", dict(type=int, default=20)),
+        ("--window", dict(type=float, default=2000.0)),
+        ("--boundary", dict(choices=("margin", "torus"), default="margin")),
+        ("--margin", dict(type=float, default=500.0)),
+        _TAU_DB,
+    )),
+    "sweep": Experiment(sweep, "sweep one config variable", flags=(
+        ("--var", dict(required=True, choices=_SWEEP_VARS)),
+        ("--start", dict(type=float, required=True)),
+        ("--stop", dict(type=float, required=True)),
+        ("--num", dict(type=int, default=20)),
+        ("--quantity", dict(choices=tuple(_SWEEP_QUANTITIES), default="rate_case1")),
+        ("--tau-db", dict(type=float, default=-10.0)),
+    )),
+}
+
+PRESETS: dict[str, Experiment] = {
+    "fig2": Experiment(fig2, "association/state probabilities versus the popularity skew"),
+    "fig3a": Experiment(rate_sweep, "case rates and active-D2D density versus alpha"),
+    "fig3b": Experiment(rate_sweep, "the fig3a sweep on the low-power D2D set (P1 = 13 dBm)",
+                        lambda: NetworkConfig(p1=dbm_to_watts(13.0))),
+    "fig4": Experiment(fig4, "outage versus alpha at tau in {-10, -5} dB for cases 1..3"),
+    "fig5": Experiment(fig5, "SINR CDF curves over a dB grid at alpha = 0.05 and 0.10"),
+    "fig6": Experiment(fig6, "per-class queue metrics, cached versus baseline", fig6_config),
+    "fig7": Experiment(fig7, "CTMC occupancy trace of the D2D-transmitter queue", fig6_config),
+    "steady": Experiment(steady_gains, "critical-rate gains over the baseline", fig6_config),
+}
+
+PRESET_NAMES = tuple(PRESETS)
+
+
+def _preset(name: str) -> Experiment:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return PRESETS[name]
+
+
+def default_config(name: str) -> NetworkConfig:
+    """The config a preset runs on when it is given none."""
+    return _preset(name).config()
 
 
 def run_preset(name: str, cfg: NetworkConfig | None = None, seed: int = 0) -> PresetResult:
     """Run a preset on ``cfg``, or on the preset's default config when None."""
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    cfg = cfg if cfg is not None else default_config(name)
-    if name == "fig7":
-        return preset_fig7(cfg, seed=seed)
-    funcs = {
-        "fig2": preset_fig2, "fig3a": preset_fig3a, "fig3b": preset_fig3b,
-        "fig4": preset_fig4, "fig5": preset_fig5, "fig6": preset_fig6,
-        "steady": preset_steady,
-    }
-    return funcs[name](cfg)
+    exp = _preset(name)
+    return PresetResult(name, *exp.run(cfg if cfg is not None else exp.config(), seed))

@@ -395,16 +395,3 @@ def _slot_average(times: np.ndarray, totals: np.ndarray, horizon: float,
     area_at_edges = area[idx] + totals[idx] * (edges - times[idx])
     return edges[:-1], np.diff(area_at_edges) / np.diff(edges)
 
-
-def ctmc_mean_occupancy(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
-                        node_type: int, horizon: float, seeds: list[int],
-                        warmup: float = 0.0) -> tuple[float, float]:
-    """Mean total occupancy across independent replications; returns
-    (estimate, standard error)."""
-    vals = np.array([
-        ctmc_simulate(cfg, loads, rates, node_type, horizon, s, warmup=warmup)
-        .time_average.sum()
-        for s in seeds
-    ])
-    se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-    return float(vals.mean()), float(se)

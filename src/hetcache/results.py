@@ -16,6 +16,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 
 @functools.cache
 def _version_string() -> str:
@@ -35,8 +37,9 @@ def _version_string() -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # float() first: under numpy >= 2 a numpy float's repr is "np.float64(x)"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -77,8 +80,3 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
         json.dump(envelope, fh, indent=2, default=float)
         fh.write("\n")
     return csv_path, json_path
-
-
-def load_envelope(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -1,13 +1,15 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hetcache import results
 from hetcache.cli import main
 from hetcache.config import fig6_config
-from hetcache.presets import PRESET_NAMES, run_preset
-from hetcache.results import emit_results, load_envelope
+from hetcache.presets import COMMANDS, PRESET_NAMES, default_config, run_preset
+from hetcache.results import emit_results
 
 
 def test_emit_results_round_trip(tmp_path, cfg):
@@ -15,13 +17,19 @@ def test_emit_results_round_trip(tmp_path, cfg):
     csv_path, json_path = emit_results(
         rows, ["x", "y"], tmp_path, "demo",
         config=cfg.to_flat_dict(), seed=7, meta={"note": 1})
-    env = load_envelope(json_path)
+    env = json.loads(json_path.read_text())
     assert env["name"] == "demo" and env["seed"] == 7
     assert env["rows"][0]["y"] == 0.1234567890123
     assert env["meta"] == {"note": 1}
     text = csv_path.read_text()
     assert text.splitlines()[0] == "x,y"
     assert len(text.splitlines()) == 3
+
+
+def test_emit_results_writes_numpy_floats_as_plain_repr(tmp_path):
+    csv_path, _ = emit_results([{"x": np.float64(0.1), "y": np.float32(0.5)}], ["x", "y"],
+                               tmp_path, "np")
+    assert csv_path.read_text() == "x,y\n0.1,0.5\n"
 
 
 def test_emit_results_empty_rows(tmp_path, cfg):
@@ -123,6 +131,40 @@ def test_cli_sweep_rejects_bad_grid(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--var", "gamma", "--start", "1.0", "--stop", "0.5",
               "--num", "3", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("var", ["bogus", "seed", "n_contents"])
+def test_cli_sweep_rejects_bad_variable(tmp_path, capsys, var):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--var", var, "--start", "0.4", "--stop", "1.2",
+              "--num", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
+    command = next(c for c, exp in COMMANDS.items() if name in exp.presets)
+    main([command, "--preset", name, "--seed", "3", "--out", str(tmp_path)])
+    env = json.loads((tmp_path / f"{name}.json").read_text())
+    assert env["config"] == default_config(name).to_flat_dict()
+    library = run_preset(name, seed=3)
+    with open(tmp_path / f"{name}.csv", newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == library.columns
+    for line, row in zip(lines, library.rows, strict=True):
+        for cell, column in zip(line, library.columns, strict=True):
+            want = row[column]
+            if isinstance(want, str):
+                assert cell == want
+            else:
+                assert float(cell) == want or math.isnan(want) and math.isnan(float(cell))
+
+
+def test_fig3b_is_the_fig3a_sweep_on_the_low_power_set():
+    low_power = default_config("fig3b")
+    assert low_power.to_flat_dict()["p1_dbm"] == pytest.approx(13.0)
+    assert run_preset("fig3b").rows == run_preset("fig3a", low_power).rows
 
 
 def test_cli_usage_errors():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetcache import PopularityModel
-from hetcache.popularity import prefix_popularity, zipf_mass
 
 
 def test_uniform_when_gamma_zero():
@@ -39,12 +38,6 @@ def test_cache_hit_mass_default_set():
     pop = PopularityModel(0.8, 200)
     assert pop.prefix_sum(1, 5) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(0.2596280468, abs=5e-10)
-
-
-def test_module_level_wrappers():
-    pop = PopularityModel(1.2, 50)
-    assert zipf_mass(pop, 3) == pop.mass(3)
-    assert prefix_popularity(pop, 2, 4) == pop.prefix_sum(2, 4)
 
 
 @given(gamma=st.floats(0.0, 3.0), n=st.integers(1, 500))
