@@ -10,8 +10,6 @@ from .association import (
     TierSpec,
     active_d2d_density,
     first_association_probability,
-    joint_distance_pdf_case3,
-    nearest_distance_pdf,
     ordering_probability,
     state_matrix,
 )
@@ -21,7 +19,6 @@ from .montecarlo import (
     MonteCarloSummary,
     SpatialRealization,
     measure_association,
-    measure_rate,
     measure_sinr,
     nearest_distances,
     run_monte_carlo,
@@ -35,7 +32,6 @@ from .queueing import (
     QueueMetrics,
     RateMatrix,
     SteadyAnalysis,
-    baseline_metrics,
     baseline_model,
     class_loads,
     ctmc_simulate,
@@ -45,9 +41,9 @@ from .queueing import (
     steady_ruler,
     throughput_gain,
 )
-from .quadrature import QuadratureError, QuadratureSpec, integrate_interval, integrate_semi_infinite
+from .quadrature import QuadratureError, QuadratureSpec, integrate_interval
 from .rates import RateResult, case_rate_table, rate_case1, rate_case2, rate_case3, rate_local
-from .specfun import ConvergenceError, gauss_2f1, kernel_z1, kernel_z2, kernel_z3
+from .specfun import ConvergenceError, gauss_2f1, kernel_z1, kernel_z2
 
 __version__ = "0.1.0"
 

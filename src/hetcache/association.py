@@ -1,9 +1,9 @@
 """Closed-form stochastic-geometry layer.
 
 Ordering and association probabilities for a general K-tier network under
-max-average-received-power association (C_i = P_i r_i^(-beta)), serving
-distance PDFs, the 8x4 user-state probability matrix, and the density of
-actually active D2D transmitters with its critical points.
+max-average-received-power association (C_i = P_i r_i^(-beta)), the 8x4
+user-state probability matrix, and the density of actually active D2D
+transmitters with its critical points.
 
 Tier indices are 1-based throughout, matching the tier numbering of the
 network model (1 = D2D, 2 = relay, 3 = BS).
@@ -12,7 +12,7 @@ network model (1 = D2D, 2 = relay, 3 = BS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,6 @@ def three_tier_spec(cfg: NetworkConfig) -> TierSpec:
     return TierSpec(cfg.densities, cfg.powers, cfg.beta)
 
 
-def relay_bs_spec(cfg: NetworkConfig) -> TierSpec:
-    """Two-tier restriction to relays and base stations (cache-enabled
-    requesters, and the no-caching baseline, associate over these only)."""
-    return TierSpec((cfg.lambda2, cfg.lambda3), (cfg.p2, cfg.p3), cfg.beta)
-
-
 def ordering_probability(tiers: TierSpec, order: tuple[int, ...]) -> float:
     """Probability that the tiers' maximum received powers are ranked in the
     given 1-based order (strongest first)."""
@@ -113,55 +107,6 @@ def pairwise_association_probability(tiers: TierSpec, i: int) -> float:
     return float(w[i - 1] / total)
 
 
-def nearest_distance_pdf(tiers: TierSpec, i: int, conditioning: str, x: float) -> float:
-    """PDF of the serving distance to tier i, conditioned on tier i winning.
-
-    ``conditioning='case1'`` ranks over all tiers, ``'case2'`` over the
-    relay/BS pair only (three-tier spec).
-    """
-    if x < 0.0:
-        raise ValueError("distance must be non-negative")
-    w = tiers.weights()
-    pw = np.asarray(tiers.powers, dtype=float)
-    if conditioning == "case1":
-        if not 1 <= i <= tiers.k:
-            raise ValueError(f"tier index {i} outside 1..{tiers.k}")
-        gain = first_association_probability(tiers, i)
-        eff = float(w.sum()) / pw[i - 1] ** (2.0 / tiers.beta)
-    elif conditioning == "case2":
-        gain = pairwise_association_probability(tiers, i)
-        eff = float(w[1] + w[2]) / pw[i - 1] ** (2.0 / tiers.beta)
-    else:
-        raise ValueError(f"unknown conditioning {conditioning!r}")
-    lam_i = tiers.densities[i - 1]
-    return 2.0 * math.pi * lam_i / gain * x * math.exp(-math.pi * eff * x * x)
-
-
-def joint_distance_pdf_case3(tiers: TierSpec, j: int, x: float, y: float) -> float:
-    """Joint PDF of (nearest cache-enabled user distance x, serving tier-j
-    distance y) for a non-caching user whose strongest node is a cache-enabled
-    user but whose content is uncached.  Supported on y > (P_j/P_1)^(1/beta) x.
-    """
-    if x < 0.0 or y < 0.0:
-        raise ValueError("distances must be non-negative")
-    if tiers.k != 3 or j not in (2, 3):
-        raise ValueError("joint PDF is defined for tiers 2/3 of the three-tier spec")
-    k = 5 - j  # the other one of {2, 3}
-    lam1, lamj, lamk = (tiers.densities[0], tiers.densities[j - 1], tiers.densities[k - 1])
-    p1, pj, pk = (tiers.powers[0], tiers.powers[j - 1], tiers.powers[k - 1])
-    beta = tiers.beta
-    if y <= (pj / p1) ** (1.0 / beta) * x:
-        return 0.0
-    p_order = ordering_probability(tiers, (1, j, k))
-    if p_order == 0.0:
-        raise ValueError("conditioning event has probability zero (no D2D tier)")
-    kappa = (lamk / lamj) * (pk / pj) ** (2.0 / beta)
-    return (
-        4.0 * math.pi**2 * lam1 * lamj * x * y / p_order
-        * math.exp(-math.pi * lam1 * x * x - math.pi * lamj * y * y * (1.0 + kappa))
-    )
-
-
 @dataclass(frozen=True)
 class StateMatrix:
     """8x4 matrix of user-state probabilities, rows STATE_ROWS, columns
@@ -186,9 +131,6 @@ class StateMatrix:
         if not 1 <= case <= 4:
             raise ValueError("case index must be 1..4")
         return float(self.d[2 * case - 2 : 2 * case].sum())
-
-    def column(self, name: str) -> np.ndarray:
-        return self.d[:, STATE_COLUMNS.index(name)]
 
 
 def state_matrix(cfg: NetworkConfig, pop: PopularityModel | None = None) -> StateMatrix:
@@ -239,10 +181,6 @@ class D2DActivity:
     alpha_hat: float
     h: float
 
-    @property
-    def fully_active(self) -> bool:
-        return self.alpha_star > 0.0
-
 
 def activity_constant(cfg: NetworkConfig) -> float:
     """h = sum_{j=2,3} (lambda_j/lambda_0) (P_j/P_1)^(2/beta)."""
@@ -268,10 +206,9 @@ def active_d2d_density(cfg: NetworkConfig, pop: PopularityModel | None = None) -
     return D2DActivity(lam_active, alpha_star, alpha_hat, h)
 
 
-def active_fraction(cfg: NetworkConfig, act: D2DActivity | None = None) -> float:
+def active_fraction(cfg: NetworkConfig) -> float:
     """Fraction lambda'_1 / lambda_1 of cache-enabled users that transmit
     (1 below alpha_star); 0 when there are no cache-enabled users."""
     if cfg.alpha == 0.0:
         return 0.0
-    act = act or active_d2d_density(cfg)
-    return act.lambda1_active / cfg.lambda1
+    return active_d2d_density(cfg).lambda1_active / cfg.lambda1

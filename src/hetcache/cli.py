@@ -39,15 +39,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    params = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    params = vars(parser.parse_args(argv))
     command, preset = params.pop("command"), params.pop("preset", None)
     config, seed, out = params.pop("config"), params.pop("seed"), params.pop("out")
     if preset:
+        # a preset runs its own fixed grid, so a flag of the subcommand would be ignored
+        given = [flag for flag, kwargs in COMMANDS[command].flags
+                 if params[flag.lstrip("-").replace("-", "_")] != kwargs.get("default")]
+        if given:
+            parser.error(f"--preset {preset} runs a fixed grid; drop {', '.join(given)}")
         name, exp, params = preset, PRESETS[preset], {}
     else:
         name, exp = command, COMMANDS[command]
-    cfg = load_config(config) if config else exp.config()
-    columns, rows, meta = exp.run(cfg, seed, **params)
+    try:
+        cfg = load_config(config) if config else exp.config()
+        columns, rows, meta = exp.run(cfg, seed, **params)
+    except ValueError as exc:
+        parser.error(str(exc))
     csv_path, json_path = emit_results(
         rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, meta=meta,
     )

@@ -156,11 +156,11 @@ def load_config(path: str) -> NetworkConfig:
     return config_from_dict(raw)
 
 
-def fig6_config(**overrides) -> NetworkConfig:
+def fig6_config() -> NetworkConfig:
     """Denser-infrastructure, low-D2D-power parameter set used for the
     queueing evaluations (relay/BS densities 30 and 6 per 500 m disk,
     D2D power 13 dBm, alpha = 0.25)."""
-    base = dict(
+    return NetworkConfig(
         lambda2=30.0 / DISK_500M_AREA,
         lambda3=6.0 / DISK_500M_AREA,
         p1=dbm_to_watts(13.0),
@@ -168,5 +168,3 @@ def fig6_config(**overrides) -> NetworkConfig:
         varsigma=0.25,
         varrho_inv=1.0,
     )
-    base.update(overrides)
-    return NetworkConfig(**base)

@@ -6,14 +6,16 @@ SINR distributions, ergodic rates, and outage empirically.  It is the
 independent cross-check for all closed-form layers, so it shares no kernel
 code with them: everything here is literal geometry plus sampling.
 
-The work is batched per topology and (case, serving tier).  One distance
-matrix from the reference users to every active D2D transmitter, relay and
-BS becomes a matrix of interference weights P d^-beta, in which an excluded
-node (the reference user itself, its serving node, and the nearest other
-cache-enabled user when that is the strongest node) is infinitely far and
-weighs 0.  Rayleigh fading is drawn as one independent exponential per
-(user, node, redraw), in row blocks of at most ``FADING_BLOCK`` numbers, and
-each block is reduced with ``einsum``.
+Nearest nodes (the serving relay and BS, and the nearest other cache-enabled
+user) come from one k-d tree query per tier (``scipy.spatial.cKDTree``,
+periodic on the torus).  Interference is batched per topology and (case,
+serving tier): one dense distance matrix from the reference users to every
+active D2D transmitter, relay and BS becomes a matrix of interference
+weights P d^-beta, in which an excluded node (the reference user itself,
+its serving node, and the nearest other cache-enabled user when that is the
+strongest node) is infinitely far and weighs 0.  Rayleigh fading is drawn
+as one independent exponential per (user, node, redraw), in row blocks of at
+most ``FADING_BLOCK`` numbers, and each block is reduced with ``einsum``.
 
 Two boundary treatments: ``margin`` restricts reference users to a central
 sub-window (interference fields near the edge are depleted), ``torus`` wraps
@@ -24,9 +26,10 @@ are reproducible and mergeable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .association import active_d2d_density
 from .config import NetworkConfig
@@ -141,14 +144,27 @@ def _exclude(d: np.ndarray, row_users: np.ndarray, col_users: np.ndarray) -> Non
     d[np.flatnonzero(hit), col[hit]] = math.inf
 
 
-def _cache_distances(real: SpatialRealization, ref: np.ndarray,
-                     boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cache-enabled user indices and the distances from the reference users
-    to them; a cache-enabled reference user is infinitely far from itself."""
+def _nearest(points: np.ndarray, targets: np.ndarray, window: float, boundary: str,
+             k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and indices of the k nearest targets to each point, from a
+    k-d tree that is periodic on the torus.  A missing neighbour is at
+    distance inf with index len(targets)."""
+    if boundary not in BOUNDARY_MODES:
+        raise ValueError(f"boundary mode must be one of {BOUNDARY_MODES}")
+    tree = cKDTree(targets, boxsize=window if boundary == "torus" else None)
+    return tree.query(points, k=k)
+
+
+def _nearest_cache_user(real: SpatialRealization, ref: np.ndarray,
+                        boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and index of each reference user's nearest other cache-enabled
+    user (inf and -1 where there is none).  Two are queried, so that a
+    cache-enabled reference user that finds itself first takes the second."""
     cache_users = np.flatnonzero(real.cache_flags)
-    d = _distances(real.users[ref], real.users[cache_users], real.window, boundary)
-    _exclude(d, ref, cache_users)
-    return cache_users, d
+    d, j = _nearest(real.users[ref], real.users[cache_users], real.window, boundary, k=2)
+    ids = np.append(cache_users, -1)[j]
+    itself = ids[:, 0] == ref
+    return np.where(itself, d[:, 1], d[:, 0]), np.where(itself, ids[:, 1], ids[:, 0])
 
 
 def central_indices(real: SpatialRealization, margin: float) -> np.ndarray:
@@ -191,21 +207,9 @@ def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray,
     if len(real.relays) == 0 or len(real.bs) == 0:
         raise RuntimeError("relay and BS tiers must be non-empty; resample the topology")
     pts = real.users[ref]
-    d_relay = _distances(pts, real.relays, real.window, boundary)
-    d_bs = _distances(pts, real.bs, real.window, boundary)
-    relay_idx = d_relay.argmin(axis=1)
-    bs_idx = d_bs.argmin(axis=1)
-    r_relay = d_relay[np.arange(len(ref)), relay_idx]
-    r_bs = d_bs[np.arange(len(ref)), bs_idx]
-
-    r_cache = np.full(len(ref), math.inf)
-    cache_idx = np.full(len(ref), -1, dtype=np.int64)
-    cache_users, d_cache = _cache_distances(real, ref, boundary)
-    if len(cache_users) > 0:
-        best = d_cache.argmin(axis=1)
-        r_cache = d_cache[np.arange(len(ref)), best]
-        cache_idx = cache_users[best]
-        cache_idx[~np.isfinite(r_cache)] = -1
+    r_relay, relay_idx = _nearest(pts, real.relays, real.window, boundary)
+    r_bs, bs_idx = _nearest(pts, real.bs, real.window, boundary)
+    r_cache, cache_idx = _nearest_cache_user(real, ref, boundary)
 
     beta = cfg.beta
     with np.errstate(divide="ignore"):
@@ -231,12 +235,20 @@ def measure_association(real: SpatialRealization, cfg: NetworkConfig,
         p = count / n
         return EmpiricalEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
 
-    out = {f"g{i}": binom(int((geo.winner == i).sum())) for i in (1, 2, 3)}
-    out["relay_over_bs"] = binom(int(geo.relay_over_bs.sum()))
-    # orderings with the D2D tier first, split by the relay/BS comparison
-    out["p123"] = binom(int(((geo.winner == 1) & geo.relay_over_bs).sum()))
-    out["p132"] = binom(int(((geo.winner == 1) & ~geo.relay_over_bs).sum()))
-    return out
+    counts = _association_counts(geo.winner, geo.relay_over_bs)
+    return {k: binom(c) for k, c in counts.items()}
+
+
+def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[str, int]:
+    """Reference users per association outcome: relay over BS, each tier
+    strongest, and the D2D tier strongest split by the relay/BS comparison."""
+    d2d_first = winner == 1
+    return {
+        "relay_over_bs": int(relay_over_bs.sum()),
+        **{f"g{i}": int((winner == i).sum()) for i in (1, 2, 3)},
+        "p123": int((d2d_first & relay_over_bs).sum()),
+        "p132": int((d2d_first & ~relay_over_bs).sum()),
+    }
 
 
 def nearest_distances(real: SpatialRealization, tier: int,
@@ -247,13 +259,9 @@ def nearest_distances(real: SpatialRealization, tier: int,
         raise ValueError("tier must be 1, 2 or 3")
     ref = edge_correction_policy(real, margin, boundary)
     if tier == 1:
-        _, d = _cache_distances(real, ref, boundary)
-    else:
-        targets = real.relays if tier == 2 else real.bs
-        d = _distances(real.users[ref], targets, real.window, boundary)
-    if d.shape[1] == 0:
-        return np.full(len(ref), math.inf)
-    return d.min(axis=1)
+        return _nearest_cache_user(real, ref, boundary)[0]
+    targets = real.relays if tier == 2 else real.bs
+    return _nearest(real.users[ref], targets, real.window, boundary)[0]
 
 
 _CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
@@ -344,18 +352,6 @@ def measure_sinr(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tie
     return _sinr_samples(real, cfg, geo, rows, case_id, tier, n_fading, rng, boundary)
 
 
-def measure_rate(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tier: int,
-                 n_fading: int, seed: int, **kwargs) -> EmpiricalEstimate:
-    """Mean of ln(1 + SINR) in nats/s/Hz over users x fading redraws."""
-    sinr = measure_sinr(real, cfg, case_id, tier, n_fading, seed, **kwargs)
-    if sinr.size == 0:
-        return EmpiricalEstimate(math.nan, 0.0, 0)
-    vals = np.log1p(sinr)
-    per_user = vals.mean(axis=1)
-    se = per_user.std(ddof=1) / math.sqrt(len(per_user)) if len(per_user) > 1 else 0.0
-    return EmpiricalEstimate(float(per_user.mean()), float(se), int(vals.size))
-
-
 @dataclass(frozen=True)
 class MonteCarloSummary:
     """Aggregated estimates across topology replications.
@@ -369,9 +365,6 @@ class MonteCarloSummary:
     rates: dict[int, EmpiricalEstimate]
     outage: dict[tuple[int, float], EmpiricalEstimate]
     association: dict[str, EmpiricalEstimate]
-    n_topologies: int
-    seed: int
-    config: dict = field(repr=False, default_factory=dict)
 
 
 def _across_reps(per_rep: list[float]) -> EmpiricalEstimate:
@@ -430,16 +423,10 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
 
         # association fractions only over the uniform subsample (the cache
         # top-up would bias them)
-        winner_u = geo.winner[uniform_rows]
-        relay_u = geo.relay_over_bs[uniform_rows]
-        n_ref = len(winner_u)
-        assoc_acc.setdefault("relay_over_bs", []).append(float(relay_u.mean()))
-        for i in (1, 2, 3):
-            assoc_acc.setdefault(f"g{i}", []).append(float((winner_u == i).mean()))
-        assoc_acc.setdefault("p123", []).append(
-            float(((winner_u == 1) & relay_u).sum() / n_ref))
-        assoc_acc.setdefault("p132", []).append(
-            float(((winner_u == 1) & ~relay_u).sum() / n_ref))
+        n_ref = len(uniform)
+        counts = _association_counts(geo.winner[uniform_rows], geo.relay_over_bs[uniform_rows])
+        for key, count in counts.items():
+            assoc_acc.setdefault(key, []).append(count / n_ref if n_ref else math.nan)
 
         for case_id in cases:
             if case_id in (2, 3) and cfg.alpha == 0.0:
@@ -465,7 +452,4 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         rates={c: _across_reps(v) for c, v in rate_acc.items()},
         outage={k: _across_reps(v) for k, v in out_acc.items()},
         association={k: _across_reps(v) for k, v in assoc_acc.items()},
-        n_topologies=n_topologies,
-        seed=seed,
-        config=cfg.to_flat_dict(),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import NetworkConfig
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .rates import _coverage, _regime, interference_coefficients
+from .rates import _coverage, interference_coefficients
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class OutageResult:
     case_id: int
     tier: int
     threshold: float        # linear SINR threshold
-    regime: str
     error: float
 
     def __post_init__(self) -> None:
@@ -37,7 +36,7 @@ def _outage(cfg: NetworkConfig, case_id: int, tier: int, tau: float,
     if tau < 0.0:
         raise ValueError("SINR threshold must be non-negative")
     cov, err = _coverage(cfg, interference_coefficients(cfg), case_id, tier, spec)(tau)
-    return OutageResult(1.0 - cov, case_id, tier, tau, _regime(cfg), err)
+    return OutageResult(1.0 - cov, case_id, tier, tau, err)
 
 
 def outage_case1(cfg: NetworkConfig, tier_i: int, tau: float,
@@ -63,7 +62,7 @@ def outage_case4(cfg: NetworkConfig, tau: float) -> OutageResult:
     """Own-cache delivery involves no radio link; outage is exactly zero."""
     if tau < 0.0:
         raise ValueError("SINR threshold must be non-negative")
-    return OutageResult(0.0, 4, 0, tau, "local", 0.0)
+    return OutageResult(0.0, 4, 0, tau, 0.0)
 
 
 def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float,

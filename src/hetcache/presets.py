@@ -208,7 +208,7 @@ def sweep(cfg: NetworkConfig, seed: int, var: str, start: float, stop: float, nu
           quantity: str, tau_db: float) -> Table:
     grid = np.linspace(start, stop, num)
     if len(grid) == 0 or (len(grid) > 1 and grid[1] <= grid[0]):
-        raise SystemExit("sweep grid must be non-empty and strictly increasing")
+        raise ValueError("sweep grid must be non-empty and strictly increasing")
     measure = _SWEEP_QUANTITIES[quantity]
     rows = [{var: float(v), quantity: float(measure(cfg.with_updates(**{var: float(v)}), tau_db))}
             for v in grid]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import (
-    D2DActivity,
     StateMatrix,
     active_d2d_density,
     pairwise_association_probability,
@@ -85,15 +84,14 @@ class QueueClassLoad:
             object.__setattr__(self, name, arr)
 
 
-def class_loads(cfg: NetworkConfig, states: StateMatrix,
-                act: D2DActivity | None = None) -> QueueClassLoad:
+def class_loads(cfg: NetworkConfig, states: StateMatrix) -> QueueClassLoad:
     """Split the user population into queue classes.
 
     Node densities per column are (active D2D TXs, relays, BSs, cache-enabled
     users); n_{i,j} = lambda_0 D_{i,j} / lambda'_j, each user issues requests
     at rate varsigma * lambda_3 / lambda_0.
     """
-    act = act or active_d2d_density(cfg)
+    act = active_d2d_density(cfg)
     node_dens = (act.lambda1_active, cfg.lambda2, cfg.lambda3, cfg.alpha * cfg.lambda0)
     n = np.zeros((N_CLASSES, N_NODE_TYPES))
     for j, lam in enumerate(node_dens):
@@ -132,14 +130,19 @@ class QueueMetrics:
     stable: np.ndarray
 
 
-def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
-    a, sigma, zeta = rates.a, loads.sigma, loads.zeta
+def _rulers(loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
+    """Steady ruler per node type: the sum over classes of demand over
+    service rate."""
+    a, sigma = rates.a, loads.sigma
     if ((sigma > 0.0) & (a == 0.0)).any():
         raise ValueError("a class with traffic has zero service rate")
+    per_class = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
+    return per_class.sum(axis=0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_class_load = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
-    ruler = per_class_load.sum(axis=0)
+
+def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
+    a, sigma, zeta = rates.a, loads.sigma, loads.zeta
+    ruler = _rulers(loads, rates)
     sigma_node = sigma.sum(axis=0)
     zeta_node = zeta.sum(axis=0)
     sigma_crit = np.where(ruler > 0.0, sigma_node / np.where(ruler > 0.0, ruler, 1.0), math.nan)
@@ -184,7 +187,6 @@ class SteadyAnalysis:
 
     rulers: np.ndarray
     binding: int              # column index of the largest ruler
-    varsigma: float           # arrival rate the rulers were evaluated at
     varsigma_star: float
 
     @property
@@ -195,16 +197,12 @@ class SteadyAnalysis:
 def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> SteadyAnalysis:
     """The rulers are linear in the arrival rate, so the supremum of stable
     rates is the closed-form ratio varsigma / max_j ruler_j."""
-    a, sigma = rates.a, loads.sigma
-    if ((sigma > 0.0) & (a == 0.0)).any():
-        raise ValueError("a class with traffic has zero service rate")
-    per_class = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
-    rulers = per_class.sum(axis=0)
+    rulers = _rulers(loads, rates)
     worst = rulers.max()
     if worst == 0.0:
         raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
     binding = int(rulers.argmax())
-    return SteadyAnalysis(rulers, binding, cfg.varsigma, cfg.varsigma / worst)
+    return SteadyAnalysis(rulers, binding, cfg.varsigma / worst)
 
 
 def network_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -246,11 +244,6 @@ def baseline_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD
     return states, loads, rates
 
 
-def baseline_metrics(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD) -> QueueMetrics:
-    _, loads, rates = baseline_model(cfg, spec)
-    return queue_metrics(cfg, loads, rates)
-
-
 def throughput_gain(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
     no-caching baseline, with both critical rates."""
@@ -280,8 +273,6 @@ class CtmcTrace:
     slot_times: np.ndarray
     slot_occupancy: np.ndarray
     time_average: np.ndarray
-    node_type: int
-    seed: int
 
 
 # Holding times and jump uniforms are drawn this many at a time.
@@ -355,8 +346,7 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     states_arr = np.cumsum(steps, axis=0)
     slot_times, slot_occ = _slot_average(times_arr, states_arr.sum(axis=1), horizon, slot)
     time_avg = _time_average(times_arr, states_arr, horizon, warmup)
-    return CtmcTrace(times_arr, states_arr, slot_times, slot_occ, time_avg,
-                     node_type, seed)
+    return CtmcTrace(times_arr, states_arr, slot_times, slot_occ, time_avg)
 
 
 def _pick(weights: list[float], target: float) -> int:

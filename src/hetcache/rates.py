@@ -7,10 +7,10 @@ QUADPACK distance integral for cases 1/2 with noise, and an integral over
 the normalized blocker distance x in (0, 1] for case 3 (interference-limited
 only).  Case 3's integrand is smooth in x: its blocked kernel x^2 Z3 is
 v^(2/beta) K - x^2 + O(x^(2+beta)) at x -> 0 (``specfun.kernel_x2z3``), so
-a fixed 96-node Gauss-Legendre rule evaluates it as one array expression
-per threshold.  The rule is fixed and its accuracy is checked by test
-against an adaptive oracle, not estimated at run time, so the case-3
-coverage reports an error of 0.
+a fixed 96-node Gauss-Legendre rule (numpy's ``leggauss``) evaluates it as
+one array expression per threshold.  The rule is fixed and its accuracy is
+checked by test against an adaptive oracle, not estimated at run time, so
+the case-3 coverage reports an error of 0.
 
 A rate is the coverage integrated over the rate threshold (adaptive, with
 its QUADPACK error estimate), E[ln(1 + SINR)] = int_0^inf P(SINR > e^t - 1)
@@ -23,18 +23,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .association import (
     active_d2d_density,
-    active_fraction,
     first_association_probability,
     three_tier_spec,
 )
 from .config import NetworkConfig
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, gauss_legendre, integrate_semi_infinite
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_interval
 from .specfun import kernel_x2z3, kernel_z1, kernel_z2
 
 
@@ -43,7 +42,6 @@ class RateResult:
     value: float            # nats/s/Hz
     case_id: int
     tier: int               # serving tier (0 = local cache)
-    regime: str             # "with-noise" | "interference-limited"
     error: float            # quadrature error estimate
 
     def __post_init__(self) -> None:
@@ -61,7 +59,6 @@ class InterferenceCoefficients:
     g31: float            # D2D first-association probability
     c1: float             # active-to-nominal interference weight ratio (case 1)
     c2: float             # active D2D weight relative to relay+BS (cases 2 and 3)
-    active_ratio: float   # lambda'_1 / lambda_1
 
 
 @functools.lru_cache(maxsize=64)
@@ -84,12 +81,7 @@ def interference_coefficients(cfg: NetworkConfig) -> InterferenceCoefficients:
         g31=g31,
         c1=s_active / s_total,
         c2=w1_active / s_relay_bs,
-        active_ratio=active_fraction(cfg, act),
     )
-
-
-def _regime(cfg: NetworkConfig) -> str:
-    return "interference-limited" if cfg.noise == 0.0 else "with-noise"
 
 
 # beyond this exponent the integrands are < 1e-100; returning 0 avoids
@@ -99,8 +91,9 @@ _EXP_CUTOFF = 700.0
 # serving tiers each radio case admits
 _SERVING_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
 
-# case 3's fixed rule over the normalized blocker distance x in (0, 1)
-_CASE3_X, _CASE3_W = gauss_legendre(96)
+# case 3's 96-node Gauss-Legendre rule, mapped to the blocker distance x in (0, 1)
+_CASE3_X, _CASE3_W = np.polynomial.legendre.leggauss(96)
+_CASE3_X, _CASE3_W = (1.0 + _CASE3_X) / 2.0, _CASE3_W / 2.0
 
 
 def _coverage(cfg: NetworkConfig, co: InterferenceCoefficients, case_id: int, tier: int,
@@ -159,7 +152,7 @@ def _coverage(cfg: NetworkConfig, co: InterferenceCoefficients, case_id: int, ti
                 return 0.0
             return math.exp(-(s / scale) ** (beta / 2.0) * snr_term - s)
 
-        value, err = integrate_semi_infinite(integrand, spec)
+        value, err = integrate_interval(integrand, 0.0, math.inf, spec)
         return value / b, err / b
 
     return noisy
@@ -168,15 +161,16 @@ def _coverage(cfg: NetworkConfig, co: InterferenceCoefficients, case_id: int, ti
 def _rate(cfg: NetworkConfig, case_id: int, tier: int, spec: QuadratureSpec) -> RateResult:
     """E[ln(1 + SINR)] = int_0^inf P(SINR > e^t - 1) dt; a coverage that is
     itself a quadrature runs one order tighter so the outer estimate holds."""
-    coverage = _coverage(cfg, interference_coefficients(cfg), case_id, tier, spec.tightened())
+    inner = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
+    coverage = _coverage(cfg, interference_coefficients(cfg), case_id, tier, inner)
 
     def integrand(t: float) -> float:
         if t > _EXP_CUTOFF:
             return 0.0
         return coverage(math.expm1(t))[0]
 
-    value, err = integrate_semi_infinite(integrand, spec)
-    return RateResult(value, case_id, tier, _regime(cfg), err)
+    value, err = integrate_interval(integrand, 0.0, math.inf, spec)
+    return RateResult(value, case_id, tier, err)
 
 
 def rate_case1(cfg: NetworkConfig, tier_i: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RateResult:
@@ -199,7 +193,7 @@ def rate_case3(cfg: NetworkConfig, tier_j: int, spec: QuadratureSpec = DEFAULT_Q
 
 def rate_local(cfg: NetworkConfig) -> RateResult:
     """Read-out rate from the requester's own cache (case 4)."""
-    return RateResult(cfg.local_rate_ul, 4, 0, "local", 0.0)
+    return RateResult(cfg.local_rate_ul, 4, 0, 0.0)
 
 
 def case_rate_table(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:

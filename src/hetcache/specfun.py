@@ -5,8 +5,8 @@ non-positive, so no complex continuation is needed.  Evaluation strategy:
 
   * 2F1 is scipy's ``hyp2f1`` ufunc; ``gauss_2f1`` adds the domain checks
     (pole in c, z >= 1) and stays the one scalar entry point,
-  * Z1, Z3 and the cut-off Z2 are scalar closed forms in
-    2F1(1, 1-2/beta; 2-2/beta; .); the a = 0 Z2 needs no 2F1,
+  * Z1 is a scalar closed form in 2F1(1, 1-2/beta; 2-2/beta; .); Z2 needs
+    no 2F1,
   * ``kernel_x2z3`` is x^2 * Z3 on an array of x, written through the
     complementary family 2F1(1, 2/beta; 1+2/beta; .) so that it stays finite
     and smooth down to x = 0 (no x^(-beta) is ever formed).
@@ -54,43 +54,15 @@ def kernel_z1(v: float, beta: float) -> float:
     return 2.0 * v / (beta - 2.0) * gauss_2f1(1.0, 1.0 - 2.0 / beta, 2.0 - 2.0 / beta, -v)
 
 
-def kernel_z2(v: float, beta: float, a: float = 0.0) -> float:
-    """Interference kernel for interferers allowed arbitrarily close.
-
-    For a = 0 (the default, taken as the exact analytic limit):
+def kernel_z2(v: float, beta: float) -> float:
+    """Interference kernel for interferers allowed arbitrarily close:
     Z2 = v^(2/beta) * int_0^inf du / (1 + u^(beta/2))
        = v^(2/beta) * (2 pi / beta) / sin(2 pi / beta).
-    For a > 0 the lower cutoff is kept for sensitivity checks.
-    """
-    _check_beta(beta)
-    if v < 0.0 or a < 0.0:
-        raise ValueError("kernel arguments must be non-negative")
-    if v == 0.0:
-        return 0.0
-    if a == 0.0:
-        return v ** (2.0 / beta) * (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)
-    return (
-        v ** (2.0 / beta)
-        * (2.0 * a ** ((2.0 - beta) / 2.0) / (beta - 2.0))
-        * gauss_2f1(1.0, 1.0 - 2.0 / beta, 2.0 - 2.0 / beta, -(a ** (-beta / 2.0)))
-    )
-
-
-def kernel_z3(v: float, x: float, beta: float) -> float:
-    """Interference kernel at normalized serving-vs-blocker distance x in (0, 1].
-
-    Z3(v; x) = (2v / (beta-2)) x^(-beta) 2F1(1, 1-2/beta; 2-2/beta; -v x^(-beta)),
-    which equals Z1(v * x^(-beta)).  Diverges as x -> 0; integrals against an
-    x^2 weight use ``kernel_x2z3`` instead.
     """
     _check_beta(beta)
     if v < 0.0:
         raise ValueError("kernel argument must be non-negative")
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"normalized distance x = {x} outside (0, 1]")
-    if v == 0.0:
-        return 0.0
-    return kernel_z1(v * x ** (-beta), beta)
+    return v ** (2.0 / beta) * (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)
 
 
 def kernel_x2z3(v: float, x: np.ndarray, beta: float) -> np.ndarray:
@@ -112,7 +84,7 @@ def kernel_x2z3(v: float, x: np.ndarray, beta: float) -> np.ndarray:
 
 
 def kernel_z2_scale(beta: float) -> float:
-    """Large-argument slope of Z1 and the a=0 prefactor of Z2:
+    """Large-argument slope of Z1 and the prefactor of Z2:
     (2 pi / beta) / sin(2 pi / beta)."""
     _check_beta(beta)
     return (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)

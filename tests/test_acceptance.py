@@ -33,7 +33,7 @@ from hetcache import (
 )
 from hetcache.association import three_tier_spec
 from hetcache.config import fig6_config
-from hetcache.queueing import QueueClassLoad, RateMatrix, baseline_metrics
+from hetcache.queueing import QueueClassLoad, RateMatrix, baseline_model
 
 import itertools
 
@@ -191,7 +191,7 @@ def test_criterion_7_throughput_gain():
           f"kappa sweep {[f'{k}:{v:.1%}' for k, v in sweep.items()]}")
     _, loads, rates = network_model(cfg)
     m = queue_metrics(cfg, loads, rates)
-    bm = baseline_metrics(cfg)
+    bm = queue_metrics(cfg, *baseline_model(cfg)[1:])
     d2d_vs_bs = m.t_node[0] > bm.t_node[2]  # band 46.8-58.1% reported, sign checked
     print(f"  D2D Thr/Req {m.t_node[0]/1e6:.1f} Mbit/s vs baseline BS "
           f"{bm.t_node[2]/1e6:.1f} Mbit/s "

@@ -3,15 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from hetcache import (
     NetworkConfig,
     TierSpec,
     active_d2d_density,
     first_association_probability,
-    joint_distance_pdf_case3,
-    nearest_distance_pdf,
     ordering_probability,
     state_matrix,
 )
@@ -19,7 +16,6 @@ from hetcache.association import (
     active_fraction,
     activity_constant,
     pairwise_association_probability,
-    relay_bs_spec,
     three_tier_spec,
 )
 
@@ -67,7 +63,8 @@ def test_pairwise_association(cfg):
     p2 = pairwise_association_probability(tiers, 2)
     p3 = pairwise_association_probability(tiers, 3)
     assert p2 + p3 == pytest.approx(1.0, abs=1e-14)
-    two = relay_bs_spec(cfg)
+    # the relay/BS pair as a network of its own
+    two = TierSpec((cfg.lambda2, cfg.lambda3), (cfg.p2, cfg.p3), cfg.beta)
     assert p2 == pytest.approx(first_association_probability(two, 1), abs=1e-14)
 
 
@@ -111,32 +108,6 @@ def test_alpha_zero_degenerates(cfg):
     assert (states.d[:, 3] == 0.0).all()
     assert states.case_probability(2) == 0.0
     assert states.case_probability(3) == 0.0
-
-
-def test_nearest_distance_pdf_normalizes(cfg):
-    tiers = three_tier_spec(cfg)
-    for i, cond in ((1, "case1"), (3, "case1"), (2, "case2")):
-        val, _ = integrate.quad(
-            lambda x: nearest_distance_pdf(tiers, i, cond, x), 0.0, np.inf)
-        assert val == pytest.approx(1.0, rel=1e-8)
-
-
-def test_joint_pdf_case3_normalizes(cfg):
-    tiers = three_tier_spec(cfg)
-    for j in (2, 3):
-        ratio = (tiers.powers[j - 1] / tiers.powers[0]) ** (1.0 / cfg.beta)
-        val, _ = integrate.dblquad(
-            lambda y, x: joint_distance_pdf_case3(tiers, j, x, y),
-            0.0, 2000.0, lambda x: ratio * x, lambda x: np.inf,
-            epsabs=1e-10, epsrel=1e-8)
-        assert val == pytest.approx(1.0, rel=1e-4)
-
-
-def test_joint_pdf_support(cfg):
-    tiers = three_tier_spec(cfg)
-    ratio = (cfg.p2 / cfg.p1) ** (1.0 / cfg.beta)
-    assert joint_distance_pdf_case3(tiers, 2, 100.0, ratio * 100.0 * 0.99) == 0.0
-    assert joint_distance_pdf_case3(tiers, 2, 100.0, ratio * 100.0 * 1.01) > 0.0
 
 
 def test_activity_critical_points(cfg, cfg_lowpower):

@@ -133,6 +133,14 @@ def test_cli_sweep_rejects_bad_grid(tmp_path):
               "--num", "3", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("num", [0, 3])
+def test_sweep_rejects_bad_grid_without_exiting(cfg, num):
+    # an empty or decreasing grid is a ValueError for a library caller
+    with pytest.raises(ValueError, match="strictly increasing"):
+        COMMANDS["sweep"].run(cfg, 0, var="gamma", start=1.0, stop=0.5, num=num,
+                              quantity="rate_case1", tau_db=-10.0)
+
+
 @pytest.mark.parametrize("var", ["bogus", "seed", "n_contents"])
 def test_cli_sweep_rejects_bad_variable(tmp_path, capsys, var):
     with pytest.raises(SystemExit) as exc:
@@ -172,6 +180,20 @@ def test_cli_usage_errors():
         main([])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--preset", "fig4", "--tau-db", "-3"],
+    ["sinr-cdf", "--preset", "fig5", "--tau-step", "2"],
+    ["simulate", "--preset", "fig7", "--topologies", "5"],
+])
+def test_cli_preset_rejects_subcommand_flags(tmp_path, capsys, argv):
+    # a preset runs its own grid, so a subcommand flag would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert argv[3] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig4", "fig6", "steady"])

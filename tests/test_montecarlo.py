@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,9 +191,32 @@ def test_nearest_other_cache_user_matches_loop(small_topology):
         best = min(d, key=d.get)
         assert geo.cache_idx[row] == best
         assert geo.r_cache[row] == pytest.approx(d[best], rel=1e-12)
-    if boundary == "torus":
-        np.testing.assert_allclose(nearest_distances(real, 1, boundary="torus"),
-                                   geo.r_cache, rtol=1e-12)
+        # the serving relay and BS candidates
+        for nodes, idx, r in ((real.relays, geo.relay_idx, geo.r_relay),
+                              (real.bs, geo.bs_idx, geo.r_bs)):
+            d = [_loop_distance(real.users[u], node, real.window, boundary) for node in nodes]
+            assert idx[row] == int(np.argmin(d))
+            assert r[row] == pytest.approx(min(d), rel=1e-12)
+    for tier, r in ((1, geo.r_cache), (2, geo.r_relay), (3, geo.r_bs)):
+        np.testing.assert_array_equal(nearest_distances(real, tier, boundary, 300.0), r)
+
+
+@pytest.mark.parametrize("n_cache", [0, 1])
+@pytest.mark.parametrize("boundary", ["torus", "margin"])
+def test_no_other_cache_user_is_infinitely_far(cfg, boundary, n_cache):
+    # with zero cache-enabled users, or one (which must not find itself),
+    # the nearest other cache-enabled user is at inf with index -1
+    real = sample_topology(cfg, 1200.0, 4)
+    ref = edge_correction_policy(real, 300.0, boundary)
+    flags = np.zeros(len(real.users), dtype=bool)
+    flags[ref[:n_cache]] = True
+    real = dataclasses.replace(real, cache_flags=flags, active_flags=flags)
+    geo = _geometry(real, cfg, ref, boundary)
+    alone = np.ones(len(ref), dtype=bool) if n_cache == 0 else np.arange(len(ref)) == 0
+    assert (geo.r_cache[alone] == math.inf).all() and (geo.cache_idx[alone] == -1).all()
+    assert np.isfinite(geo.r_cache[~alone]).all() and (geo.cache_idx[~alone] == ref[0]).all()
+    assert (geo.winner[alone] != 1).all()
+    np.testing.assert_array_equal(nearest_distances(real, 1, boundary, 300.0), geo.r_cache)
 
 
 def test_interference_weights_match_per_user_loop(small_topology):

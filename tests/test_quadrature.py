@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from hetcache import QuadratureError, QuadratureSpec, integrate_interval, integrate_semi_infinite
-from hetcache.quadrature import gauss_legendre
+from hetcache import QuadratureError, QuadratureSpec, integrate_interval
+from hetcache.rates import _CASE3_W, _CASE3_X
 
 
 def test_finite_interval_polynomial():
@@ -13,12 +13,12 @@ def test_finite_interval_polynomial():
 
 
 def test_semi_infinite_exponential():
-    val, _ = integrate_semi_infinite(lambda x: math.exp(-x))
+    val, _ = integrate_interval(lambda x: math.exp(-x), 0.0, math.inf)
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
 def test_semi_infinite_gaussian():
-    val, _ = integrate_semi_infinite(lambda x: math.exp(-x * x))
+    val, _ = integrate_interval(lambda x: math.exp(-x * x), 0.0, math.inf)
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
@@ -27,8 +27,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-    tight = QuadratureSpec().tightened()
-    assert tight.rel_tol == pytest.approx(QuadratureSpec().rel_tol * 0.1)
 
 
 def test_failure_carries_partial_estimate():
@@ -45,11 +43,10 @@ def test_non_finite_result_rejected():
 
 
 def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
-    x, w = gauss_legendre(96)
+    # case 3's 96-node rule on (0, 1)
+    x, w = _CASE3_X, _CASE3_W
+    assert len(x) == len(w) == 96
     assert ((x > 0.0) & (x < 1.0)).all()
     assert (w > 0.0).all()
     for k in (0, 1, 7, 64, 191):
         assert math.fsum(w * x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
-    x3, w3 = gauss_legendre(3)
-    assert sorted(x3) == pytest.approx([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)], abs=1e-15)
-    assert sorted(w3) == pytest.approx([5 / 18, 5 / 18, 8 / 18], abs=1e-15)

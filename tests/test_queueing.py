@@ -5,7 +5,6 @@ import pytest
 from scipy import optimize
 
 from hetcache import (
-    baseline_metrics,
     baseline_model,
     class_loads,
     ctmc_simulate,
@@ -154,7 +153,7 @@ def test_baseline_structure(cfg):
     assert states.d.sum() == pytest.approx(1.0, abs=1e-14)
     assert (states.d[:, 0] == 0.0).all() and (states.d[:, 3] == 0.0).all()
     assert states.d[1, 1] > 0.0 and states.d[0, 2] > 0.0  # relay always backhauled
-    m = baseline_metrics(cfg)
+    m = queue_metrics(cfg, *baseline_model(cfg)[1:])
     assert m.sigma_node[0] == 0.0 and m.sigma_node[3] == 0.0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hetcache import ConvergenceError, NetworkConfig, gauss_2f1, kernel_z1, kernel_z2, kernel_z3
+from hetcache import ConvergenceError, NetworkConfig, gauss_2f1, kernel_z1, kernel_z2
 from hetcache.quadrature import DEFAULT_QUAD
 from hetcache.rates import _CASE3_X, _EXP_CUTOFF, _coverage, interference_coefficients
 from hetcache.specfun import kernel_x2z3, kernel_z2_scale
@@ -58,21 +58,10 @@ def test_kernel_z1_matches_integral_representation(beta, v):
 
 def test_kernel_z2_analytic_limit():
     assert kernel_z2(1.0, 4.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
-    # a -> 0 continuity of the cutoff form
-    assert kernel_z2(1.0, 4.0, a=1e-8) == pytest.approx(math.pi / 2.0, rel=1e-3)
     for beta in (3.0, 4.0, 5.0):
         v = 2.7
         val, _ = integrate.quad(lambda u: 1.0 / (1.0 + u ** (beta / 2.0)), 0.0, np.inf)
         assert kernel_z2(v, beta) == pytest.approx(v ** (2.0 / beta) * val, rel=1e-8)
-
-
-def test_kernel_z3_reduces_to_z1():
-    assert kernel_z3(2.0, 1.0, 4.0) == pytest.approx(kernel_z1(2.0, 4.0), rel=1e-14)
-    assert kernel_z3(2.0, 0.5, 4.0) == pytest.approx(kernel_z1(2.0 * 0.5**-4.0, 4.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        kernel_z3(1.0, 0.0, 4.0)
-    with pytest.raises(ValueError):
-        kernel_z3(1.0, 1.5, 4.0)
 
 
 def test_kernels_monotone_and_zero_at_origin():
