@@ -135,9 +135,13 @@ def config_from_dict(raw: dict) -> NetworkConfig:
     """Build a NetworkConfig from a flat key-value mapping.
 
     Powers may be given either in watts (``p1``) or dBm (``p1_dbm``);
-    the dBm form wins if both are present.
+    the dBm form wins if both are present.  A mapping that fails the
+    schema raises ``ValueError``.
     """
-    jsonschema.validate(raw, _load_schema())
+    try:
+        jsonschema.validate(raw, _load_schema())
+    except jsonschema.ValidationError as exc:
+        raise ValueError(f"invalid config: {exc.message}") from exc
     kwargs = dict(raw)
     for dbm_key, watt_key in _DBM_KEYS.items():
         if dbm_key in kwargs:

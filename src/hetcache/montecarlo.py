@@ -1,10 +1,11 @@
 """Monte Carlo spatial oracle.
 
 Samples Poisson topologies on a square window, applies the max-average-power
-association rule with Rayleigh fading, and measures association fractions,
-SINR distributions, ergodic rates, and outage empirically.  It is the
-independent cross-check for all closed-form layers, so it shares no kernel
-code with them: everything here is literal geometry plus sampling.
+association rule, and measures association fractions, ergodic rates and
+outage under Rayleigh fading.  It is the independent cross-check for all
+closed-form layers, so it shares no kernel code with them: the topology is
+literal geometry plus sampling, and the fading is averaged per reference
+user given its topology.
 
 Nearest nodes (the serving relay and BS, and the nearest other cache-enabled
 user) come from one k-d tree query per tier (``scipy.spatial.cKDTree``,
@@ -13,9 +14,20 @@ serving tier): one dense distance matrix from the reference users to every
 active D2D transmitter, relay and BS becomes a matrix of interference
 weights P d^-beta, in which an excluded node (the reference user itself,
 its serving node, and the nearest other cache-enabled user when that is the
-strongest node) is infinitely far and weighs 0.  Rayleigh fading is drawn
-as one independent exponential per (user, node, redraw), in row blocks of at
-most ``FADING_BLOCK`` numbers, and each block is reduced with ``einsum``.
+strongest node) is infinitely far and weighs 0.
+
+Given a user's topology, with signal power S, weights w_j and noise
+sigma^2, Rayleigh fading gives the coverage in closed form:
+P(SINR > theta) = exp(-theta n) prod_j 1 / (1 + theta a_j), where
+a_j = w_j / S and n = sigma^2 / S.  ``run_monte_carlo`` averages the
+fading out exactly this way (``_fading_average``): outage is
+-expm1(log P(tau)), and the ergodic rate is
+integral P(e^u) e^u / (1 + e^u) du over u = ln theta, on a Gauss-Legendre
+rule between 0 and the knee u0 = -ln(sum_j a_j + n) and a Gauss-Laguerre
+rule on either side.  log P takes log1p exactly for the strongest
+``_EXACT_TERMS`` weights and a second-order series for the rest.
+``measure_sinr`` keeps a sampled-fading path (one exponential per user,
+node and draw), which checks the closed form.
 
 Two boundary treatments: ``margin`` restricts reference users to a central
 sub-window (interference fields near the edge are depleted), ``torus`` wraps
@@ -36,9 +48,15 @@ from .config import NetworkConfig
 
 BOUNDARY_MODES = ("margin", "torus")
 
-# Largest number of fading draws held at once (rows x nodes x redraws):
-# 2**21 float64 values, 16 MiB.
-FADING_BLOCK = 1 << 21
+# The fading average: log1p taken exactly for this many strongest weights
+# per user; Gauss-Legendre nodes between 0 and the knee, Gauss-Laguerre nodes
+# on either side; rows per block of the (rows x terms x nodes) log1p tensor.
+_EXACT_TERMS = 64
+_KNEE_X, _KNEE_W = np.polynomial.legendre.leggauss(32)
+_KNEE_X, _KNEE_W = (_KNEE_X + 1.0) / 2.0, _KNEE_W / 2.0
+_TAIL_X, _TAIL_W = np.polynomial.laguerre.laggauss(40)
+_TAIL_W = _TAIL_W * np.exp(_TAIL_X)
+_ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -312,44 +330,79 @@ def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Ge
     return d
 
 
-def _sinr_samples(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                  rows: np.ndarray, case_id: int, tier: int, n_fading: int,
-                  rng: np.random.Generator, boundary: str) -> np.ndarray:
-    """SINR draws, shape (len(rows), n_fading), over the interferers of
-    ``_interference_weights``; every (user, node, redraw) fades independently."""
-    if len(rows) == 0:
-        return np.empty((0, n_fading))
+def _relative_interference(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
+                           rows: np.ndarray, case_id: int, tier: int,
+                           boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Interference weights (len(rows), nodes) and noise (len(rows),), both
+    divided by each row's mean signal power from its serving node."""
     if case_id == 1 and tier == 1:
         r_serv, p_serv = geo.r_cache[rows], cfg.p1
     elif tier == 2:
         r_serv, p_serv = geo.r_relay[rows], cfg.p2
     else:
         r_serv, p_serv = geo.r_bs[rows], cfg.p3
+    signal = p_serv * r_serv ** (-cfg.beta)
     w = _interference_weights(real, cfg, geo, rows, case_id, tier, boundary)
+    w /= signal[:, None]
+    return w, cfg.noise / signal
 
-    out = rng.standard_exponential((len(rows), n_fading))
-    out *= (p_serv * r_serv ** (-cfg.beta))[:, None]
-    step = max(1, FADING_BLOCK // (w.shape[1] * n_fading))
-    fading = np.empty((min(step, len(rows)), w.shape[1], n_fading))
-    for lo in range(0, len(rows), step):
-        hi = min(lo + step, len(rows))
-        block = fading[:hi - lo]
-        rng.standard_exponential(out=block)
-        out[lo:hi] /= np.einsum("rn,rnf->rf", w[lo:hi], block) + cfg.noise
-    return out
+
+def _fading_average(a: np.ndarray, n: np.ndarray,
+                    taus: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Ergodic rate E[ln(1 + SINR)] and outage P(SINR <= tau) of each row,
+    averaged over Rayleigh fading given the row's topology.
+
+    ``a`` (rows, nodes) holds the interference weights and ``n`` (rows,) the
+    noise, both divided by the signal power; every row needs a positive
+    interference or noise.  Returns the rates (rows,) and the outage
+    (rows, len(taus)).
+    """
+    rows, nodes = a.shape
+    k = min(_EXACT_TERMS, nodes)
+    part = np.partition(a, nodes - k, axis=1)
+    top, rest = part[:, nodes - k:], part[:, :nodes - k]
+    first = rest.sum(axis=1) + n
+    second = np.einsum("rn,rn->r", rest, rest)
+    a_next = rest.max(axis=1, initial=0.0)
+
+    u0 = -np.log(a.sum(axis=1) + n)
+    lo, hi = np.minimum(u0, 0.0)[:, None], np.maximum(u0, 0.0)[:, None]
+    u = np.hstack((lo + (hi - lo) * _KNEE_X, hi + _TAIL_X, lo - _TAIL_X))
+    weights = np.hstack(((hi - lo) * _KNEE_W, np.tile(_TAIL_W, (rows, 2))))
+    theta = np.hstack((np.exp(u), np.tile(np.asarray(taus, dtype=float), (rows, 1))))
+
+    log_p = np.empty_like(theta)
+    for r in range(0, rows, _ROW_BLOCK):
+        block = slice(r, r + _ROW_BLOCK)
+        log_p[block] = -np.log1p(top[block, :, None] * theta[block, None, :]).sum(axis=1)
+    # the rest: log1p(x) = x - x^2/2 + O(x^3); where theta * a_next > 1/2 the
+    # exact terms alone already bound P below 1.5**-_EXACT_TERMS
+    log_p -= theta * first[:, None]
+    log_p += np.where(theta * a_next[:, None] <= 0.5, 0.5 * theta ** 2 * second[:, None], 0.0)
+
+    m = u.shape[1]
+    rate = np.einsum("rm,rm->r", np.exp(log_p[:, :m]) * weights, 1.0 / (1.0 + np.exp(-u)))
+    return rate, -np.expm1(log_p[:, m:])
 
 
 def measure_sinr(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tier: int,
                  n_fading: int, seed: int, boundary: str = "margin",
                  margin: float = 500.0, max_users: int | None = None) -> np.ndarray:
-    """SINR samples for reference users in one (case, serving tier)."""
+    """Sampled SINR, shape (users, n_fading), for reference users in one
+    (case, serving tier): every (user, node, draw) fades independently."""
     rng = np.random.default_rng(seed)
     ref = edge_correction_policy(real, margin, boundary)
     geo = _geometry(real, cfg, ref, boundary)
     rows = _case_members(geo, real, case_id, tier)
     if max_users is not None and len(rows) > max_users:
         rows = rng.choice(rows, size=max_users, replace=False)
-    return _sinr_samples(real, cfg, geo, rows, case_id, tier, n_fading, rng, boundary)
+    a, n = _relative_interference(real, cfg, geo, rows, case_id, tier, boundary)
+    out = rng.standard_exponential((len(rows), n_fading))
+    fading = np.empty((a.shape[1], n_fading))
+    for r in range(len(rows)):
+        rng.standard_exponential(out=fading)
+        out[r] /= a[r] @ fading + n[r]
+    return out
 
 
 @dataclass(frozen=True)
@@ -384,8 +437,10 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     """Full oracle run: per replication, sample a topology and measure rates,
     outage and association; aggregate with across-replication standard errors.
 
-    Replication seeds are spawned from the master seed; identical inputs give
-    bit-identical results.
+    Fading is averaged in closed form per reference user
+    (``_fading_average``), so ``n_fading`` is not read; it stays in the
+    signature for existing callers.  Replication seeds are spawned from the
+    master seed; identical inputs give bit-identical results.
     """
     if n_topologies < 1:
         raise ValueError("need at least one topology replication")
@@ -431,22 +486,25 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         for case_id in cases:
             if case_id in (2, 3) and cfg.alpha == 0.0:
                 continue
-            samples = []
+            rates, outages = [], []
             for tier in _CASE_TIERS[case_id]:
                 rows = _case_members(geo, real, case_id, tier)
                 if len(rows) > max_users:
                     rows = rng.choice(rows, size=max_users, replace=False)
-                samples.append(_sinr_samples(real, cfg, geo, rows, case_id, tier,
-                                             n_fading, rng, boundary))
-            sinr = np.concatenate([s.reshape(-1) for s in samples])
-            if sinr.size == 0:
+                rate, outage = _fading_average(
+                    *_relative_interference(real, cfg, geo, rows, case_id, tier, boundary),
+                    tau_grid)
+                rates.append(rate)
+                outages.append(outage)
+            rate, outage = np.concatenate(rates), np.concatenate(outages)
+            if rate.size == 0:
                 rate_acc[case_id].append(math.nan)
                 for t in tau_grid:
                     out_acc[(case_id, t)].append(math.nan)
                 continue
-            rate_acc[case_id].append(float(np.log1p(sinr).mean()))
-            for t in tau_grid:
-                out_acc[(case_id, t)].append(float((sinr <= t).mean()))
+            rate_acc[case_id].append(float(rate.mean()))
+            for t, column in zip(tau_grid, outage.T):
+                out_acc[(case_id, t)].append(float(column.mean()))
 
     return MonteCarloSummary(
         rates={c: _across_reps(v) for c, v in rate_acc.items()},

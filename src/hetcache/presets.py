@@ -177,10 +177,10 @@ def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, gain
 
 
-def simulate(cfg: NetworkConfig, seed: int, topologies: int, fading: int, window: float,
+def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
              boundary: str, margin: float, tau_db: list[float]) -> Table:
     summary = run_monte_carlo(
-        cfg, n_topologies=topologies, n_fading=fading, seed=seed,
+        cfg, n_topologies=topologies, seed=seed,
         window=window, boundary=boundary, margin=margin,
         tau_grid=tuple(db_to_linear(t) for t in tau_db),
     )
@@ -347,7 +347,6 @@ COMMANDS: dict[str, Experiment] = {
     "simulate": Experiment(simulate, "Monte Carlo spatial simulation / CTMC trace",
                            presets=("fig7",), flags=(
         ("--topologies", dict(type=int, default=200)),
-        ("--fading", dict(type=int, default=20)),
         ("--window", dict(type=float, default=2000.0)),
         ("--boundary", dict(choices=("margin", "torus"), default="margin")),
         ("--margin", dict(type=float, default=500.0)),

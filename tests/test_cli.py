@@ -107,7 +107,7 @@ def test_cli_config_file_dbm_keys(tmp_path):
 
 
 def test_cli_simulate_has_positive_std_errors(tmp_path):
-    main(["simulate", "--topologies", "4", "--fading", "3",
+    main(["simulate", "--topologies", "4",
           "--window", "1500", "--boundary", "torus", "--margin", "0",
           "--tau-db", "-10", "--out", str(tmp_path), "--seed", "3"])
     env = json.loads((tmp_path / "simulate.json").read_text())
@@ -180,6 +180,26 @@ def test_cli_usage_errors():
         main([])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_cli_simulate_rejects_fading_flag(tmp_path):
+    # the fading is averaged in closed form, so there is no redraw count
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--topologies", "1", "--fading", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_schema_invalid_config_is_usage_error(tmp_path, capsys):
+    # a config file that fails the JSON schema exits 2 with a message, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 2.0}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["association", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from hetcache import (
     EmpiricalEstimate,
@@ -18,8 +18,11 @@ from hetcache.association import active_d2d_density, three_tier_spec
 from hetcache.montecarlo import (
     _CASE_TIERS,
     SpatialRealization,
+    _case_members,
+    _fading_average,
     _geometry,
     _interference_weights,
+    _relative_interference,
     central_indices,
     edge_correction_policy,
 )
@@ -162,6 +165,81 @@ def test_single_interferer_sinr_distribution(cfg):
     scale = (c.p3 * 100.0 ** -c.beta) / (c.p2 * 400.0 ** -c.beta)
     cdf = lambda x: x / (x + 1.0)
     assert stats.kstest(sinr / scale, cdf).pvalue > 0.01
+
+
+def _quad_fading_average(a, n, taus):
+    """One row's rate and outage from adaptive QUADPACK over u = ln(theta),
+    split at 0, the knee and -ln(max a), with the exact log1p sum."""
+    def log_p(theta):
+        return -theta * n - np.log1p(theta * a).sum()
+
+    def f(u):  # beyond u = 700 the coverage is below e^-u / max(a)
+        return 0.0 if u > 700.0 else math.exp(log_p(math.exp(u))) * special.expit(u)
+
+    edges = [-math.inf, *sorted({0.0, -math.log(a.sum() + n), -math.log(a.max())}), math.inf]
+    rate = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=500)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+    return rate, np.array([-math.expm1(log_p(t)) for t in taus])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25])
+def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
+    # criterion 3's geometry; in every (case, tier), the rows with the
+    # smallest and largest total interference (knee far right and far left)
+    # and a spread of others
+    c = cfg.with_updates(alpha=alpha)
+    real = sample_topology(c, 6000.0, 11)
+    ref = np.sort(np.random.default_rng(0).choice(len(real.users), 500, replace=False))
+    geo = _geometry(real, c, ref, "torus")
+    taus = (0.1, 10.0 ** -0.5)
+    for case_id, tiers in _CASE_TIERS.items():
+        for tier in tiers:
+            rows = _case_members(geo, real, case_id, tier)
+            assert len(rows) > 0
+            a, n = _relative_interference(real, c, geo, rows, case_id, tier, "torus")
+            rate, outage = _fading_average(a, n, taus)
+            total = a.sum(axis=1)
+            picks = {int(np.argmin(total)), int(np.argmax(total)),
+                     *range(0, len(rows), max(1, len(rows) // 5))}
+            for i in picks:
+                ref_rate, ref_outage = _quad_fading_average(a[i], n[i], taus)
+                assert rate[i] == pytest.approx(ref_rate, rel=1e-5), (case_id, tier, i)
+                np.testing.assert_allclose(outage[i], ref_outage, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [1e-5, 1.0, 1e4])
+def test_fading_average_single_interferer(a):
+    # P(SINR > theta) = 1 / (1 + a theta): rate ln(a) / (a - 1), outage
+    # tau a / (1 + tau a); the knee sits far right, at 0 and far left
+    taus = (0.1, 1.0, 10.0)
+    rate, outage = _fading_average(np.array([[a]]), np.zeros(1), taus)
+    assert rate[0] == pytest.approx(math.log(a) / (a - 1.0) if a != 1.0 else 1.0, rel=1e-10)
+    np.testing.assert_allclose(outage[0], [t * a / (1.0 + t * a) for t in taus], rtol=1e-12)
+
+
+def test_fading_average_matches_sampled_sinr(cfg):
+    # per row, the closed form against the mean of 4000 sampled-fading SINRs
+    c = cfg.with_updates(alpha=0.25)
+    real = sample_topology(c, 1200.0, 4)
+    geo = _geometry(real, c, edge_correction_policy(real, 0.0, "torus"), "torus")
+    taus, n_fading = (0.1, 1.0), 4000
+    for case_id, tiers in _CASE_TIERS.items():
+        for tier in tiers:
+            rows = _case_members(geo, real, case_id, tier)
+            assert len(rows) > 0
+            rate, outage = _fading_average(
+                *_relative_interference(real, c, geo, rows, case_id, tier, "torus"), taus)
+            sinr = measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5,
+                                boundary="torus", margin=0.0)
+            log_rate = np.log1p(sinr)
+            se = log_rate.std(axis=1, ddof=1) / math.sqrt(n_fading)
+            assert (abs(log_rate.mean(axis=1) - rate) <= 4.0 * se).all(), (case_id, tier)
+            for j, tau in enumerate(taus):
+                # one count is 1/n_fading, so p is clipped to that resolution
+                p = np.clip(outage[:, j], 1.0 / n_fading, 1.0 - 1.0 / n_fading)
+                se = np.sqrt(p * (1.0 - p) / n_fading)
+                hits = (sinr <= tau).mean(axis=1)
+                assert (abs(hits - outage[:, j]) <= 4.0 * se).all(), (case_id, tier, tau)
 
 
 def _loop_distance(a, b, window, boundary):
