@@ -2,6 +2,10 @@
 wireless network (base stations, relays, cache-enabled users as D2D
 transmitters): association and user-state probabilities, ergodic rates,
 outage, processor-sharing queueing metrics, and a spatial simulation oracle.
+
+Rates (``rate_case1..3``) and outage (``sinr_cdf``, the one outage entry
+point) derive from one coverage probability per radio case.  Quadrature
+tolerances are fixed inside ``quadrature``; no public function takes one.
 """
 
 from .association import (
@@ -24,7 +28,7 @@ from .montecarlo import (
     run_monte_carlo,
     sample_topology,
 )
-from .outage import OutageResult, outage_case1, outage_case2, outage_case3, outage_case4, sinr_cdf
+from .outage import sinr_cdf
 from .popularity import PopularityModel
 from .queueing import (
     CtmcTrace,
@@ -41,9 +45,9 @@ from .queueing import (
     steady_ruler,
     throughput_gain,
 )
-from .quadrature import QuadratureError, QuadratureSpec, integrate_interval
-from .rates import RateResult, case_rate_table, rate_case1, rate_case2, rate_case3, rate_local
-from .specfun import ConvergenceError, gauss_2f1, kernel_z1, kernel_z2
+from .quadrature import QuadratureError, integrate_interval
+from .rates import RateResult, case_rate_table, rate_case1, rate_case2, rate_case3
+from .specfun import gauss_2f1, kernel_z1, kernel_z2
 
 __version__ = "0.1.0"
 

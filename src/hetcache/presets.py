@@ -37,7 +37,7 @@ from .queueing import (
     steady_ruler,
     throughput_gain,
 )
-from .rates import case_rate_table, rate_case1, rate_case2, rate_case3, rate_local
+from .rates import case_rate_table, rate_case1, rate_case2, rate_case3
 
 Table = tuple[list[str], list[dict], dict]
 
@@ -93,12 +93,14 @@ def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
 
 def _cdf_rows(cfg: NetworkConfig, taus_db, column: str) -> list[dict]:
     """SINR CDF of cases 1..3 at BS serving, one row per (tau, case); cases
-    2 and 3 need cache-enabled users."""
+    2 and 3 need cache-enabled users, and case 3 is defined without noise
+    only (the rule of ``case_rate_table``)."""
+    cases = (1, 2, 3) if cfg.noise == 0.0 else (1, 2)
     return [
         {"tau_db": tau_db, "case": case_id,
          column: sinr_cdf(cfg, case_id, 3, db_to_linear(tau_db))}
         for tau_db in taus_db
-        for case_id in (1, 2, 3)
+        for case_id in cases
         if case_id == 1 or cfg.alpha != 0.0
     ]
 
@@ -133,7 +135,7 @@ def rate(cfg: NetworkConfig, seed: int) -> Table:
         {"case": m + 1, "node": STATE_COLUMNS[j], "rate_nats": float(table[m, j])}
         for m in range(4) for j in range(4) if table[m, j] > 0.0
     ]
-    return columns, rows, {"local_rate": rate_local(cfg).value}
+    return columns, rows, {"local_rate": cfg.local_rate_ul}
 
 
 def outage(cfg: NetworkConfig, seed: int, tau_db: list[float]) -> Table:

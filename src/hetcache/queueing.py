@@ -20,10 +20,10 @@ from .association import (
     StateMatrix,
     active_d2d_density,
     pairwise_association_probability,
+    state_matrix,
     three_tier_spec,
 )
 from .config import NetworkConfig
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .rates import case_rate_table, rate_case1
 
 N_CLASSES = 8
@@ -205,15 +205,11 @@ def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -
     return SteadyAnalysis(rulers, binding, cfg.varsigma / worst)
 
 
-def network_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD,
-                  states: StateMatrix | None = None
-                  ) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
+def network_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
     """State matrix, class loads and service rates of the cache-enabled network."""
-    from .association import state_matrix as _state_matrix
-
-    states = states or _state_matrix(cfg)
+    states = state_matrix(cfg)
     loads = class_loads(cfg, states)
-    rates = rate_matrix(cfg, case_rate_table(cfg, spec), states)
+    rates = rate_matrix(cfg, case_rate_table(cfg), states)
     return states, loads, rates
 
 
@@ -227,8 +223,7 @@ def baseline_state_matrix(cfg: NetworkConfig) -> StateMatrix:
     return StateMatrix(d)
 
 
-def baseline_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD
-                   ) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
+def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
     """Loads and rates of the no-caching baseline.
 
     Rates reuse the case-1 machinery at alpha = 0 (no D2D interference, same
@@ -238,18 +233,18 @@ def baseline_model(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD
     cfg0 = cfg.with_updates(alpha=0.0)
     states = baseline_state_matrix(cfg)
     u = np.zeros((4, 4))
-    u[0, 1:3] = rate_case1(cfg0, 3, spec).value  # tier-independent, as in case_rate_table
+    u[0, 1:3] = rate_case1(cfg0, 3).value  # tier-independent, as in case_rate_table
     loads = class_loads(cfg0, states)
     rates = rate_matrix(cfg, u, states)
     return states, loads, rates
 
 
-def throughput_gain(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_QUAD) -> dict[str, float]:
+def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
     no-caching baseline, with both critical rates."""
-    _, loads, rates = network_model(cfg, spec)
+    _, loads, rates = network_model(cfg)
     cached = steady_ruler(cfg, loads, rates)
-    _, bloads, brates = baseline_model(cfg, spec)
+    _, bloads, brates = baseline_model(cfg)
     base = steady_ruler(cfg, bloads, brates)
     return {
         "varsigma_star_cached": cached.varsigma_star,

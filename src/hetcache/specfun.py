@@ -20,10 +20,6 @@ import numpy as np
 from scipy import special
 
 
-class ConvergenceError(RuntimeError):
-    """An iteration or quadrature failed to reach the requested accuracy."""
-
-
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1."""
     if c <= 1e-12 and abs(c - round(c)) < 1e-12:

@@ -78,6 +78,20 @@ def test_cli_outage_tau_flags(tmp_path):
     assert all(0.0 <= r["outage"] <= 1.0 for r in env["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["outage", "--tau-db", "-10", "-5"],
+    ["sinr-cdf", "--tau-min", "-5", "--tau-max", "5", "--tau-step", "10"],
+])
+def test_cli_cdf_runs_on_a_noisy_config(tmp_path, argv):
+    # case 3 is defined without noise only, so a noisy config yields cases 1 and 2
+    cfg_path = tmp_path / "noisy.json"
+    cfg_path.write_text(json.dumps({"noise": 1e-12}))
+    assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{argv[0]}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and {r["case"] for r in rows} == {"1", "2"}
+
+
 def test_cli_steady_meta(tmp_path):
     main(["steady", "--out", str(tmp_path)])
     env = json.loads((tmp_path / "steady.json").read_text())

@@ -8,10 +8,6 @@ from hetcache import (
     active_d2d_density,
     kernel_z1,
     kernel_z2,
-    outage_case1,
-    outage_case2,
-    outage_case3,
-    outage_case4,
     sinr_cdf,
 )
 from hetcache import rates
@@ -22,14 +18,14 @@ def test_case1_closed_form(cfg):
     co = interference_coefficients(cfg)
     tau = 0.1
     expect = 1.0 - 1.0 / (1.0 + co.c1 * kernel_z1(tau, cfg.beta))
-    assert outage_case1(cfg, 3, tau).value == pytest.approx(expect, rel=1e-14)
+    assert sinr_cdf(cfg, 1, 3, tau) == pytest.approx(expect, rel=1e-14)
 
 
 def test_case2_closed_form(cfg):
     co = interference_coefficients(cfg)
     tau = 0.5
     expect = 1.0 - 1.0 / (1.0 + kernel_z1(tau, cfg.beta) + co.c2 * kernel_z2(tau, cfg.beta))
-    assert outage_case2(cfg, 2, tau).value == pytest.approx(expect, rel=1e-14)
+    assert sinr_cdf(cfg, 2, 2, tau) == pytest.approx(expect, rel=1e-14)
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3])
@@ -44,38 +40,38 @@ def test_outage_is_valid_cdf(cfg, case_id):
 
 
 def test_case4_outage_exactly_zero(cfg):
-    assert outage_case4(cfg, 0.1).value == 0.0
+    assert sinr_cdf(cfg, 4, 0, 0.1) == 0.0
     assert sinr_cdf(cfg, 4, 0, 100.0) == 0.0
 
 
 def test_tier_independence(cfg):
     tau = 0.2
-    assert outage_case2(cfg, 2, tau).value == outage_case2(cfg, 3, tau).value
-    assert outage_case3(cfg, 2, tau).value == pytest.approx(
-        outage_case3(cfg, 3, tau).value, rel=1e-12)
+    assert sinr_cdf(cfg, 2, 2, tau) == sinr_cdf(cfg, 2, 3, tau)
+    assert sinr_cdf(cfg, 3, 2, tau) == pytest.approx(
+        sinr_cdf(cfg, 3, 3, tau), rel=1e-12)
 
 
 def test_case1_power_scaling_and_alpha_invariance(cfg):
     tau = 0.1
-    base = outage_case1(cfg, 3, tau).value
+    base = sinr_cdf(cfg, 1, 3, tau)
     scaled = cfg.with_updates(p1=cfg.p1 * 3.0, p2=cfg.p2 * 3.0, p3=cfg.p3 * 3.0)
-    assert outage_case1(scaled, 3, tau).value == pytest.approx(base, rel=1e-12)
-    lo = outage_case1(cfg.with_updates(alpha=0.03), 3, tau).value
-    hi = outage_case1(cfg.with_updates(alpha=0.10), 3, tau).value
+    assert sinr_cdf(scaled, 1, 3, tau) == pytest.approx(base, rel=1e-12)
+    lo = sinr_cdf(cfg.with_updates(alpha=0.03), 1, 3, tau)
+    hi = sinr_cdf(cfg.with_updates(alpha=0.10), 1, 3, tau)
     assert lo == pytest.approx(hi, rel=1e-10)  # flat below the activity threshold
 
 
 def test_case2_exceeds_case1(cfg):
     for tau in (0.05, 0.1, 1.0):
-        assert outage_case2(cfg, 3, tau).value > outage_case1(cfg, 3, tau).value
+        assert sinr_cdf(cfg, 2, 3, tau) > sinr_cdf(cfg, 1, 3, tau)
 
 
 def test_low_alpha_ordering_case2_vs_case3(cfg):
     # sparse caching: the case-2 CDF sits below the case-3 CDF at -10 dB
     c = cfg.with_updates(alpha=0.05)
     tau = 0.1
-    o2 = outage_case2(c, 3, tau).value
-    o3 = outage_case3(c, 3, tau).value
+    o2 = sinr_cdf(c, 2, 3, tau)
+    o3 = sinr_cdf(c, 3, 3, tau)
     assert o2 == pytest.approx(0.2783, abs=2e-3)
     assert o3 == pytest.approx(0.2991, abs=2e-3)
     assert o2 < o3
@@ -83,32 +79,34 @@ def test_low_alpha_ordering_case2_vs_case3(cfg):
 
 def test_noise_paths_approach_closed_forms(cfg):
     tau = 0.1
-    il1 = outage_case1(cfg, 3, tau).value
-    il2 = outage_case2(cfg, 3, tau).value
+    il1 = sinr_cdf(cfg, 1, 3, tau)
+    il2 = sinr_cdf(cfg, 2, 3, tau)
     c = cfg.with_updates(noise=1e-12)
-    assert outage_case1(c, 3, tau).value == pytest.approx(il1, rel=1e-3)
-    assert outage_case2(c, 3, tau).value == pytest.approx(il2, rel=1e-3)
+    assert sinr_cdf(c, 1, 3, tau) == pytest.approx(il1, rel=1e-3)
+    assert sinr_cdf(c, 2, 3, tau) == pytest.approx(il2, rel=1e-3)
     tiny = cfg.with_updates(noise=1e-15)
-    assert outage_case1(tiny, 3, tau).value == pytest.approx(il1, rel=1e-6)
+    assert sinr_cdf(tiny, 1, 3, tau) == pytest.approx(il1, rel=1e-6)
     noisy = cfg.with_updates(noise=1e-6)
-    assert outage_case1(noisy, 3, tau).value > il1
+    assert sinr_cdf(noisy, 1, 3, tau) > il1
     # the serving power cancels against the association distance scaling, so
     # the noisy case-1 outage is tier-independent too
-    assert outage_case1(noisy, 1, tau).value == pytest.approx(
-        outage_case1(noisy, 3, tau).value, rel=1e-9)
+    assert sinr_cdf(noisy, 1, 1, tau) == pytest.approx(
+        sinr_cdf(noisy, 1, 3, tau), rel=1e-9)
 
 
 def test_domain_errors(cfg):
     with pytest.raises(ValueError):
-        outage_case1(cfg, 0, 0.1)
+        sinr_cdf(cfg, 1, 0, 0.1)
     with pytest.raises(ValueError):
-        outage_case1(cfg, 3, -0.1)
+        sinr_cdf(cfg, 1, 3, -0.1)
     with pytest.raises(ValueError):
-        outage_case3(cfg.with_updates(noise=1e-9), 3, 0.1)
+        sinr_cdf(cfg.with_updates(noise=1e-9), 3, 3, 0.1)
     with pytest.raises(ValueError):
-        outage_case3(cfg.with_updates(alpha=0.0), 3, 0.1)
+        sinr_cdf(cfg.with_updates(alpha=0.0), 3, 3, 0.1)
     with pytest.raises(ValueError):
         sinr_cdf(cfg, 5, 3, 0.1)
+    with pytest.raises(ValueError):
+        sinr_cdf(cfg, 4, 0, -0.1)
 
 
 def _case3_outage_oracle(cfg, tau):
@@ -139,7 +137,7 @@ def _case3_outage_oracle(cfg, tau):
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
 def test_case3_outage_against_adaptive_oracle(beta, alpha, tau):
     cfg = NetworkConfig(beta=beta, alpha=alpha)
-    assert outage_case3(cfg, 3, tau).value == pytest.approx(
+    assert sinr_cdf(cfg, 3, 3, tau) == pytest.approx(
         _case3_outage_oracle(cfg, tau), rel=1e-10)
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hetcache import QuadratureError, QuadratureSpec, integrate_interval
+from hetcache import QuadratureError, integrate_interval
 from hetcache.rates import _CASE3_W, _CASE3_X
 
 
@@ -22,18 +22,10 @@ def test_semi_infinite_gaussian():
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
-
-
 def test_failure_carries_partial_estimate():
-    # too few subdivisions for a nasty oscillatory integrand
-    spec = QuadratureSpec(max_subdivisions=1)
+    # too nasty an oscillation for the 200-subdivision budget
     with pytest.raises(QuadratureError) as exc:
-        integrate_interval(lambda x: math.sin(1.0 / (x + 1e-8)), 0.0, 1.0, spec)
+        integrate_interval(lambda x: math.sin(1.0 / (x + 1e-8)), 0.0, 1.0)
     assert isinstance(exc.value.partial, float)
 
 

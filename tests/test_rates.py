@@ -12,7 +12,6 @@ from hetcache import (
     rate_case1,
     rate_case2,
     rate_case3,
-    rate_local,
 )
 from hetcache.rates import interference_coefficients
 
@@ -164,12 +163,6 @@ def test_tier_domain_errors(cfg):
         rate_case2(cfg, 1)
 
 
-def test_rate_local_passthrough(cfg):
-    res = rate_local(cfg)
-    assert res.value == cfg.local_rate_ul
-    assert res.case_id == 4 and res.error == 0.0
-
-
 def test_case_rate_table_structure(cfg):
     table = case_rate_table(cfg)
     assert table.shape == (4, 4)
@@ -186,7 +179,6 @@ def test_interference_coefficients_consistency(cfg):
     co = interference_coefficients(cfg)
     assert 0.0 < co.c1 <= 1.0 + 1e-12
     assert co.c2 >= 0.0
-    assert co.s_active_total <= co.s_total + 1e-18
     below = interference_coefficients(cfg.with_updates(alpha=0.05))
     assert below.c1 == pytest.approx(1.0, abs=1e-12)  # fully active regime
     zero = interference_coefficients(cfg.with_updates(alpha=0.0))
