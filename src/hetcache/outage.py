@@ -10,8 +10,10 @@ experiences outage.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import NetworkConfig
-from .rates import _coverage
+from .rates import _coverage, _Kernels
 
 
 def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float) -> float:
@@ -22,7 +24,7 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float) -> float:
         raise ValueError("SINR threshold must be non-negative")
     if case_id == 4:
         return 0.0
-    value = 1.0 - _coverage(cfg, case_id, tier)(tau)
+    value = 1.0 - float(_coverage(cfg, case_id, tier, _Kernels(np.array([float(tau)]), cfg.beta))[0])
     if not -1e-12 <= value <= 1.0 + 1e-12:
         raise ValueError(f"outage probability {value} outside [0, 1]")
     return value

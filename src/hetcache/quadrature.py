@@ -1,11 +1,14 @@
-"""Quadrature used by every integral-valued expression.
+"""Adaptive quadrature for the one integral that is not on a fixed rule.
 
-Adaptive integrals go through a thin contract layer over QUADPACK
-(scipy.integrate.quad) with fixed tolerances: relative 1e-8 and absolute
-1e-12, one order tighter for an integrand that is itself evaluated inside
-an outer integral, and at most 200 subdivisions.  Failures surface as
-QuadratureError with the partial estimate attached.  Semi-infinite ranges
-are handled by QUADPACK's built-in variable transformation.
+Rates run on a fixed double-exponential rule and case 3 on a fixed
+Gauss-Legendre rule (both in ``rates.py``).  QUADPACK (scipy.integrate.quad)
+serves only the distance integral of the noisy coverage of cases 1/2, once
+per threshold, through a thin contract layer with fixed tolerances:
+relative 1e-8 and absolute 1e-12, one order tighter when the coverage is
+integrated into a rate, and at most 200 subdivisions.  Failures surface as
+QuadratureError with the partial estimate attached; the rate rule raises
+the same error.  Semi-infinite ranges are handled by QUADPACK's built-in
+variable transformation.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from __future__ import annotations
 import math
 
 from scipy import integrate
+
+
+# tolerance of an integral that no other integral encloses
+EPSREL, EPSABS = 1e-8, 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -27,7 +34,7 @@ def integrate_interval(f, a: float, b: float, nested: bool = False) -> tuple[flo
     which runs one order tighter so that the outer estimate holds."""
     out = integrate.quad(
         f, a, b,
-        epsabs=1e-13 if nested else 1e-12, epsrel=1e-9 if nested else 1e-8,
+        epsabs=1e-13 if nested else EPSABS, epsrel=1e-9 if nested else EPSREL,
         limit=200, full_output=1,
     )
     value, err = out[0], out[1]

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import (
+    STATE_COLUMNS,
+    STATE_ROWS,
     StateMatrix,
     active_d2d_density,
     pairwise_association_probability,
@@ -130,19 +132,25 @@ class QueueMetrics:
     stable: np.ndarray
 
 
-def _rulers(loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
+def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
     """Steady ruler per node type: the sum over classes of demand over
     service rate."""
     a, sigma = rates.a, loads.sigma
-    if ((sigma > 0.0) & (a == 0.0)).any():
-        raise ValueError("a class with traffic has zero service rate")
+    starved = np.argwhere((sigma > 0.0) & (a == 0.0))
+    if len(starved):
+        classes = [(*STATE_ROWS[i], STATE_COLUMNS[j]) for i, j in starved]
+        message = ("classes (case, backhaul, node) with traffic but zero service rate: "
+                   + ", ".join("(" + ", ".join(c) + ")" for c in classes))
+        if cfg.noise != 0.0 and any(c[0] == "case3" for c in classes):
+            message += "; case 3 has no noise-inclusive rate"
+        raise ValueError(message)
     per_class = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
     return per_class.sum(axis=0)
 
 
 def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
     a, sigma, zeta = rates.a, loads.sigma, loads.zeta
-    ruler = _rulers(loads, rates)
+    ruler = _rulers(cfg, loads, rates)
     sigma_node = sigma.sum(axis=0)
     zeta_node = zeta.sum(axis=0)
     sigma_crit = np.where(ruler > 0.0, sigma_node / np.where(ruler > 0.0, ruler, 1.0), math.nan)
@@ -197,7 +205,7 @@ class SteadyAnalysis:
 def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> SteadyAnalysis:
     """The rulers are linear in the arrival rate, so the supremum of stable
     rates is the closed-form ratio varsigma / max_j ruler_j."""
-    rulers = _rulers(loads, rates)
+    rulers = _rulers(cfg, loads, rates)
     worst = rulers.max()
     if worst == 0.0:
         raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")

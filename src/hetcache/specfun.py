@@ -4,12 +4,13 @@ Only the real branch z < 1 is supported: every kernel argument below is
 non-positive, so no complex continuation is needed.  Evaluation strategy:
 
   * 2F1 is scipy's ``hyp2f1`` ufunc; ``gauss_2f1`` adds the domain checks
-    (pole in c, z >= 1) and stays the one scalar entry point,
-  * Z1 is a scalar closed form in 2F1(1, 1-2/beta; 2-2/beta; .); Z2 needs
-    no 2F1,
-  * ``kernel_x2z3`` is x^2 * Z3 on an array of x, written through the
-    complementary family 2F1(1, 2/beta; 1+2/beta; .) so that it stays finite
-    and smooth down to x = 0 (no x^(-beta) is ever formed).
+    (pole in c, z >= 1) for a scalar argument,
+  * Z1 is a closed form in 2F1(1, 1-2/beta; 2-2/beta; .) and Z2 needs no
+    2F1; both take a float or an array of thresholds, so a table of them is
+    one ufunc call,
+  * ``kernel_x2z3`` is x^2 * Z3 on an array of x (and thresholds), written
+    through the complementary family 2F1(1, 2/beta; 1+2/beta; .) so that it
+    stays finite and smooth down to x = 0 (no x^(-beta) is ever formed).
 """
 
 from __future__ import annotations
@@ -36,47 +37,57 @@ def _check_beta(beta: float) -> None:
         )
 
 
-def kernel_z1(v: float, beta: float) -> float:
+def kernel_z1(v, beta: float):
     """Interference kernel with near-field exclusion at the serving distance.
 
     Z1(v) = (2v / (beta-2)) * 2F1(1, 1-2/beta; 2-2/beta; -v)
           = v^(2/beta) * int_{v^(-2/beta)}^inf du / (1 + u^(beta/2)).
+
+    ``v`` is a float or an array; an array gives an array.
     """
     _check_beta(beta)
-    if v < 0.0:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0):
         raise ValueError("kernel argument must be non-negative")
-    if v == 0.0:
-        return 0.0
-    return 2.0 * v / (beta - 2.0) * gauss_2f1(1.0, 1.0 - 2.0 / beta, 2.0 - 2.0 / beta, -v)
+    z = 2.0 * v / (beta - 2.0) * special.hyp2f1(1.0, 1.0 - 2.0 / beta, 2.0 - 2.0 / beta, -v)
+    return z if z.ndim else float(z)
 
 
-def kernel_z2(v: float, beta: float) -> float:
+def kernel_z2(v, beta: float):
     """Interference kernel for interferers allowed arbitrarily close:
     Z2 = v^(2/beta) * int_0^inf du / (1 + u^(beta/2))
        = v^(2/beta) * (2 pi / beta) / sin(2 pi / beta).
+
+    ``v`` is a float or an array; an array gives an array.
     """
     _check_beta(beta)
-    if v < 0.0:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0):
         raise ValueError("kernel argument must be non-negative")
-    return v ** (2.0 / beta) * (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)
+    z = v ** (2.0 / beta) * (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)
+    return z if z.ndim else float(z)
 
 
-def kernel_x2z3(v: float, x: np.ndarray, beta: float) -> np.ndarray:
+def kernel_x2z3(v, x: np.ndarray, beta: float) -> np.ndarray:
     """x^2 * Z3(v; x) on an array of x in [0, 1], finite at x = 0.
 
     With eps = x^2 v^(-2/beta), the integral below the exclusion radius is
     int_0^eps du / (1 + u^(beta/2)) = eps 2F1(1, 2/beta; 1+2/beta; -eps^(beta/2)),
     so x^2 Z1(v x^(-beta)) = v^(2/beta) [K - eps 2F1(...)] with
     K = kernel_z2_scale(beta): v^(2/beta) K - x^2 + O(x^(2+beta)) near 0.
+
+    ``v`` and ``x`` broadcast: a column of thresholds against a row of x
+    gives the (threshold x distance) grid.  The kernel is 0 where v = 0.
     """
     _check_beta(beta)
-    if v < 0.0:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0):
         raise ValueError("kernel argument must be non-negative")
-    if v == 0.0:
-        return np.zeros_like(x)
     e = 2.0 / beta
-    eps = x * x * v ** -e
-    return v ** e * (kernel_z2_scale(beta) - eps * special.hyp2f1(1.0, e, 1.0 + e, -(x ** beta) / v))
+    pos = np.where(v > 0.0, v, 1.0)
+    eps = x * x * pos ** -e
+    z = pos ** e * (kernel_z2_scale(beta) - eps * special.hyp2f1(1.0, e, 1.0 + e, -(x ** beta) / pos))
+    return np.where(v > 0.0, z, 0.0)
 
 
 def kernel_z2_scale(beta: float) -> float:

@@ -92,6 +92,20 @@ def test_cli_cdf_runs_on_a_noisy_config(tmp_path, argv):
     assert len(rows) == 4 and {r["case"] for r in rows} == {"1", "2"}
 
 
+@pytest.mark.parametrize("command", ["queue", "steady", "baseline-compare"])
+def test_cli_queueing_on_a_noisy_config_names_the_starved_classes(tmp_path, capsys, command):
+    # case 3 has no noise-inclusive rate, but its users still carry traffic
+    cfg_path = tmp_path / "noisy.json"
+    cfg_path.write_text(json.dumps({"noise": 1e-12}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: classes (case, backhaul, node) with traffic but zero service rate: "
+        "(case3, bh_free, relay), (case3, bh_free, bs), (case3, bh_needed, relay); "
+        "case 3 has no noise-inclusive rate\n")
+
+
 def test_cli_steady_meta(tmp_path):
     main(["steady", "--out", str(tmp_path)])
     env = json.loads((tmp_path / "steady.json").read_text())

@@ -6,14 +6,19 @@ from scipy import integrate
 
 from hetcache import (
     NetworkConfig,
+    QuadratureError,
     active_d2d_density,
     case_rate_table,
     kernel_z1,
+    kernel_z2,
     rate_case1,
     rate_case2,
     rate_case3,
+    rates,
 )
-from hetcache.rates import interference_coefficients
+from hetcache.presets import run_preset
+from hetcache.rates import _coverage, _Kernels, interference_coefficients
+from hetcache.specfun import kernel_x2z3
 
 
 def test_case1_tier_independent_interference_limited(cfg):
@@ -184,3 +189,76 @@ def test_interference_coefficients_consistency(cfg):
     zero = interference_coefficients(cfg.with_updates(alpha=0.0))
     assert zero.c1 == pytest.approx(1.0, abs=1e-12)
     assert zero.c2 == 0.0
+
+
+def _independent_rate(cfg, case_id):
+    # the rate's outer integral by adaptive QUADPACK, on coverages written out here
+    co = interference_coefficients(cfg)
+    if case_id == 1:
+        def coverage(tau):
+            return 1.0 / (1.0 + co.c1 * kernel_z1(tau, cfg.beta))
+    elif case_id == 2:
+        def coverage(tau):
+            return 1.0 / (1.0 + kernel_z1(tau, cfg.beta) + co.c2 * kernel_z2(tau, cfg.beta))
+    else:
+        def coverage(tau):
+            return float(_coverage(cfg, 3, 3, _Kernels(np.array([tau]), cfg.beta))[0])
+    # the coverage is below 1e-100 past t = 700
+    value, _ = integrate.quad(lambda t: coverage(math.expm1(t)) if t < 700.0 else 0.0,
+                              0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=500)
+    return value
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.02, 0.1, 0.3, 0.6])
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_rate_rule_against_adaptive_quadrature(beta, alpha, case_id):
+    cfg = NetworkConfig(beta=beta, alpha=alpha)
+    result = (rate_case1, rate_case2, rate_case3)[case_id - 1](cfg, 3)
+    assert result.value == pytest.approx(_independent_rate(cfg, case_id), rel=1e-9)
+    assert 0.0 <= result.error <= 1e-8 * result.value
+
+
+def test_rate_rule_refines_its_step_until_the_rules_agree(cfg, monkeypatch):
+    # a bump of width 0.3 in t needs the step 1/64 (three halvings)
+    levels = []
+    kernels = rates._rate_kernels
+
+    def counting(beta, level):
+        levels.append(level)
+        return kernels(beta, level)
+
+    monkeypatch.setattr(rates, "_rate_kernels", counting)
+    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k, nested=False:
+                        np.exp(-((np.log1p(k.tau) - 3.0) / 0.3) ** 2))
+    exact = 0.3 * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(10.0))
+    result = rate_case1(cfg, 3)
+    assert levels == [0, 1, 2, 3]
+    assert result.value == pytest.approx(exact, rel=1e-12)
+    assert result.error <= 1e-8 * result.value
+
+
+def test_rate_rule_raises_when_no_step_resolves_the_coverage(cfg, monkeypatch):
+    # a spike of half-width 1e-3 in t: the rules keep disagreeing
+    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k, nested=False:
+                        1.0 / (1.0 + ((np.log1p(k.tau) - 3.0) / 1e-3) ** 2))
+    with pytest.raises(QuadratureError) as exc:
+        rate_case1(cfg, 3)
+    assert 0.0 < exc.value.partial < 1.0
+
+
+def test_rate_kernel_table_built_once_per_beta(monkeypatch):
+    rates._rate_kernels.cache_clear()
+    grids = []
+
+    def counting(v, x, beta):
+        grids.append(beta)
+        return kernel_x2z3(v, x, beta)
+
+    monkeypatch.setattr(rates, "kernel_x2z3", counting)
+    run_preset("fig3a")  # 30 alphas at beta = 4, each with a case-3 rate
+    assert rates._rate_kernels.cache_info().misses == 1
+    assert grids == [4.0]
+    run_preset("fig3a", NetworkConfig(beta=3.0))
+    assert rates._rate_kernels.cache_info().misses == 2
+    assert grids == [4.0, 3.0]

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from hetcache import NetworkConfig, QuadratureError, gauss_2f1, kernel_z1, kernel_z2
-from hetcache.rates import _CASE3_X, _EXP_CUTOFF, _coverage
+from hetcache.rates import _CASE3_X, _EXP_CUTOFF, _coverage, _Kernels, _rate_kernels
 from hetcache.specfun import kernel_x2z3, kernel_z2_scale
 
 
@@ -111,14 +111,31 @@ def test_x2z3_array_kernel_limit_at_zero(beta):
 
 @pytest.mark.parametrize("beta", [2.5, 5.5])
 def test_x2z3_array_kernel_finite_over_outer_rule_range(beta):
-    # the rate integrates the coverage at tau = e^t - 1 for t up to _EXP_CUTOFF
+    # the rate integrates the coverage at tau = e^t - 1 for t up to 403;
+    # the grid here runs on to _EXP_CUTOFF
     x = np.concatenate(([0.0], _CASE3_X, [1.0]))
     cfg = NetworkConfig(beta=beta, alpha=0.3)
-    coverage = _coverage(cfg, 3, 3)
+    tau = np.expm1(np.concatenate((np.logspace(-12, 0, 13), np.linspace(1.0, _EXP_CUTOFF, 71))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in np.concatenate((np.logspace(-12, 0, 13), np.linspace(1.0, _EXP_CUTOFF, 71))):
-            tau = math.expm1(t)
-            vals = kernel_x2z3(tau, x, beta)
+        for v in tau:
+            vals = kernel_x2z3(v, x, beta)
             assert np.isfinite(vals).all() and (vals >= 0.0).all()
-            assert 0.0 <= coverage(tau) <= 1.0
+        coverage = _coverage(cfg, 3, 3, _Kernels(tau, beta))
+        assert ((coverage >= 0.0) & (coverage <= 1.0)).all()
+        # below tau ~ 1e-16 the 96-node rule integrates the limit 1 to within 3e-15
+        coverage = _coverage(cfg, 3, 3, _rate_kernels(beta, 0))
+        assert ((coverage >= 0.0) & (coverage <= 1.0 + 1e-14)).all()
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_array_kernels_equal_scalar_kernels(beta):
+    tau = np.concatenate(([0.0], np.logspace(-12, 12, 97)))
+    for kernel in (kernel_z1, kernel_z2):
+        array = kernel(tau, beta)
+        assert isinstance(array, np.ndarray) and array.shape == tau.shape
+        scalar = [kernel(float(v), beta) for v in tau]
+        assert all(isinstance(z, float) for z in scalar)
+        assert array.tolist() == scalar
+        with pytest.raises(ValueError):
+            kernel(np.array([1.0, -1e-3]), beta)
