@@ -3,8 +3,9 @@
 ``sinr_cdf`` is the one outage entry point.  The outage of a radio case is
 one minus its coverage at the threshold, from the single coverage function
 per case in ``rates.py``: closed forms for cases 1/2 without noise, a
-distance integral with noise, and case 3's integral over the normalized
-blocker distance (interference-limited only).  Case 4 (own cache) never
+distance integral on a fixed double-exponential rule with noise, and
+case 3's fixed-rule integral over the normalized blocker distance
+(interference-limited only).  Case 4 (own cache) never
 experiences outage.
 """
 

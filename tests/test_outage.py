@@ -90,8 +90,30 @@ def test_noise_paths_approach_closed_forms(cfg):
     assert sinr_cdf(noisy, 1, 3, tau) > il1
     # the serving power cancels against the association distance scaling, so
     # the noisy case-1 outage is tier-independent too
-    assert sinr_cdf(noisy, 1, 1, tau) == pytest.approx(
-        sinr_cdf(noisy, 1, 3, tau), rel=1e-9)
+    assert sinr_cdf(noisy, 1, 1, tau) == sinr_cdf(noisy, 1, 3, tau)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
+def test_noisy_outage_at_one_watt_against_mpmath(cfg, tau):
+    # the case-1 coverage as a distance integral in its original variables,
+    # int_0^inf 2 pi q r exp(-pi q r^2 b - r^beta tau sigma^2 / P_3) dr with
+    # b = 1 + c1 Z1(tau), split around the narrow spike at r0 (the smaller of
+    # the interference and the noise distance scales)
+    c = cfg.with_updates(noise=1.0)
+    co = interference_coefficients(c)
+    with mpmath.workdps(30):
+        beta, p3, v = mpmath.mpf(c.beta), mpmath.mpf(c.p3), mpmath.mpf(tau)
+        q = co.s_total / p3 ** (2 / beta)
+        z1 = 2 * v / (beta - 2) * mpmath.hyp2f1(1, 1 - 2 / beta, 2 - 2 / beta, -v)
+        b = 1 + co.c1 * z1
+        r0 = min(1 / mpmath.sqrt(mpmath.pi * q * b), (p3 / (v * c.noise)) ** (1 / beta))
+        coverage = float(mpmath.quad(
+            lambda r: 2 * mpmath.pi * q * r * mpmath.exp(
+                -mpmath.pi * q * r * r * b - r**beta * v * c.noise / p3),
+            [0, r0 / 3, r0, 3 * r0, mpmath.inf]))
+    outage = sinr_cdf(c, 1, 3, tau)
+    assert outage < 1.0
+    assert 1.0 - outage == pytest.approx(coverage, rel=1e-9)
 
 
 def test_domain_errors(cfg):

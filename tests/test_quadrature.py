@@ -1,9 +1,11 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from hetcache import QuadratureError, integrate_interval
-from hetcache.rates import _CASE3_W, _CASE3_X
+from hetcache.rates import _CASE3_W, _CASE3_X, _distance_integral
 
 
 def test_finite_interval_polynomial():
@@ -42,3 +44,20 @@ def test_gauss_legendre_rule_exact_to_degree_2n_minus_1():
     assert (w > 0.0).all()
     for k in (0, 1, 7, 64, 191):
         assert math.fsum(w * x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_noisy_distance_rule_against_mpmath(beta):
+    # int_0^inf exp(-s - c s^(beta/2)) ds on the step-1/16 rule, over 60
+    # decades of c; mpmath splits the range at the knee s ~ 1/(1 + c^(2/beta))
+    # and needs 40 digits to resolve knees near 1e-25
+    cs = np.logspace(-30.0, 30.0, 20)
+    got = _distance_integral(cs ** (2.0 / beta), beta)
+    with mpmath.workdps(40):
+        half = mpmath.mpf(beta) / 2
+        for c, value in zip(cs, got):
+            cm = mpmath.mpf(c)
+            knee = 1 / (1 + cm ** (1 / half))
+            expect = mpmath.quad(lambda s: mpmath.exp(-s - cm * s ** half),
+                                 [0] + [knee * 4**j for j in range(4)] + [mpmath.inf])
+            assert value == pytest.approx(float(expect), rel=1e-13)

@@ -130,8 +130,7 @@ def test_noise_case1_tier_independent(cfg):
     # so even the noisy case-1 rate is tier-independent
     c = cfg.with_updates(noise=1e-7)
     vals = [rate_case1(c, i).value for i in (1, 2, 3)]
-    assert vals[0] == pytest.approx(vals[2], rel=1e-9)
-    assert vals[1] == pytest.approx(vals[2], rel=1e-9)
+    assert vals[0] == vals[1] == vals[2]
     # and strictly monotone in the noise level
     weaker = rate_case1(cfg.with_updates(noise=1e-6), 3).value
     assert weaker < vals[2]
@@ -142,10 +141,14 @@ def test_noise_case1_tier_independent(cfg):
 # - r^beta v sigma^2 / P_3) dr with v = e^t - 1, Z1 from mpmath.hyp2f1 and the
 # coefficients from interference_coefficients; each value takes ~35 s to
 # compute, so they are hard-coded.  The coverage at t = 120 is below 1e-27.
+# At sigma^2 = 1 W the coverage is a narrow spike in r: the r range is split
+# at r0/3, r0 and 3 r0, r0 = min((pi q (1 + bracket))^(-1/2),
+# (P_3 / (v sigma^2))^(1/beta)), and the t range at 0.05, 0.2, 1, 3, 10, 30.
 @pytest.mark.parametrize("rate_fn,alpha,noise,oracle", [
     (rate_case1, 0.05, 1e-6, 0.17903732944068007),
     (rate_case2, 0.25, 1e-9, 0.59922760973740384),
     (rate_case2, 0.05, 1e-6, 0.11516351759525764),
+    (rate_case1, 0.1, 1.0, 0.00027752622589812256446),
 ])
 def test_noisy_rate_against_mpmath_oracle(rate_fn, alpha, noise, oracle):
     value = rate_fn(NetworkConfig(alpha=alpha, noise=noise), 3).value
@@ -229,7 +232,7 @@ def test_rate_rule_refines_its_step_until_the_rules_agree(cfg, monkeypatch):
         return kernels(beta, level)
 
     monkeypatch.setattr(rates, "_rate_kernels", counting)
-    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k, nested=False:
+    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k:
                         np.exp(-((np.log1p(k.tau) - 3.0) / 0.3) ** 2))
     exact = 0.3 * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(10.0))
     result = rate_case1(cfg, 3)
@@ -240,7 +243,7 @@ def test_rate_rule_refines_its_step_until_the_rules_agree(cfg, monkeypatch):
 
 def test_rate_rule_raises_when_no_step_resolves_the_coverage(cfg, monkeypatch):
     # a spike of half-width 1e-3 in t: the rules keep disagreeing
-    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k, nested=False:
+    monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k:
                         1.0 / (1.0 + ((np.log1p(k.tau) - 3.0) / 1e-3) ** 2))
     with pytest.raises(QuadratureError) as exc:
         rate_case1(cfg, 3)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from hetcache import NetworkConfig, QuadratureError, gauss_2f1, kernel_z1, kernel_z2
-from hetcache.rates import _CASE3_X, _EXP_CUTOFF, _coverage, _Kernels, _rate_kernels
+from hetcache.rates import _CASE3_X, _coverage, _Kernels, _rate_kernels
 from hetcache.specfun import kernel_x2z3, kernel_z2_scale
 
 
@@ -112,10 +112,10 @@ def test_x2z3_array_kernel_limit_at_zero(beta):
 @pytest.mark.parametrize("beta", [2.5, 5.5])
 def test_x2z3_array_kernel_finite_over_outer_rule_range(beta):
     # the rate integrates the coverage at tau = e^t - 1 for t up to 403;
-    # the grid here runs on to _EXP_CUTOFF
+    # the grid here runs on to t = 700
     x = np.concatenate(([0.0], _CASE3_X, [1.0]))
     cfg = NetworkConfig(beta=beta, alpha=0.3)
-    tau = np.expm1(np.concatenate((np.logspace(-12, 0, 13), np.linspace(1.0, _EXP_CUTOFF, 71))))
+    tau = np.expm1(np.concatenate((np.logspace(-12, 0, 13), np.linspace(1.0, 700.0, 71))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v in tau:
