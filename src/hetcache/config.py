@@ -4,6 +4,10 @@ All physical quantities are stored in SI-ish base units: densities in
 nodes/m^2, powers in watts, bandwidth in Hz, content size in bits.
 dBm / dB values only appear at the file/CLI boundary (keys carrying an
 explicit ``_dbm`` / ``_db`` suffix) and are converted on load.
+
+A config mapping is checked against ``config_schema.json``;
+``jsonschema`` loads on the first ``config_from_dict`` call, so a run
+without a config file never imports it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
-
-import jsonschema
 
 # Reference area for densities quoted as "n nodes per 500 m disk".
 DISK_500M_AREA = math.pi * 500.0**2
@@ -138,6 +140,8 @@ def config_from_dict(raw: dict) -> NetworkConfig:
     the dBm form wins if both are present.  A mapping that fails the
     schema raises ``ValueError``.
     """
+    import jsonschema
+
     try:
         jsonschema.validate(raw, _load_schema())
     except jsonschema.ValidationError as exc:

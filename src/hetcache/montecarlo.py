@@ -9,11 +9,12 @@ user given its topology.
 
 Nearest nodes (the serving relay and BS, and the nearest other cache-enabled
 user) come from one k-d tree query per tier (``scipy.spatial.cKDTree``,
-periodic on the torus).  Interference is batched per topology and (case,
-serving tier): one dense distance matrix from the reference users to every
-active D2D transmitter, relay and BS becomes a matrix of interference
-weights P d^-beta, in which an excluded node (the reference user itself,
-its serving node, and the nearest other cache-enabled user when that is the
+periodic on the torus; ``scipy.spatial`` loads on the first query, so the
+analytic layers never pay for it).  Interference is batched per topology and
+(case, serving tier): one dense distance matrix from the reference users to
+every active D2D transmitter, relay and BS becomes a matrix of interference
+weights P d^-beta, in which an excluded node (the reference user itself, its
+serving node, and the nearest other cache-enabled user when that is the
 strongest node) is infinitely far and weighs 0.
 
 Given a user's topology, with signal power S, weights w_j and noise
@@ -41,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .association import active_d2d_density
 from .config import NetworkConfig
@@ -169,6 +169,8 @@ def _nearest(points: np.ndarray, targets: np.ndarray, window: float, boundary: s
     distance inf with index len(targets)."""
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary mode must be one of {BOUNDARY_MODES}")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(targets, boxsize=window if boundary == "torus" else None)
     return tree.query(points, k=k)
 

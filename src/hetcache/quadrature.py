@@ -8,14 +8,13 @@ raises when its rule does not converge, QuadratureError with the partial
 estimate attached.  ``integrate_interval``, public but called by no
 library module, is a thin QUADPACK (scipy.integrate.quad) wrapper at those
 tolerances with at most 200 subdivisions; semi-infinite ranges use
-QUADPACK's built-in variable transformation.
+QUADPACK's built-in variable transformation.  ``scipy.integrate`` loads on
+its first call, so ``import hetcache`` does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import integrate
 
 
 # tolerance of a rate and of integrate_interval
@@ -31,6 +30,8 @@ class QuadratureError(RuntimeError):
 def integrate_interval(f, a: float, b: float) -> tuple[float, float]:
     """Integrate f over [a, b] (b may be math.inf); returns (value, error
     estimate)."""
+    from scipy import integrate
+
     out = integrate.quad(f, a, b, epsabs=EPSABS, epsrel=EPSREL, limit=200, full_output=1)
     value, err = out[0], out[1]
     if len(out) > 3:  # a warning message is present
