@@ -11,7 +11,6 @@ tolerances are fixed inside ``quadrature``; no public function takes one.
 from .association import (
     D2DActivity,
     StateMatrix,
-    TierSpec,
     active_d2d_density,
     first_association_probability,
     ordering_probability,

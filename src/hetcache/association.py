@@ -1,7 +1,8 @@
 """Closed-form stochastic-geometry layer.
 
-Ordering and association probabilities for a general K-tier network under
-max-average-received-power association (C_i = P_i r_i^(-beta)), the 8x4
+Ordering and association probabilities of the three-tier network under
+max-average-received-power association (C_i = P_i r_i^(-beta)), all ratios
+of the weights lambda_i P_i^(2/beta) of one ``NetworkConfig``, the 8x4
 user-state probability matrix, and the density of actually active D2D
 transmitters with its critical points.
 
@@ -29,82 +30,42 @@ STATE_ROWS = (
 STATE_COLUMNS = ("d2d", "relay", "bs", "local")
 
 
-@dataclass(frozen=True)
-class TierSpec:
-    """Densities and powers of a K-tier network sharing one path-loss exponent.
-
-    A zero density is allowed so that the D2D tier degenerates cleanly at
-    alpha = 0; powers must stay positive.
-    """
-
-    densities: tuple[float, ...]
-    powers: tuple[float, ...]
-    beta: float
-
-    def __post_init__(self) -> None:
-        if len(self.densities) != len(self.powers) or not self.densities:
-            raise ValueError("need matching, non-empty density and power tuples")
-        if any(lam < 0.0 for lam in self.densities):
-            raise ValueError("densities must be non-negative")
-        if any(p <= 0.0 for p in self.powers):
-            raise ValueError("powers must be positive")
-        if self.beta < 2.0:
-            raise ValueError("path-loss exponent must be >= 2")
-
-    @property
-    def k(self) -> int:
-        return len(self.densities)
-
-    def weights(self) -> np.ndarray:
-        """Association weights lambda_i * P_i^(2/beta); all the closed forms
-        below are ratios of these."""
-        lam = np.asarray(self.densities, dtype=float)
-        pw = np.asarray(self.powers, dtype=float)
-        return lam * pw ** (2.0 / self.beta)
+def association_weights(cfg: NetworkConfig) -> np.ndarray:
+    """Association weights lambda_i * P_i^(2/beta); all the closed forms
+    below are ratios of these."""
+    lam = np.asarray(cfg.densities, dtype=float)
+    pw = np.asarray(cfg.powers, dtype=float)
+    return lam * pw ** (2.0 / cfg.beta)
 
 
-def three_tier_spec(cfg: NetworkConfig) -> TierSpec:
-    return TierSpec(cfg.densities, cfg.powers, cfg.beta)
-
-
-def ordering_probability(tiers: TierSpec, order: tuple[int, ...]) -> float:
+def ordering_probability(cfg: NetworkConfig, order: tuple[int, ...]) -> float:
     """Probability that the tiers' maximum received powers are ranked in the
     given 1-based order (strongest first)."""
-    if sorted(order) != list(range(1, tiers.k + 1)):
-        raise ValueError(f"order {order} is not a permutation of 1..{tiers.k}")
-    w = tiers.weights()
+    if sorted(order) != [1, 2, 3]:
+        raise ValueError(f"order {order} is not a permutation of 1..3")
+    w = association_weights(cfg)
     prob = 1.0
-    for n in range(tiers.k - 1):
+    for n in range(2):
         tail = sum(w[t - 1] for t in order[n:])
-        if tail == 0.0:
-            return 0.0 if w[order[n] - 1] == 0.0 else 1.0
         prob *= w[order[n] - 1] / tail
     return prob
 
 
-def first_association_probability(tiers: TierSpec, i: int) -> float:
+def first_association_probability(cfg: NetworkConfig, i: int) -> float:
     """Probability G_{K,i} that tier i offers the strongest received power."""
-    if not 1 <= i <= tiers.k:
-        raise ValueError(f"tier index {i} outside 1..{tiers.k}")
-    w = tiers.weights()
-    total = w.sum()
-    if total == 0.0:
-        raise ValueError("all tiers have zero density")
-    return float(w[i - 1] / total)
+    if not 1 <= i <= 3:
+        raise ValueError(f"tier index {i} outside 1..3")
+    w = association_weights(cfg)
+    return float(w[i - 1] / w.sum())
 
 
-def pairwise_association_probability(tiers: TierSpec, i: int) -> float:
-    """Association probability restricted to the relay/BS pair {2, 3} of a
-    three-tier spec: the priority of a requester that skips the D2D tier."""
-    if tiers.k != 3:
-        raise ValueError("pairwise form is defined on the three-tier spec")
+def pairwise_association_probability(cfg: NetworkConfig, i: int) -> float:
+    """Association probability restricted to the relay/BS pair {2, 3}: the
+    priority of a requester that skips the D2D tier."""
     if i not in (2, 3):
         raise ValueError("pairwise association is defined for tiers 2 and 3 only")
-    w = tiers.weights()
-    total = w[1] + w[2]
-    if total == 0.0:
-        raise ValueError("relay and BS tiers both have zero weight")
-    return float(w[i - 1] / total)
+    w = association_weights(cfg)
+    return float(w[i - 1] / (w[1] + w[2]))
 
 
 @dataclass(frozen=True)
@@ -136,15 +97,14 @@ class StateMatrix:
 def state_matrix(cfg: NetworkConfig, pop: PopularityModel | None = None) -> StateMatrix:
     """Probabilities of all (case, backhaul, serving node) user states."""
     pop = pop or PopularityModel(cfg.gamma, cfg.n_contents)
-    tiers = three_tier_spec(cfg)
     alpha, m1, m2, n = cfg.alpha, cfg.m1, cfg.m2, cfg.n_contents
     f = pop.prefix_sum
 
-    g1, g2, g3 = (first_association_probability(tiers, i) for i in (1, 2, 3))
-    p123 = ordering_probability(tiers, (1, 2, 3))
-    p132 = ordering_probability(tiers, (1, 3, 2))
-    p23 = pairwise_association_probability(tiers, 2)
-    p32 = pairwise_association_probability(tiers, 3)
+    g1, g2, g3 = (first_association_probability(cfg, i) for i in (1, 2, 3))
+    p123 = ordering_probability(cfg, (1, 2, 3))
+    p132 = ordering_probability(cfg, (1, 3, 2))
+    p23 = pairwise_association_probability(cfg, 2)
+    p32 = pairwise_association_probability(cfg, 3)
 
     d = np.zeros((8, 4))
     # case 1: non-caching requester, strongest node serves
@@ -201,14 +161,6 @@ def active_d2d_density(cfg: NetworkConfig, pop: PopularityModel | None = None) -
     elif alpha == 0.0:
         lam_active = 0.0
     else:
-        g31 = first_association_probability(three_tier_spec(cfg), 1)
+        g31 = first_association_probability(cfg, 1)
         lam_active = (1.0 - alpha) * cfg.lambda0 * g31 * f1m1
     return D2DActivity(lam_active, alpha_star, alpha_hat, h)
-
-
-def active_fraction(cfg: NetworkConfig) -> float:
-    """Fraction lambda'_1 / lambda_1 of cache-enabled users that transmit
-    (1 below alpha_star); 0 when there are no cache-enabled users."""
-    if cfg.alpha == 0.0:
-        return 0.0
-    return active_d2d_density(cfg).lambda1_active / cfg.lambda1

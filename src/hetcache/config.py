@@ -5,17 +5,17 @@ nodes/m^2, powers in watts, bandwidth in Hz, content size in bits.
 dBm / dB values only appear at the file/CLI boundary (keys carrying an
 explicit ``_dbm`` / ``_db`` suffix) and are converted on load.
 
-A config mapping is checked against ``config_schema.json``;
-``jsonschema`` loads on the first ``config_from_dict`` call, so a run
-without a config file never imports it.
+``NetworkConfig`` is the one check on a network: every field must be a
+finite real number (an integer for the catalog and cache sizes) within its
+range, whether the config is built in code or read from a file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 
 # Reference area for densities quoted as "n nodes per 500 m disk".
 DISK_500M_AREA = math.pi * 500.0**2
@@ -30,6 +30,19 @@ def watts_to_dbm(p_watts: float) -> float:
     if p_watts <= 0:
         raise ValueError("power must be positive to express in dBm")
     return 10.0 * math.log10(p_watts) + 30.0
+
+
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number (an
+    integer if ``integer``); ``bool`` is rejected, numpy scalars pass."""
+    kind = numbers.Integral if integer else numbers.Real
+    # a plain int or float skips the slower abstract-base-class check
+    if type(value) is not (int if integer else float) and (
+            isinstance(value, bool) or not isinstance(value, kind)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                         f"got {value!r}")
+    if not (integer or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -73,6 +86,8 @@ class NetworkConfig:
     local_rate_ul: float = 1e3  # local-cache read-out rate [nats/s/Hz equivalent]
 
     def __post_init__(self) -> None:
+        for name, integer in _FIELD_KINDS:
+            _check_number(name, getattr(self, name), integer)
         if not (self.lambda0 > self.lambda2 > self.lambda3 > 0.0):
             raise ValueError("densities must satisfy lambda0 > lambda2 > lambda3 > 0")
         if not 0.0 <= self.alpha <= 1.0:
@@ -125,40 +140,39 @@ class NetworkConfig:
         return out
 
 
+# (name, is an integer) per field; annotations are strings under the future import
+_FIELD_KINDS = tuple((f.name, f.type == "int") for f in fields(NetworkConfig))
 _DBM_KEYS = {"p1_dbm": "p1", "p2_dbm": "p2", "p3_dbm": "p3"}
-
-
-def _load_schema() -> dict:
-    with resources.files("hetcache").joinpath("config_schema.json").open() as fh:
-        return json.load(fh)
 
 
 def config_from_dict(raw: dict) -> NetworkConfig:
     """Build a NetworkConfig from a flat key-value mapping.
 
     Powers may be given either in watts (``p1``) or dBm (``p1_dbm``);
-    the dBm form wins if both are present.  A mapping that fails the
-    schema raises ``ValueError``.
+    the dBm form wins if both are present, but the watts value must still
+    be valid.  A mapping that is not a valid network raises
+    ``ValueError("invalid config: ...")``.
     """
-    import jsonschema
-
     try:
-        jsonschema.validate(raw, _load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ValueError(f"invalid config: {exc.message}") from exc
-    kwargs = dict(raw)
-    for dbm_key, watt_key in _DBM_KEYS.items():
-        if dbm_key in kwargs:
-            kwargs[watt_key] = dbm_to_watts(kwargs.pop(dbm_key))
-    valid = {f.name for f in fields(NetworkConfig)}
-    unknown = set(kwargs) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return NetworkConfig(**kwargs)
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a mapping of keys to numbers, got {type(raw).__name__}")
+        kwargs = {k: v for k, v in raw.items() if k not in _DBM_KEYS}
+        unknown = set(kwargs) - {name for name, _ in _FIELD_KINDS}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        cfg = NetworkConfig(**kwargs)
+        watts = {}
+        for dbm_key, watt_key in _DBM_KEYS.items():
+            if dbm_key in raw:
+                _check_number(dbm_key, raw[dbm_key])
+                watts[watt_key] = dbm_to_watts(raw[dbm_key])
+        return replace(cfg, **watts)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid config: {exc}") from exc
 
 
 def load_config(path: str) -> NetworkConfig:
-    """Load and validate a JSON config file (schema shipped with the package)."""
+    """Load and validate a JSON config file."""
     with open(path) as fh:
         raw = json.load(fh)
     return config_from_dict(raw)

@@ -187,8 +187,13 @@ def _nearest_cache_user(real: SpatialRealization, ref: np.ndarray,
     return np.where(itself, d[:, 1], d[:, 0]), np.where(itself, ids[:, 1], ids[:, 0])
 
 
-def central_indices(real: SpatialRealization, margin: float) -> np.ndarray:
-    """Reference users restricted to the central sub-window (edge-bias control)."""
+def edge_correction_policy(real: SpatialRealization, margin: float = 500.0,
+                           boundary: str = "margin") -> np.ndarray:
+    """Indices of admissible reference users under the boundary mode (all of
+    them on a torus; otherwise those in the central sub-window, which keeps
+    edge bias out)."""
+    if boundary == "torus":
+        return np.arange(len(real.users))
     if margin < 0.0:
         raise ValueError("margin must be non-negative")
     if 2.0 * margin >= real.window:
@@ -196,15 +201,6 @@ def central_indices(real: SpatialRealization, margin: float) -> np.ndarray:
     u = real.users
     inside = ((u >= margin) & (u <= real.window - margin)).all(axis=1)
     return np.flatnonzero(inside)
-
-
-def edge_correction_policy(real: SpatialRealization, margin: float = 500.0,
-                           boundary: str = "margin") -> np.ndarray:
-    """Indices of admissible reference users under the boundary mode
-    (all of them on a torus; the central sub-window otherwise)."""
-    if boundary == "torus":
-        return np.arange(len(real.users))
-    return central_indices(real, margin)
 
 
 @dataclass

@@ -31,12 +31,6 @@ class PopularityModel:
         prefix.setflags(write=False)
         object.__setattr__(self, "_prefix", prefix)
 
-    def mass(self, rank: int) -> float:
-        """Popularity f_rank of the content ranked ``rank`` (1-based)."""
-        if not 1 <= rank <= self.n_contents:
-            raise ValueError(f"rank {rank} outside catalog [1, {self.n_contents}]")
-        return float(self._prefix[rank] - self._prefix[rank - 1])
-
     def prefix_sum(self, a: int, b: int) -> float:
         """F(a, b) = sum_{i=a..b} f_i; by convention F(a, b) = 0 when a > b."""
         if a > b:
@@ -44,8 +38,3 @@ class PopularityModel:
         if a < 1 or b > self.n_contents:
             raise ValueError(f"rank range [{a}, {b}] outside catalog [1, {self.n_contents}]")
         return float(self._prefix[b] - self._prefix[a - 1])
-
-    def mass_vector(self) -> np.ndarray:
-        """All N popularities as an array (used for sampling requests)."""
-        return np.diff(self._prefix)
-

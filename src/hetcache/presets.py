@@ -23,13 +23,11 @@ from .association import (
     active_d2d_density,
     first_association_probability,
     state_matrix,
-    three_tier_spec,
 )
 from .config import NetworkConfig, db_to_linear, dbm_to_watts, fig6_config
 from .montecarlo import run_monte_carlo
 from .outage import sinr_cdf
 from .queueing import (
-    STEADY_NODE_NAMES,
     baseline_model,
     ctmc_simulate,
     network_model,
@@ -63,7 +61,7 @@ class PresetResult:
 
 
 def _rulers(values) -> dict[str, float]:
-    return {n: float(r) for n, r in zip(STEADY_NODE_NAMES, values)}
+    return {n: float(r) for n, r in zip(STATE_COLUMNS, values)}
 
 
 def _steady(cfg: NetworkConfig, model=network_model):
@@ -85,7 +83,7 @@ def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
             "delay": float(metrics.d_class[i, j]),
         }
         for i in range(8)
-        for j, node in enumerate(STEADY_NODE_NAMES)
+        for j, node in enumerate(STATE_COLUMNS)
         if loads.sigma[i, j] != 0.0
     ]
     return rows, metrics.steady_ruler
@@ -220,8 +218,7 @@ def sweep(cfg: NetworkConfig, seed: int, var: str, start: float, stop: float, nu
 def fig2(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["gamma", "case1", "case2", "case3", "case4", "g1", "g2", "g3"]
     rows = []
-    tiers = three_tier_spec(cfg)
-    g = {f"g{i}": first_association_probability(tiers, i) for i in (1, 2, 3)}
+    g = {f"g{i}": first_association_probability(cfg, i) for i in (1, 2, 3)}
     for gamma in np.arange(0.2, 2.01, 0.1):
         states = state_matrix(cfg.with_updates(gamma=round(float(gamma), 10)))
         rows.append({

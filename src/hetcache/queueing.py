@@ -23,14 +23,12 @@ from .association import (
     active_d2d_density,
     pairwise_association_probability,
     state_matrix,
-    three_tier_spec,
 )
 from .config import NetworkConfig
 from .rates import case_rate_table, rate_case1
 
 N_CLASSES = 8
 N_NODE_TYPES = 4
-STEADY_NODE_NAMES = ("d2d", "relay", "bs", "local")
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,7 @@ class SteadyAnalysis:
 
     @property
     def binding_node(self) -> str:
-        return STEADY_NODE_NAMES[self.binding]
+        return STATE_COLUMNS[self.binding]
 
 
 def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> SteadyAnalysis:
@@ -224,10 +222,9 @@ def network_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, Rate
 def baseline_state_matrix(cfg: NetworkConfig) -> StateMatrix:
     """No caching anywhere: users associate over relay/BS only, every
     relay-served request needs the backhaul, the BS never does."""
-    tiers = three_tier_spec(cfg)
     d = np.zeros((N_CLASSES, N_NODE_TYPES))
-    d[0, 2] = pairwise_association_probability(tiers, 3)
-    d[1, 1] = pairwise_association_probability(tiers, 2)
+    d[0, 2] = pairwise_association_probability(cfg, 3)
+    d[1, 1] = pairwise_association_probability(cfg, 2)
     return StateMatrix(d)
 
 

@@ -55,8 +55,8 @@ import numpy as np
 
 from .association import (
     active_d2d_density,
+    association_weights,
     first_association_probability,
-    three_tier_spec,
 )
 from .config import NetworkConfig
 from .quadrature import EPSABS, EPSREL, QuadratureError
@@ -88,14 +88,13 @@ class InterferenceCoefficients:
 def interference_coefficients(cfg: NetworkConfig) -> InterferenceCoefficients:
     """Coefficients of ``cfg``, built once per config: a CDF sweep or a rate
     asks for them at every threshold."""
-    tiers = three_tier_spec(cfg)
-    w = tiers.weights()
+    w = association_weights(cfg)
     act = active_d2d_density(cfg)
     e = 2.0 / cfg.beta
     w1_active = act.lambda1_active * cfg.p1**e
     s_total = float(w.sum())
     s_relay_bs = float(w[1] + w[2])
-    g31 = first_association_probability(tiers, 1) if cfg.alpha > 0.0 else 0.0
+    g31 = first_association_probability(cfg, 1)
     return InterferenceCoefficients(
         s_total=s_total,
         s_relay_bs=s_relay_bs,

@@ -31,7 +31,6 @@ from hetcache import (
     sinr_cdf,
     throughput_gain,
 )
-from hetcache.association import three_tier_spec
 from hetcache.config import fig6_config
 from hetcache.queueing import QueueClassLoad, RateMatrix, baseline_model
 
@@ -214,7 +213,6 @@ def test_criterion_8_distribution_checks():
         lambda r: 1.0 - np.exp(-math.pi * cfg.lambda2 * r ** 2)).pvalue > 0.01
 
     # association fractions across topologies, > 1e4 users aggregated
-    tiers = three_tier_spec(cfg)
     per_rep = {1: [], 2: [], 3: []}
     n_users = 0
     for seed in range(20):
@@ -225,11 +223,11 @@ def test_criterion_8_distribution_checks():
             per_rep[i].append(a[f"g{i}"].value)
     assoc_ok = n_users > 10_000
     for i, vals in per_rep.items():
-        ana = first_association_probability(tiers, i)
+        ana = first_association_probability(cfg, i)
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         assoc_ok = assoc_ok and abs(float(np.mean(vals)) - ana) < 3.0 * se
 
-    total = sum(ordering_probability(tiers, p)
+    total = sum(ordering_probability(cfg, p)
                 for p in itertools.permutations((1, 2, 3)))
     sum_ok = abs(total - 1.0) < 1e-12
 

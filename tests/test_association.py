@@ -6,66 +6,58 @@ import pytest
 
 from hetcache import (
     NetworkConfig,
-    TierSpec,
     active_d2d_density,
     first_association_probability,
     ordering_probability,
     state_matrix,
 )
-from hetcache.association import (
-    active_fraction,
-    activity_constant,
-    pairwise_association_probability,
-    three_tier_spec,
-)
+from hetcache.association import activity_constant, pairwise_association_probability
 
 
 def test_ordering_probabilities_sum_to_one(cfg):
-    tiers = three_tier_spec(cfg)
-    total = sum(ordering_probability(tiers, p) for p in itertools.permutations((1, 2, 3)))
+    total = sum(ordering_probability(cfg, p) for p in itertools.permutations((1, 2, 3)))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_association_sums_to_one(cfg):
-    tiers = three_tier_spec(cfg)
-    gs = [first_association_probability(tiers, i) for i in (1, 2, 3)]
+    gs = [first_association_probability(cfg, i) for i in (1, 2, 3)]
     assert sum(gs) == pytest.approx(1.0, abs=1e-14)
-    assert ordering_probability(tiers, (1, 2, 3)) + ordering_probability(tiers, (1, 3, 2)) \
+    assert ordering_probability(cfg, (1, 2, 3)) + ordering_probability(cfg, (1, 3, 2)) \
         == pytest.approx(gs[0], abs=1e-14)
 
 
 def test_symmetric_tiers_equal_shares():
-    tiers = TierSpec((1e-5, 1e-5, 1e-5), (1.0, 1.0, 1.0), 4.0)
+    # densities 4:2:1 and powers 1:4:16 at beta = 4 give equal weights lambda_i sqrt(P_i)
+    cfg = NetworkConfig(lambda0=8e-5, alpha=0.5, lambda2=2e-5, lambda3=1e-5,
+                        p1=0.0625, p2=0.25, p3=1.0, beta=4.0)
     for i in (1, 2, 3):
-        assert first_association_probability(tiers, i) == pytest.approx(1.0 / 3.0)
-    assert ordering_probability(tiers, (2, 3, 1)) == pytest.approx(1.0 / 6.0)
+        assert first_association_probability(cfg, i) == pytest.approx(1.0 / 3.0)
+    assert ordering_probability(cfg, (2, 3, 1)) == pytest.approx(1.0 / 6.0)
 
 
 def test_ordering_against_sampling_oracle(cfg):
     # nearest distances R_i = sqrt(Exp(1)/(pi*lambda_i)); rank P_i R_i^(-beta)
-    tiers = three_tier_spec(cfg)
     rng = np.random.default_rng(12345)
     n = 200_000
-    lam = np.asarray(tiers.densities)
-    pw = np.asarray(tiers.powers)
+    lam = np.asarray(cfg.densities)
+    pw = np.asarray(cfg.powers)
     r = np.sqrt(rng.exponential(size=(n, 3)) / (math.pi * lam))
     received = pw * r ** (-cfg.beta)
     order = np.argsort(-received, axis=1) + 1
     for perm in itertools.permutations((1, 2, 3)):
         emp = (order == perm).all(axis=1).mean()
-        ana = ordering_probability(tiers, perm)
+        ana = ordering_probability(cfg, perm)
         se = math.sqrt(ana * (1.0 - ana) / n)
         assert abs(emp - ana) < 4.0 * se + 1e-9
 
 
 def test_pairwise_association(cfg):
-    tiers = three_tier_spec(cfg)
-    p2 = pairwise_association_probability(tiers, 2)
-    p3 = pairwise_association_probability(tiers, 3)
+    p2 = pairwise_association_probability(cfg, 2)
+    p3 = pairwise_association_probability(cfg, 3)
     assert p2 + p3 == pytest.approx(1.0, abs=1e-14)
-    # the relay/BS pair as a network of its own
-    two = TierSpec((cfg.lambda2, cfg.lambda3), (cfg.p2, cfg.p3), cfg.beta)
-    assert p2 == pytest.approx(first_association_probability(two, 1), abs=1e-14)
+    # the relay/BS pair as a network of its own: the network without D2D tier
+    assert p2 == pytest.approx(
+        first_association_probability(cfg.with_updates(alpha=0.0), 2), abs=1e-14)
 
 
 def test_state_matrix_structure(cfg):
@@ -87,8 +79,7 @@ def test_state_matrix_hand_entries(cfg):
 
     states = state_matrix(cfg)
     pop = PopularityModel(cfg.gamma, cfg.n_contents)
-    tiers = three_tier_spec(cfg)
-    g1 = first_association_probability(tiers, 1)
+    g1 = first_association_probability(cfg, 1)
     assert states.d[0, 0] == pytest.approx(
         g1 * (1.0 - cfg.alpha) * pop.prefix_sum(1, cfg.m1), rel=1e-12)
     assert states.d[6, 3] == pytest.approx(cfg.alpha * pop.prefix_sum(1, cfg.m1), rel=1e-12)
@@ -108,6 +99,8 @@ def test_alpha_zero_degenerates(cfg):
     assert (states.d[:, 3] == 0.0).all()
     assert states.case_probability(2) == 0.0
     assert states.case_probability(3) == 0.0
+    # a zero-density D2D tier never offers the strongest power
+    assert first_association_probability(cfg.with_updates(alpha=0.0), 1) == 0.0
 
 
 def test_activity_critical_points(cfg, cfg_lowpower):
@@ -137,21 +130,23 @@ def test_alpha_hat_maximizes_density(cfg):
 
 
 def test_active_fraction(cfg):
-    assert active_fraction(cfg.with_updates(alpha=0.05)) == pytest.approx(1.0)
-    assert active_fraction(cfg.with_updates(alpha=0.0)) == 0.0
-    assert 0.0 < active_fraction(cfg.with_updates(alpha=0.5)) < 1.0
+    # every cache-enabled user transmits below alpha_star, some of them above it
+    def fraction(alpha):
+        c = cfg.with_updates(alpha=alpha)
+        return active_d2d_density(c).lambda1_active / c.lambda1
+
+    assert fraction(0.05) == pytest.approx(1.0)
+    assert active_d2d_density(cfg.with_updates(alpha=0.0)).lambda1_active == 0.0
+    assert 0.0 < fraction(0.5) < 1.0
 
 
-def test_tier_spec_validation():
+def test_association_rejects_bad_tiers(cfg):
     with pytest.raises(ValueError):
-        TierSpec((1e-5,), (1.0, 2.0), 4.0)
+        first_association_probability(cfg, 4)
     with pytest.raises(ValueError):
-        TierSpec((-1e-5, 1e-5), (1.0, 1.0), 4.0)
+        ordering_probability(cfg, (1, 2, 2))
     with pytest.raises(ValueError):
-        TierSpec((1e-5, 1e-5), (1.0, 0.0), 4.0)
-    # zero density is allowed (degenerate D2D tier)
-    tiers = TierSpec((0.0, 1e-5), (1.0, 1.0), 4.0)
-    assert first_association_probability(tiers, 1) == 0.0
+        pairwise_association_probability(cfg, 1)
 
 
 def test_state_matrix_accepts_edge_alphas():

@@ -230,6 +230,19 @@ def test_cli_schema_invalid_config_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", ['{"m1": 5.0}', '{"beta": NaN}'])
+def test_cli_config_that_no_network_accepts_is_usage_error(tmp_path, capsys, raw):
+    # a float cache size or a NaN exponent is rejected before any analysis runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(raw)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["outage", "--preset", "fig4", "--tau-db", "-3"],
     ["sinr-cdf", "--preset", "fig5", "--tau-step", "2"],

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hetcache import NetworkConfig, dbm_to_watts, load_config, watts_to_dbm
@@ -63,6 +65,41 @@ def test_config_from_dict_dbm_wins():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(Exception):
         config_from_dict({"frequency": 2.4e9})
+
+
+_KEYS = [f.name for f in dataclasses.fields(NetworkConfig)] + ["p1_dbm", "p2_dbm", "p3_dbm"]
+
+# each rule a config mapping must pass: a number of the right type per key,
+# each range, no unknown key, a mapping at all
+_INVALID_MAPPINGS = [
+    *({key: "1"} for key in _KEYS),
+    {"alpha": True},
+    {"m1": False},
+    {"lambda0": 0.0}, {"lambda2": -1e-6}, {"lambda3": 0.0},
+    {"alpha": -0.1}, {"alpha": 1.5},
+    {"p1": 0.0}, {"p2": -1.0}, {"p3": 0.0},
+    {"beta": 1.9}, {"noise": -1e-12}, {"bandwidth_w": 0.0},
+    {"n_contents": 1}, {"content_size_s": 0.0}, {"m1": 0}, {"m2": 1}, {"gamma": -0.1},
+    {"varsigma": -0.1}, {"varrho_inv": 0.0},
+    {"backhaul_kappa": 0.0}, {"backhaul_kappa": 1.0}, {"local_rate_ul": 0.0},
+    {"p1": -1.0, "p1_dbm": 13.0},   # the dBm key wins, but the watts value is still checked
+    {"frequency": 2.4e9},
+    [["alpha", 0.2]],
+    # integral floats, NaN and infinities
+    {"m1": 5.0}, {"n_contents": 200.0}, {"beta": math.nan}, {"p1_dbm": math.nan},
+    {"noise": math.inf},
+]
+
+
+@pytest.mark.parametrize("raw", _INVALID_MAPPINGS, ids=json.dumps)
+def test_config_from_dict_rejects_invalid_mappings(raw):
+    with pytest.raises(ValueError, match="^invalid config: "):
+        config_from_dict(json.loads(json.dumps(raw)))
+
+
+def test_numpy_scalars_are_numbers():
+    cfg = NetworkConfig(alpha=np.float64(0.2), beta=np.float32(3.5), m1=np.int64(3))
+    assert (cfg.alpha, cfg.beta, cfg.m1) == (0.2, 3.5, 3)
 
 
 def test_load_default_config_file(tmp_path):

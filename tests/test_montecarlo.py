@@ -14,7 +14,7 @@ from hetcache import (
     run_monte_carlo,
     sample_topology,
 )
-from hetcache.association import active_d2d_density, three_tier_spec
+from hetcache.association import active_d2d_density
 from hetcache.montecarlo import (
     _CASE_TIERS,
     SpatialRealization,
@@ -23,7 +23,6 @@ from hetcache.montecarlo import (
     _geometry,
     _interference_weights,
     _relative_interference,
-    central_indices,
     edge_correction_policy,
 )
 
@@ -75,13 +74,13 @@ def test_realization_validation(cfg):
 
 def test_central_indices_and_policy(cfg):
     real = sample_topology(cfg, 2000.0, 3)
-    inner = central_indices(real, 500.0)
+    inner = edge_correction_policy(real, 500.0)
     assert ((real.users[inner] >= 500.0) & (real.users[inner] <= 1500.0)).all()
     assert len(edge_correction_policy(real, boundary="torus")) == len(real.users)
     with pytest.raises(ValueError):
-        central_indices(real, 1000.0)
+        edge_correction_policy(real, 1000.0)
     with pytest.raises(ValueError):
-        central_indices(real, -1.0)
+        edge_correction_policy(real, -1.0)
     with pytest.raises(ValueError):
         nearest_distances(real, 2, boundary="reflect")
 
@@ -128,10 +127,9 @@ def _assoc_across_topologies(cfg, n_reps, window, boundary, margin, base_seed=0)
 
 
 def test_association_fractions_match_analysis(cfg):
-    tiers = three_tier_spec(cfg)
     stats_t = _assoc_across_topologies(cfg, 40, 3000.0, "torus", 0.0)
     for i in (1, 2, 3):
-        ana = first_association_probability(tiers, i)
+        ana = first_association_probability(cfg, i)
         mean, se = stats_t[f"g{i}"]
         assert abs(mean - ana) < 4.0 * se + 1e-3
     real = sample_topology(cfg, 3000.0, 11)

@@ -8,15 +8,15 @@ from hetcache import PopularityModel
 
 def test_uniform_when_gamma_zero():
     pop = PopularityModel(0.0, 10)
-    assert pop.mass(1) == pytest.approx(0.1)
-    assert pop.mass(10) == pytest.approx(0.1)
+    assert pop.prefix_sum(1, 1) == pytest.approx(0.1)
+    assert pop.prefix_sum(10, 10) == pytest.approx(0.1)
 
 
 def test_masses_decreasing():
     pop = PopularityModel(0.8, 200)
-    masses = pop.mass_vector()
+    masses = np.array([pop.prefix_sum(i, i) for i in range(1, 201)])
     assert (np.diff(masses) <= 0.0).all()
-    assert masses[0] == pop.mass(1)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prefix_sum_conventions():
@@ -45,7 +45,7 @@ def test_cache_hit_mass_default_set():
 def test_total_mass_is_one(gamma, n):
     pop = PopularityModel(gamma, n)
     assert pop.prefix_sum(1, n) == pytest.approx(1.0, abs=1e-9)
-    assert (pop.mass_vector() >= 0.0).all()
+    assert all(pop.prefix_sum(i, i) >= 0.0 for i in range(1, n + 1))
 
 
 @given(gamma=st.floats(0.1, 3.0))
