@@ -41,7 +41,11 @@ def _check_number(name: str, value, integer: bool = False) -> None:
             isinstance(value, bool) or not isinstance(value, kind)):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
                          f"got {value!r}")
-    if not (integer or math.isfinite(value)):
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} lies outside the float range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -165,9 +169,13 @@ def config_from_dict(raw: dict) -> NetworkConfig:
         for dbm_key, watt_key in _DBM_KEYS.items():
             if dbm_key in raw:
                 _check_number(dbm_key, raw[dbm_key])
-                watts[watt_key] = dbm_to_watts(raw[dbm_key])
+                try:
+                    watts[watt_key] = dbm_to_watts(raw[dbm_key])
+                except OverflowError:
+                    raise ValueError(f"{dbm_key} = {raw[dbm_key]!r} gives a power "
+                                     "outside the float range") from None
         return replace(cfg, **watts)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid config: {exc}") from exc
 
 

@@ -7,15 +7,17 @@ closed-form layers, so it shares no kernel code with them: the topology is
 literal geometry plus sampling, and the fading is averaged per reference
 user given its topology.
 
-Nearest nodes (the serving relay and BS, and the nearest other cache-enabled
-user) come from one k-d tree query per tier (``scipy.spatial.cKDTree``,
-periodic on the torus; ``scipy.spatial`` loads on the first query, so the
-analytic layers never pay for it).  Interference is batched per topology and
-(case, serving tier): one dense distance matrix from the reference users to
-every active D2D transmitter, relay and BS becomes a matrix of interference
-weights P d^-beta, in which an excluded node (the reference user itself, its
-serving node, and the nearest other cache-enabled user when that is the
-strongest node) is infinitely far and weighs 0.
+The window is a torus: every distance wraps, so each tier stays a
+stationary PPP with no edge, and every user is a reference user.  Nearest
+nodes (the serving relay and BS, and the nearest other cache-enabled user)
+come from one periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
+``scipy.spatial`` loads on the first query, so the analytic layers never pay
+for it).  Interference is batched per topology and (case, serving tier): one
+dense distance matrix from the reference users to every active D2D
+transmitter, relay and BS becomes a matrix of interference weights P d^-beta,
+in which an excluded node (the reference user itself, its serving node, and
+the nearest other cache-enabled user when that is the strongest node) is
+infinitely far and weighs 0.
 
 Given a user's topology, with signal power S, weights w_j and noise
 sigma^2, Rayleigh fading gives the coverage in closed form:
@@ -30,10 +32,8 @@ rule on either side.  log P takes log1p exactly for the strongest
 ``measure_sinr`` keeps a sampled-fading path (one exponential per user,
 node and draw), which checks the closed form.
 
-Two boundary treatments: ``margin`` restricts reference users to a central
-sub-window (interference fields near the edge are depleted), ``torus`` wraps
-distances.  Replications split a master seed through ``SeedSequence`` so runs
-are reproducible and mergeable.
+Replications split a master seed through ``SeedSequence`` so runs are
+reproducible and mergeable.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import numpy as np
 
 from .association import active_d2d_density
 from .config import NetworkConfig
-
-BOUNDARY_MODES = ("margin", "torus")
 
 # The fading average: log1p taken exactly for this many strongest weights
 # per user; Gauss-Legendre nodes between 0 and the knee, Gauss-Laguerre nodes
@@ -125,25 +123,21 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     return SpatialRealization(window, users, relays, bs, cache_flags, active_flags, seed)
 
 
-def _distances(points: np.ndarray, targets: np.ndarray, window: float,
-               boundary: str) -> np.ndarray:
-    """(len(points), len(targets)) distance matrix, torus-wrapped on demand.
+def _distances(points: np.ndarray, targets: np.ndarray, window: float) -> np.ndarray:
+    """(len(points), len(targets)) torus distance matrix.
 
     Squared offsets are added one axis at a time into the result, so the
     working set is three (points x targets) arrays.
     """
-    if boundary not in BOUNDARY_MODES:
-        raise ValueError(f"boundary mode must be one of {BOUNDARY_MODES}")
     shape = (len(points), len(targets))
     sq = np.zeros(shape)
     delta = np.empty(shape)
-    wrapped = np.empty(shape) if boundary == "torus" else None
+    wrapped = np.empty(shape)
     for axis in range(2):
         np.subtract.outer(points[:, axis], targets[:, axis], out=delta)
         np.abs(delta, out=delta)
-        if wrapped is not None:
-            np.subtract(window, delta, out=wrapped)
-            np.minimum(delta, wrapped, out=delta)
+        np.subtract(window, delta, out=wrapped)
+        np.minimum(delta, wrapped, out=delta)
         np.multiply(delta, delta, out=delta)
         sq += delta
     return np.sqrt(sq, out=sq)
@@ -162,45 +156,26 @@ def _exclude(d: np.ndarray, row_users: np.ndarray, col_users: np.ndarray) -> Non
     d[np.flatnonzero(hit), col[hit]] = math.inf
 
 
-def _nearest(points: np.ndarray, targets: np.ndarray, window: float, boundary: str,
+def _nearest(points: np.ndarray, targets: np.ndarray, window: float,
              k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of the k nearest targets to each point, from a
     k-d tree that is periodic on the torus.  A missing neighbour is at
     distance inf with index len(targets)."""
-    if boundary not in BOUNDARY_MODES:
-        raise ValueError(f"boundary mode must be one of {BOUNDARY_MODES}")
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(targets, boxsize=window if boundary == "torus" else None)
-    return tree.query(points, k=k)
+    return cKDTree(targets, boxsize=window).query(points, k=k)
 
 
-def _nearest_cache_user(real: SpatialRealization, ref: np.ndarray,
-                        boundary: str) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_cache_user(real: SpatialRealization,
+                        ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance and index of each reference user's nearest other cache-enabled
     user (inf and -1 where there is none).  Two are queried, so that a
     cache-enabled reference user that finds itself first takes the second."""
     cache_users = np.flatnonzero(real.cache_flags)
-    d, j = _nearest(real.users[ref], real.users[cache_users], real.window, boundary, k=2)
+    d, j = _nearest(real.users[ref], real.users[cache_users], real.window, k=2)
     ids = np.append(cache_users, -1)[j]
     itself = ids[:, 0] == ref
     return np.where(itself, d[:, 1], d[:, 0]), np.where(itself, ids[:, 1], ids[:, 0])
-
-
-def edge_correction_policy(real: SpatialRealization, margin: float = 500.0,
-                           boundary: str = "margin") -> np.ndarray:
-    """Indices of admissible reference users under the boundary mode (all of
-    them on a torus; otherwise those in the central sub-window, which keeps
-    edge bias out)."""
-    if boundary == "torus":
-        return np.arange(len(real.users))
-    if margin < 0.0:
-        raise ValueError("margin must be non-negative")
-    if 2.0 * margin >= real.window:
-        raise ValueError("margin leaves no central region")
-    u = real.users
-    inside = ((u >= margin) & (u <= real.window - margin)).all(axis=1)
-    return np.flatnonzero(inside)
 
 
 @dataclass
@@ -218,14 +193,13 @@ class _Geometry:
     relay_over_bs: np.ndarray  # bool: relay beats BS
 
 
-def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray,
-              boundary: str) -> _Geometry:
+def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray) -> _Geometry:
     if len(real.relays) == 0 or len(real.bs) == 0:
         raise RuntimeError("relay and BS tiers must be non-empty; resample the topology")
     pts = real.users[ref]
-    r_relay, relay_idx = _nearest(pts, real.relays, real.window, boundary)
-    r_bs, bs_idx = _nearest(pts, real.bs, real.window, boundary)
-    r_cache, cache_idx = _nearest_cache_user(real, ref, boundary)
+    r_relay, relay_idx = _nearest(pts, real.relays, real.window)
+    r_bs, bs_idx = _nearest(pts, real.bs, real.window)
+    r_cache, cache_idx = _nearest_cache_user(real, ref)
 
     beta = cfg.beta
     with np.errstate(divide="ignore"):
@@ -237,15 +211,14 @@ def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray,
                      winner, pr2 > pr3)
 
 
-def measure_association(real: SpatialRealization, cfg: NetworkConfig,
-                        boundary: str = "margin", margin: float = 500.0) -> dict[str, EmpiricalEstimate]:
+def measure_association(real: SpatialRealization,
+                        cfg: NetworkConfig) -> dict[str, EmpiricalEstimate]:
     """Empirical first-association fractions over the three tiers and the
     relay/BS pair (binomial standard errors within this realization)."""
-    ref = edge_correction_policy(real, margin, boundary)
-    if len(ref) == 0:
-        raise RuntimeError("no reference users in the central region")
-    geo = _geometry(real, cfg, ref, boundary)
-    n = len(ref)
+    n = len(real.users)
+    if n == 0:
+        raise RuntimeError("no users in the window")
+    geo = _geometry(real, cfg, np.arange(n))
 
     def binom(count: int) -> EmpiricalEstimate:
         p = count / n
@@ -267,17 +240,15 @@ def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[s
     }
 
 
-def nearest_distances(real: SpatialRealization, tier: int,
-                      boundary: str = "torus", margin: float = 0.0) -> np.ndarray:
-    """Distances from reference users to the nearest node of one tier
-    (tier 1 = cache-enabled users excluding the reference itself)."""
+def nearest_distances(real: SpatialRealization, tier: int) -> np.ndarray:
+    """Distances from every user to the nearest node of one tier
+    (tier 1 = cache-enabled users excluding the user itself)."""
     if tier not in (1, 2, 3):
         raise ValueError("tier must be 1, 2 or 3")
-    ref = edge_correction_policy(real, margin, boundary)
     if tier == 1:
-        return _nearest_cache_user(real, ref, boundary)[0]
+        return _nearest_cache_user(real, np.arange(len(real.users)))[0]
     targets = real.relays if tier == 2 else real.bs
-    return _nearest(real.users[ref], targets, real.window, boundary)[0]
+    return _nearest(real.users, targets, real.window)[0]
 
 
 _CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
@@ -300,8 +271,7 @@ def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: 
 
 
 def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                          rows: np.ndarray, case_id: int, tier: int,
-                          boundary: str) -> np.ndarray:
+                          rows: np.ndarray, case_id: int, tier: int) -> np.ndarray:
     """Interference weights P_j d_j^-beta, shape (len(rows), nodes).
 
     Columns are every active D2D transmitter (in user order), then every
@@ -315,7 +285,7 @@ def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Ge
     active = np.flatnonzero(real.active_flags)
     nodes = np.concatenate((real.users[active], real.relays, real.bs))
     power = np.repeat((cfg.p1, cfg.p2, cfg.p3), (len(active), len(real.relays), len(real.bs)))
-    d = _distances(real.users[ref], nodes, real.window, boundary)
+    d = _distances(real.users[ref], nodes, real.window)
     d2d = d[:, :len(active)]
     _exclude(d2d, ref, active)
     if d2d_served or case_id == 3:
@@ -329,8 +299,8 @@ def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Ge
 
 
 def _relative_interference(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                           rows: np.ndarray, case_id: int, tier: int,
-                           boundary: str) -> tuple[np.ndarray, np.ndarray]:
+                           rows: np.ndarray, case_id: int,
+                           tier: int) -> tuple[np.ndarray, np.ndarray]:
     """Interference weights (len(rows), nodes) and noise (len(rows),), both
     divided by each row's mean signal power from its serving node."""
     if case_id == 1 and tier == 1:
@@ -340,7 +310,7 @@ def _relative_interference(real: SpatialRealization, cfg: NetworkConfig, geo: _G
     else:
         r_serv, p_serv = geo.r_bs[rows], cfg.p3
     signal = p_serv * r_serv ** (-cfg.beta)
-    w = _interference_weights(real, cfg, geo, rows, case_id, tier, boundary)
+    w = _interference_weights(real, cfg, geo, rows, case_id, tier)
     w /= signal[:, None]
     return w, cfg.noise / signal
 
@@ -384,17 +354,13 @@ def _fading_average(a: np.ndarray, n: np.ndarray,
 
 
 def measure_sinr(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tier: int,
-                 n_fading: int, seed: int, boundary: str = "margin",
-                 margin: float = 500.0, max_users: int | None = None) -> np.ndarray:
-    """Sampled SINR, shape (users, n_fading), for reference users in one
+                 n_fading: int, seed: int) -> np.ndarray:
+    """Sampled SINR, shape (users, n_fading), for the users in one
     (case, serving tier): every (user, node, draw) fades independently."""
     rng = np.random.default_rng(seed)
-    ref = edge_correction_policy(real, margin, boundary)
-    geo = _geometry(real, cfg, ref, boundary)
+    geo = _geometry(real, cfg, np.arange(len(real.users)))
     rows = _case_members(geo, real, case_id, tier)
-    if max_users is not None and len(rows) > max_users:
-        rows = rng.choice(rows, size=max_users, replace=False)
-    a, n = _relative_interference(real, cfg, geo, rows, case_id, tier, boundary)
+    a, n = _relative_interference(real, cfg, geo, rows, case_id, tier)
     out = rng.standard_exponential((len(rows), n_fading))
     fading = np.empty((a.shape[1], n_fading))
     for r in range(len(rows)):
@@ -427,8 +393,8 @@ def _across_reps(per_rep: list[float]) -> EmpiricalEstimate:
 
 
 def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int = 20,
-                    seed: int = 0, window: float = 2000.0, boundary: str = "margin",
-                    margin: float = 500.0, max_users: int = 200,
+                    seed: int = 0, window: float = 2000.0, boundary: str = "torus",
+                    margin: float = 0.0, max_users: int = 200,
                     max_reference_users: int = 500,
                     cases: tuple[int, ...] = (1, 2, 3),
                     tau_grid: tuple[float, ...] = ()) -> MonteCarloSummary:
@@ -436,10 +402,14 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     outage and association; aggregate with across-replication standard errors.
 
     Fading is averaged in closed form per reference user
-    (``_fading_average``), so ``n_fading`` is not read; it stays in the
-    signature for existing callers.  Replication seeds are spawned from the
-    master seed; identical inputs give bit-identical results.
+    (``_fading_average``), so ``n_fading`` is not read, and the window is
+    always a torus, so ``margin`` is not read either and ``boundary`` must be
+    ``"torus"``; the three stay in the signature for existing callers.
+    Replication seeds are spawned from the master seed; identical inputs
+    give bit-identical results.
     """
+    if boundary != "torus":
+        raise ValueError(f"the window is a torus; boundary {boundary!r} is not supported")
     if n_topologies < 1:
         raise ValueError("need at least one topology replication")
     children = np.random.SeedSequence(seed).spawn(n_topologies)
@@ -461,17 +431,16 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
                 "enlarge the window or raise the densities"
             )
         rng = np.random.default_rng(int(seeds[-1]))
-        admissible = edge_correction_policy(real, margin, boundary)
-        uniform = admissible
+        uniform = np.arange(len(real.users))
         if len(uniform) > max_reference_users:  # keeps the geometry pass cheap
             uniform = np.sort(rng.choice(uniform, size=max_reference_users, replace=False))
         # sparse conditionings (cache-enabled users at small alpha) get a
         # dedicated quota so their estimates are not starved
-        extra = admissible[real.cache_flags[admissible]]
+        extra = np.flatnonzero(real.cache_flags)
         if len(extra) > max_reference_users:
             extra = np.sort(rng.choice(extra, size=max_reference_users, replace=False))
         ref = np.union1d(uniform, extra)
-        geo = _geometry(real, cfg, ref, boundary)
+        geo = _geometry(real, cfg, ref)
         uniform_rows = np.isin(ref, uniform)
 
         # association fractions only over the uniform subsample (the cache
@@ -490,8 +459,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
                 if len(rows) > max_users:
                     rows = rng.choice(rows, size=max_users, replace=False)
                 rate, outage = _fading_average(
-                    *_relative_interference(real, cfg, geo, rows, case_id, tier, boundary),
-                    tau_grid)
+                    *_relative_interference(real, cfg, geo, rows, case_id, tier), tau_grid)
                 rates.append(rate)
                 outages.append(outage)
             rate, outage = np.concatenate(rates), np.concatenate(outages)

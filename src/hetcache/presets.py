@@ -178,10 +178,9 @@ def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
 
 
 def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
-             boundary: str, margin: float, tau_db: list[float]) -> Table:
+             tau_db: list[float]) -> Table:
     summary = run_monte_carlo(
-        cfg, n_topologies=topologies, seed=seed,
-        window=window, boundary=boundary, margin=margin,
+        cfg, n_topologies=topologies, seed=seed, window=window,
         tau_grid=tuple(db_to_linear(t) for t in tau_db),
     )
     columns = ["quantity", "case", "tau_db", "value", "std_error", "n_samples"]
@@ -347,8 +346,6 @@ COMMANDS: dict[str, Experiment] = {
                            presets=("fig7",), flags=(
         ("--topologies", dict(type=int, default=200)),
         ("--window", dict(type=float, default=2000.0)),
-        ("--boundary", dict(choices=("margin", "torus"), default="margin")),
-        ("--margin", dict(type=float, default=500.0)),
         _TAU_DB,
     )),
     "sweep": Experiment(sweep, "sweep one config variable", flags=(

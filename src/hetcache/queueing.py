@@ -25,7 +25,7 @@ from .association import (
     state_matrix,
 )
 from .config import NetworkConfig
-from .rates import case_rate_table, rate_case1
+from .rates import case_rate_table
 
 N_CLASSES = 8
 N_NODE_TYPES = 4
@@ -231,16 +231,15 @@ def baseline_state_matrix(cfg: NetworkConfig) -> StateMatrix:
 def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
     """Loads and rates of the no-caching baseline.
 
-    Rates reuse the case-1 machinery at alpha = 0 (no D2D interference, same
-    relay/BS field); class loads reuse the general splitter, which degenerates
-    correctly because the D2D and local columns are empty.
+    Rates are the case-rate table at alpha = 0 (only case 1 is left: no D2D
+    interference, same relay/BS field), masked to the baseline's states;
+    class loads reuse the general splitter, which degenerates correctly
+    because the D2D and local columns are empty.
     """
     cfg0 = cfg.with_updates(alpha=0.0)
     states = baseline_state_matrix(cfg)
-    u = np.zeros((4, 4))
-    u[0, 1:3] = rate_case1(cfg0, 3).value  # tier-independent, as in case_rate_table
     loads = class_loads(cfg0, states)
-    rates = rate_matrix(cfg, u, states)
+    rates = rate_matrix(cfg, case_rate_table(cfg0), states)
     return states, loads, rates
 
 

@@ -80,8 +80,7 @@ def test_criterion_3_analysis_vs_simulation():
         cfg = NetworkConfig().with_updates(alpha=alpha)
         s = run_monte_carlo(
             cfg, n_topologies=200, n_fading=20, seed=7, window=6000.0,
-            boundary="torus", margin=0.0, max_users=150,
-            max_reference_users=500, tau_grid=taus,
+            max_users=150, max_reference_users=500, tau_grid=taus,
         )
         cells = []
         for case_id in (1, 2, 3):
@@ -207,7 +206,7 @@ def test_criterion_8_distribution_checks():
     for seed in range(300):
         real = sample_topology(sparse, 3000.0, seed)
         if len(real.users) and len(real.relays):
-            samples.append(nearest_distances(real, 2, boundary="torus")[0])
+            samples.append(nearest_distances(real, 2)[0])
     ks_ok = stats.kstest(
         np.array(samples),
         lambda r: 1.0 - np.exp(-math.pi * cfg.lambda2 * r ** 2)).pvalue > 0.01
@@ -218,7 +217,7 @@ def test_criterion_8_distribution_checks():
     for seed in range(20):
         real = sample_topology(cfg, 3000.0, seed)
         n_users += len(real.users)
-        a = measure_association(real, cfg, boundary="torus", margin=0.0)
+        a = measure_association(real, cfg)
         for i in per_rep:
             per_rep[i].append(a[f"g{i}"].value)
     assoc_ok = n_users > 10_000

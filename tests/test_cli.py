@@ -136,8 +136,7 @@ def test_cli_config_file_dbm_keys(tmp_path):
 
 def test_cli_simulate_has_positive_std_errors(tmp_path):
     main(["simulate", "--topologies", "4",
-          "--window", "1500", "--boundary", "torus", "--margin", "0",
-          "--tau-db", "-10", "--out", str(tmp_path), "--seed", "3"])
+          "--window", "1500", "--tau-db", "-10", "--out", str(tmp_path), "--seed", "3"])
     env = json.loads((tmp_path / "simulate.json").read_text())
     rates = [r for r in env["rows"] if r["quantity"] == "rate_nats"]
     assert any(r["std_error"] > 0.0 for r in rates)
@@ -211,10 +210,12 @@ def test_cli_usage_errors():
 
 
 def test_cli_simulate_rejects_fading_flag(tmp_path):
-    # the fading is averaged in closed form, so there is no redraw count
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--topologies", "1", "--fading", "3", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    # the fading is averaged in closed form, so there is no redraw count, and
+    # the window is always a torus, so there is no edge treatment to choose
+    for flag in (["--fading", "3"], ["--boundary", "torus"], ["--margin", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--topologies", "1", *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2, flag
     assert not list(tmp_path.iterdir())
 
 

@@ -88,13 +88,25 @@ _INVALID_MAPPINGS = [
     # integral floats, NaN and infinities
     {"m1": 5.0}, {"n_contents": 200.0}, {"beta": math.nan}, {"p1_dbm": math.nan},
     {"noise": math.inf},
+    # a dBm power beyond the float range in watts
+    {"p1_dbm": 1e5},
 ]
 
 
 @pytest.mark.parametrize("raw", _INVALID_MAPPINGS, ids=json.dumps)
 def test_config_from_dict_rejects_invalid_mappings(raw):
-    with pytest.raises(ValueError, match="^invalid config: "):
+    with pytest.raises(ValueError, match="^invalid config: ") as exc:
         config_from_dict(json.loads(json.dumps(raw)))
+    # a message about one dBm key names that key, not the watts value it maps to
+    keys = list(raw) if isinstance(raw, dict) else []
+    if len(keys) == 1 and keys[0].endswith("_dbm"):
+        assert keys[0] in str(exc.value)
+
+
+def test_config_from_dict_names_an_int_beyond_float_range():
+    # json reads a long integer literal as an int that no float holds
+    with pytest.raises(ValueError, match="^invalid config: lambda0 lies outside the float range"):
+        config_from_dict(json.loads('{"lambda0": 1' + "0" * 400 + "}"))
 
 
 def test_numpy_scalars_are_numbers():

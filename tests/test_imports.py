@@ -40,8 +40,7 @@ def test_on_demand_modules_load_on_first_use():
         "import json, math, sys\n"
         "from hetcache import NetworkConfig, integrate_interval, run_monte_carlo\n"
         "mc = run_monte_carlo(NetworkConfig(), n_topologies=1, window=1000.0,\n"
-        "                     boundary='torus', margin=0.0, max_users=5,\n"
-        "                     max_reference_users=5)\n"
+        "                     max_users=5, max_reference_users=5)\n"
         "value, _ = integrate_interval(math.exp, 0.0, 1.0)\n"
         "print(json.dumps({'rate': mc.rates[1].value, 'value': value,\n"
         f"                  'loaded': [m for m in {ON_DEMAND!r} if m in sys.modules]}}))\n"

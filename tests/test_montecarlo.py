@@ -23,7 +23,6 @@ from hetcache.montecarlo import (
     _geometry,
     _interference_weights,
     _relative_interference,
-    edge_correction_policy,
 )
 
 
@@ -73,16 +72,12 @@ def test_realization_validation(cfg):
 
 
 def test_central_indices_and_policy(cfg):
+    # the window is a torus, so every user is a reference user
     real = sample_topology(cfg, 2000.0, 3)
-    inner = edge_correction_policy(real, 500.0)
-    assert ((real.users[inner] >= 500.0) & (real.users[inner] <= 1500.0)).all()
-    assert len(edge_correction_policy(real, boundary="torus")) == len(real.users)
+    for tier in (1, 2, 3):
+        assert len(nearest_distances(real, tier)) == len(real.users)
     with pytest.raises(ValueError):
-        edge_correction_policy(real, 1000.0)
-    with pytest.raises(ValueError):
-        edge_correction_policy(real, -1.0)
-    with pytest.raises(ValueError):
-        nearest_distances(real, 2, boundary="reflect")
+        nearest_distances(real, 4)
 
 
 def test_nearest_relay_distance_ks(cfg):
@@ -93,7 +88,7 @@ def test_nearest_relay_distance_ks(cfg):
         real = sample_topology(sparse, 3000.0, seed)
         if len(real.users) == 0 or len(real.relays) == 0:
             continue
-        samples.append(nearest_distances(real, 2, boundary="torus")[0])
+        samples.append(nearest_distances(real, 2)[0])
     samples = np.array(samples)
     cdf = lambda r: 1.0 - np.exp(-math.pi * cfg.lambda2 * r ** 2)
     assert stats.kstest(samples, cdf).pvalue > 0.01
@@ -106,47 +101,32 @@ def test_nearest_cache_user_distance_ks(cfg):
         real = sample_topology(cfg, 2000.0, seed)
         if len(real.users) == 0:
             continue
-        samples.append(nearest_distances(real, 1, boundary="torus")[0])
+        samples.append(nearest_distances(real, 1)[0])
     samples = np.array(samples)
     lam = cfg.alpha * cfg.lambda0
     cdf = lambda r: 1.0 - np.exp(-math.pi * lam * r ** 2)
     assert stats.kstest(samples, cdf).pvalue > 0.01
 
 
-def _assoc_across_topologies(cfg, n_reps, window, boundary, margin, base_seed=0):
+def test_association_fractions_match_analysis(cfg):
     # the relay/BS fields are shared within a realization, so the standard
     # error must be taken across topologies, not across users
     per_rep = {f"g{i}": [] for i in (1, 2, 3)}
-    for seed in range(base_seed, base_seed + n_reps):
-        real = sample_topology(cfg, window, seed)
-        a = measure_association(real, cfg, boundary=boundary, margin=margin)
+    for seed in range(40):
+        a = measure_association(sample_topology(cfg, 3000.0, seed), cfg)
         for key in per_rep:
             per_rep[key].append(a[key].value)
-    return {k: (float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v))))
-            for k, v in per_rep.items()}
-
-
-def test_association_fractions_match_analysis(cfg):
-    stats_t = _assoc_across_topologies(cfg, 40, 3000.0, "torus", 0.0)
     for i in (1, 2, 3):
         ana = first_association_probability(cfg, i)
-        mean, se = stats_t[f"g{i}"]
-        assert abs(mean - ana) < 4.0 * se + 1e-3
+        vals = per_rep[f"g{i}"]
+        se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        assert abs(float(np.mean(vals)) - ana) < 4.0 * se + 1e-3
     real = sample_topology(cfg, 3000.0, 11)
-    assoc = measure_association(real, cfg, boundary="torus", margin=0.0)
+    assoc = measure_association(real, cfg)
     total = sum(assoc[f"g{i}"].value for i in (1, 2, 3))
     assert total == pytest.approx(1.0, abs=1e-12)
     assert assoc["p123"].value + assoc["p132"].value == pytest.approx(
         assoc["g1"].value, abs=1e-12)
-
-
-def test_margin_policy_agrees_with_torus(cfg):
-    stats_t = _assoc_across_topologies(cfg, 30, 3000.0, "torus", 0.0)
-    stats_m = _assoc_across_topologies(cfg, 30, 3000.0, "margin", 500.0,
-                                       base_seed=100)
-    for key in ("g1", "g2", "g3"):
-        (mt, st), (mm, sm) = stats_t[key], stats_m[key]
-        assert abs(mt - mm) < 4.0 * math.hypot(st, sm) + 1e-3
 
 
 def test_single_interferer_sinr_distribution(cfg):
@@ -158,8 +138,7 @@ def test_single_interferer_sinr_distribution(cfg):
     relays = np.array([[500.0, 900.0]])
     flags = np.array([False])
     real = SpatialRealization(1000.0, users, relays, bs, flags, flags, 0)
-    sinr = measure_sinr(real, c, 1, 3, n_fading=4000, seed=5,
-                        boundary="torus", margin=0.0).ravel()
+    sinr = measure_sinr(real, c, 1, 3, n_fading=4000, seed=5).ravel()
     scale = (c.p3 * 100.0 ** -c.beta) / (c.p2 * 400.0 ** -c.beta)
     cdf = lambda x: x / (x + 1.0)
     assert stats.kstest(sinr / scale, cdf).pvalue > 0.01
@@ -188,13 +167,13 @@ def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
     c = cfg.with_updates(alpha=alpha)
     real = sample_topology(c, 6000.0, 11)
     ref = np.sort(np.random.default_rng(0).choice(len(real.users), 500, replace=False))
-    geo = _geometry(real, c, ref, "torus")
+    geo = _geometry(real, c, ref)
     taus = (0.1, 10.0 ** -0.5)
     for case_id, tiers in _CASE_TIERS.items():
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
-            a, n = _relative_interference(real, c, geo, rows, case_id, tier, "torus")
+            a, n = _relative_interference(real, c, geo, rows, case_id, tier)
             rate, outage = _fading_average(a, n, taus)
             total = a.sum(axis=1)
             picks = {int(np.argmin(total)), int(np.argmax(total)),
@@ -219,16 +198,15 @@ def test_fading_average_matches_sampled_sinr(cfg):
     # per row, the closed form against the mean of 4000 sampled-fading SINRs
     c = cfg.with_updates(alpha=0.25)
     real = sample_topology(c, 1200.0, 4)
-    geo = _geometry(real, c, edge_correction_policy(real, 0.0, "torus"), "torus")
+    geo = _geometry(real, c, np.arange(len(real.users)))
     taus, n_fading = (0.1, 1.0), 4000
     for case_id, tiers in _CASE_TIERS.items():
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
             rate, outage = _fading_average(
-                *_relative_interference(real, c, geo, rows, case_id, tier, "torus"), taus)
-            sinr = measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5,
-                                boundary="torus", margin=0.0)
+                *_relative_interference(real, c, geo, rows, case_id, tier), taus)
+            sinr = measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5)
             log_rate = np.log1p(sinr)
             se = log_rate.std(axis=1, ddof=1) / math.sqrt(n_fading)
             assert (abs(log_rate.mean(axis=1) - rate) <= 4.0 * se).all(), (case_id, tier)
@@ -240,29 +218,25 @@ def test_fading_average_matches_sampled_sinr(cfg):
                 assert (abs(hits - outage[:, j]) <= 4.0 * se).all(), (case_id, tier, tau)
 
 
-def _loop_distance(a, b, window, boundary):
+def _loop_distance(a, b, window):
     dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-    if boundary == "torus":
-        dx, dy = min(dx, window - dx), min(dy, window - dy)
-    return math.hypot(dx, dy)
+    return math.hypot(min(dx, window - dx), min(dy, window - dy))
 
 
-@pytest.fixture(params=["torus", "margin"])
-def small_topology(request, cfg):
+@pytest.fixture
+def small_topology(cfg):
     c = cfg.with_updates(alpha=0.25)
     real = sample_topology(c, 1200.0, 4)
-    boundary = request.param
-    ref = edge_correction_policy(real, 300.0, boundary)
-    assert len(ref) > 20 and real.active_flags.sum() > 5
-    return c, real, boundary, _geometry(real, c, ref, boundary)
+    assert len(real.users) > 20 and real.active_flags.sum() > 5
+    return c, real, _geometry(real, c, np.arange(len(real.users)))
 
 
 def test_nearest_other_cache_user_matches_loop(small_topology):
-    c, real, boundary, geo = small_topology
+    c, real, geo = small_topology
     cache_users = np.flatnonzero(real.cache_flags)
     assert real.cache_flags[geo.ref].any()  # some reference users must skip themselves
     for row, u in enumerate(geo.ref):
-        d = {v: _loop_distance(real.users[u], real.users[v], real.window, boundary)
+        d = {v: _loop_distance(real.users[u], real.users[v], real.window)
              for v in cache_users if v != u}
         best = min(d, key=d.get)
         assert geo.cache_idx[row] == best
@@ -270,41 +244,40 @@ def test_nearest_other_cache_user_matches_loop(small_topology):
         # the serving relay and BS candidates
         for nodes, idx, r in ((real.relays, geo.relay_idx, geo.r_relay),
                               (real.bs, geo.bs_idx, geo.r_bs)):
-            d = [_loop_distance(real.users[u], node, real.window, boundary) for node in nodes]
+            d = [_loop_distance(real.users[u], node, real.window) for node in nodes]
             assert idx[row] == int(np.argmin(d))
             assert r[row] == pytest.approx(min(d), rel=1e-12)
     for tier, r in ((1, geo.r_cache), (2, geo.r_relay), (3, geo.r_bs)):
-        np.testing.assert_array_equal(nearest_distances(real, tier, boundary, 300.0), r)
+        np.testing.assert_array_equal(nearest_distances(real, tier), r)
 
 
 @pytest.mark.parametrize("n_cache", [0, 1])
-@pytest.mark.parametrize("boundary", ["torus", "margin"])
-def test_no_other_cache_user_is_infinitely_far(cfg, boundary, n_cache):
+def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     # with zero cache-enabled users, or one (which must not find itself),
     # the nearest other cache-enabled user is at inf with index -1
     real = sample_topology(cfg, 1200.0, 4)
-    ref = edge_correction_policy(real, 300.0, boundary)
+    ref = np.arange(len(real.users))
     flags = np.zeros(len(real.users), dtype=bool)
     flags[ref[:n_cache]] = True
     real = dataclasses.replace(real, cache_flags=flags, active_flags=flags)
-    geo = _geometry(real, cfg, ref, boundary)
+    geo = _geometry(real, cfg, ref)
     alone = np.ones(len(ref), dtype=bool) if n_cache == 0 else np.arange(len(ref)) == 0
     assert (geo.r_cache[alone] == math.inf).all() and (geo.cache_idx[alone] == -1).all()
     assert np.isfinite(geo.r_cache[~alone]).all() and (geo.cache_idx[~alone] == ref[0]).all()
     assert (geo.winner[alone] != 1).all()
-    np.testing.assert_array_equal(nearest_distances(real, 1, boundary, 300.0), geo.r_cache)
+    np.testing.assert_array_equal(nearest_distances(real, 1), geo.r_cache)
 
 
 def test_interference_weights_match_per_user_loop(small_topology):
     # the batched (rows x nodes) matrix against the per-user construction:
     # active D2D transmitters, relays, BSs; excluded nodes weigh 0
-    c, real, boundary, geo = small_topology
+    c, real, geo = small_topology
     rows = np.arange(len(geo.ref))
     active = np.flatnonzero(real.active_flags)
     for case_id, tiers in _CASE_TIERS.items():
         for tier in tiers:
             d2d_served = case_id == 1 and tier == 1
-            got = _interference_weights(real, c, geo, rows, case_id, tier, boundary)
+            got = _interference_weights(real, c, geo, rows, case_id, tier)
             expect = np.zeros_like(got)
             for row in rows:
                 u, pos = geo.ref[row], real.users[geo.ref[row]]
@@ -312,7 +285,7 @@ def test_interference_weights_match_per_user_loop(small_topology):
                 col = 0
                 for v in active:
                     if v not in (u, skip_cache):
-                        d = _loop_distance(pos, real.users[v], real.window, boundary)
+                        d = _loop_distance(pos, real.users[v], real.window)
                         expect[row, col] = c.p1 * d ** -c.beta
                     col += 1
                 for tier_nodes, p, serving, served_here in (
@@ -320,7 +293,7 @@ def test_interference_weights_match_per_user_loop(small_topology):
                         (real.bs, c.p3, geo.bs_idx[row], tier == 3)):
                     for n, node in enumerate(tier_nodes):
                         if d2d_served or not (served_here and n == serving):
-                            d = _loop_distance(pos, node, real.window, boundary)
+                            d = _loop_distance(pos, node, real.window)
                             expect[row, col] = p * d ** -c.beta
                         col += 1
             assert np.array_equal(got == 0.0, expect == 0.0), (case_id, tier)
@@ -336,8 +309,7 @@ def test_empirical_estimate_ci(cfg):
 
 
 def test_run_monte_carlo_deterministic(cfg):
-    kw = dict(n_topologies=4, n_fading=3, seed=42, window=1500.0,
-              boundary="torus", margin=0.0, max_users=30,
+    kw = dict(n_topologies=4, n_fading=3, seed=42, window=1500.0, max_users=30,
               max_reference_users=60, tau_grid=(0.1,))
     a = run_monte_carlo(cfg, **kw)
     b = run_monte_carlo(cfg, **kw)
@@ -356,14 +328,18 @@ def test_run_monte_carlo_validation_and_retries(cfg):
         run_monte_carlo(cfg, n_topologies=0)
     starved = cfg.with_updates(lambda2=1e-14, lambda3=1e-15)
     with pytest.raises(RuntimeError):
-        run_monte_carlo(starved, n_topologies=1, n_fading=1, window=1000.0,
-                        boundary="torus", margin=0.0)
+        run_monte_carlo(starved, n_topologies=1, n_fading=1, window=1000.0)
+
+
+def test_run_monte_carlo_rejects_other_boundaries(cfg):
+    # the window is always a torus; no other edge treatment is estimated
+    with pytest.raises(ValueError, match="torus"):
+        run_monte_carlo(cfg, n_topologies=1, boundary="margin")
 
 
 def test_run_monte_carlo_alpha_zero_drops_d2d_cases(cfg):
     s = run_monte_carlo(cfg.with_updates(alpha=0.0), n_topologies=3, n_fading=2,
-                        seed=1, window=1500.0, boundary="torus", margin=0.0,
-                        max_users=20, max_reference_users=40)
+                        seed=1, window=1500.0, max_users=20, max_reference_users=40)
     assert s.rates[1].n_samples == 3
     assert s.rates[2].n_samples == 0 and math.isnan(s.rates[2].value)
     assert s.rates[3].n_samples == 0
