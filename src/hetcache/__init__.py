@@ -3,9 +3,13 @@ wireless network (base stations, relays, cache-enabled users as D2D
 transmitters): association and user-state probabilities, ergodic rates,
 outage, processor-sharing queueing metrics, and a spatial simulation oracle.
 
-Rates (``rate_case1..3``) and outage (``sinr_cdf``, the one outage entry
-point) derive from one coverage probability per radio case.  Quadrature
-tolerances are fixed inside ``quadrature``; no public function takes one.
+Every model input comes from one ``NetworkConfig``: the state matrix and
+the active D2D density read the Zipf content popularity from its ``gamma``
+and ``n_contents``.  Rates (``rate_case1..3``) and outage (``sinr_cdf``, the
+one outage entry point) derive from one coverage probability per radio case.
+Quadrature tolerances are fixed inside ``quadrature``; no public function
+takes one.  The simulation oracle measures association, rates and outage in
+one pass, ``run_monte_carlo``.
 """
 
 from .association import (
@@ -21,14 +25,11 @@ from .montecarlo import (
     EmpiricalEstimate,
     MonteCarloSummary,
     SpatialRealization,
-    measure_association,
     measure_sinr,
-    nearest_distances,
     run_monte_carlo,
     sample_topology,
 )
 from .outage import sinr_cdf
-from .popularity import PopularityModel
 from .queueing import (
     CtmcTrace,
     QueueClassLoad,

@@ -6,6 +6,11 @@ of the weights lambda_i P_i^(2/beta) of one ``NetworkConfig``, the 8x4
 user-state probability matrix, and the density of actually active D2D
 transmitters with its critical points.
 
+Content popularity is Zipf over the catalog: the rank-``i`` content has
+f_i = i^(-gamma) / sum_j j^(-gamma), with ``gamma`` and ``n_contents`` taken
+from the config.  The normalizer is a direct summation (catalogs up to ~1e6
+contents are assumed; no zeta-function approximation).
+
 Tier indices are 1-based throughout, matching the tier numbering of the
 network model (1 = D2D, 2 = relay, 3 = BS).
 """
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .popularity import PopularityModel
 
 # Row layout of the state matrix: (case, backhaul flag); column layout: serving node.
 STATE_ROWS = (
@@ -94,11 +98,20 @@ class StateMatrix:
         return float(self.d[2 * case - 2 : 2 * case].sum())
 
 
-def state_matrix(cfg: NetworkConfig, pop: PopularityModel | None = None) -> StateMatrix:
+def _zipf_prefix(gamma: float, n_contents: int) -> np.ndarray:
+    """Zipf prefix sums: entry k is f_1 + ... + f_k, entry 0 is 0, so the
+    mass of ranks a..b is prefix[b] - prefix[a - 1]."""
+    weights = np.arange(1, n_contents + 1, dtype=float) ** (-gamma)
+    return np.concatenate(([0.0], np.cumsum(weights / weights.sum())))
+
+
+def state_matrix(cfg: NetworkConfig) -> StateMatrix:
     """Probabilities of all (case, backhaul, serving node) user states."""
-    pop = pop or PopularityModel(cfg.gamma, cfg.n_contents)
     alpha, m1, m2, n = cfg.alpha, cfg.m1, cfg.m2, cfg.n_contents
-    f = pop.prefix_sum
+    prefix = _zipf_prefix(cfg.gamma, n)
+
+    def f(a: int, b: int) -> float:
+        return float(prefix[b] - prefix[a - 1])
 
     g1, g2, g3 = (first_association_probability(cfg, i) for i in (1, 2, 3))
     p123 = ordering_probability(cfg, (1, 2, 3))
@@ -149,9 +162,8 @@ def activity_constant(cfg: NetworkConfig) -> float:
         + (cfg.lambda3 / cfg.lambda0) * (cfg.p3 / cfg.p1) ** e
 
 
-def active_d2d_density(cfg: NetworkConfig, pop: PopularityModel | None = None) -> D2DActivity:
-    pop = pop or PopularityModel(cfg.gamma, cfg.n_contents)
-    f1m1 = pop.prefix_sum(1, cfg.m1)
+def active_d2d_density(cfg: NetworkConfig) -> D2DActivity:
+    f1m1 = float(_zipf_prefix(cfg.gamma, cfg.n_contents)[cfg.m1])
     h = activity_constant(cfg)
     alpha_star = max(0.0, (f1m1 - h) / (1.0 + f1m1))
     alpha_hat = math.sqrt(h * h + h) - h

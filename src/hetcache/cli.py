@@ -7,7 +7,9 @@ the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
 everything internal is watts/linear/nats.  Every run writes a CSV table and
 a JSON envelope with the config that was run and the seed, sufficient to
-reproduce the CSV byte-identically.
+reproduce the CSV byte-identically: ``<command>.csv``/``.json``, or
+``<command>-<preset>.csv``/``.json`` for a ``--preset`` run, so no two runs
+share a file name.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
                  if params[flag.lstrip("-").replace("-", "_")] != kwargs.get("default")]
         if given:
             parser.error(f"--preset {preset} runs a fixed grid; drop {', '.join(given)}")
-        name, exp, params = preset, PRESETS[preset], {}
+        name, exp, params = f"{command}-{preset}", PRESETS[preset], {}
     else:
         name, exp = command, COMMANDS[command]
     try:

@@ -211,23 +211,6 @@ def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray) -> 
                      winner, pr2 > pr3)
 
 
-def measure_association(real: SpatialRealization,
-                        cfg: NetworkConfig) -> dict[str, EmpiricalEstimate]:
-    """Empirical first-association fractions over the three tiers and the
-    relay/BS pair (binomial standard errors within this realization)."""
-    n = len(real.users)
-    if n == 0:
-        raise RuntimeError("no users in the window")
-    geo = _geometry(real, cfg, np.arange(n))
-
-    def binom(count: int) -> EmpiricalEstimate:
-        p = count / n
-        return EmpiricalEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
-
-    counts = _association_counts(geo.winner, geo.relay_over_bs)
-    return {k: binom(c) for k, c in counts.items()}
-
-
 def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[str, int]:
     """Reference users per association outcome: relay over BS, each tier
     strongest, and the D2D tier strongest split by the relay/BS comparison."""
@@ -238,17 +221,6 @@ def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[s
         "p123": int((d2d_first & relay_over_bs).sum()),
         "p132": int((d2d_first & ~relay_over_bs).sum()),
     }
-
-
-def nearest_distances(real: SpatialRealization, tier: int) -> np.ndarray:
-    """Distances from every user to the nearest node of one tier
-    (tier 1 = cache-enabled users excluding the user itself)."""
-    if tier not in (1, 2, 3):
-        raise ValueError("tier must be 1, 2 or 3")
-    if tier == 1:
-        return _nearest_cache_user(real, np.arange(len(real.users)))[0]
-    targets = real.relays if tier == 2 else real.bs
-    return _nearest(real.users, targets, real.window)[0]
 
 
 _CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
@@ -396,7 +368,6 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
                     seed: int = 0, window: float = 2000.0, boundary: str = "torus",
                     margin: float = 0.0, max_users: int = 200,
                     max_reference_users: int = 500,
-                    cases: tuple[int, ...] = (1, 2, 3),
                     tau_grid: tuple[float, ...] = ()) -> MonteCarloSummary:
     """Full oracle run: per replication, sample a topology and measure rates,
     outage and association; aggregate with across-replication standard errors.
@@ -413,9 +384,9 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     if n_topologies < 1:
         raise ValueError("need at least one topology replication")
     children = np.random.SeedSequence(seed).spawn(n_topologies)
-    rate_acc: dict[int, list[float]] = {c: [] for c in cases}
+    rate_acc: dict[int, list[float]] = {c: [] for c in _CASE_TIERS}
     out_acc: dict[tuple[int, float], list[float]] = {
-        (c, t): [] for c in cases for t in tau_grid}
+        (c, t): [] for c in _CASE_TIERS for t in tau_grid}
     assoc_acc: dict[str, list[float]] = {}
 
     retry_budget = 20
@@ -450,11 +421,11 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         for key, count in counts.items():
             assoc_acc.setdefault(key, []).append(count / n_ref if n_ref else math.nan)
 
-        for case_id in cases:
+        for case_id, tiers in _CASE_TIERS.items():
             if case_id in (2, 3) and cfg.alpha == 0.0:
                 continue
             rates, outages = [], []
-            for tier in _CASE_TIERS[case_id]:
+            for tier in tiers:
                 rows = _case_members(geo, real, case_id, tier)
                 if len(rows) > max_users:
                     rows = rng.choice(rows, size=max_users, replace=False)

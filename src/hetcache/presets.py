@@ -5,7 +5,8 @@ rows and metadata from a config and a seed, its help text, its default
 config, its own command-line flags and, for a subcommand, the presets it
 accepts.  ``cli`` generates its parser from ``COMMANDS``, and ``run_preset``
 runs a record of ``PRESETS``; ``steady`` names one of each, with different
-outputs, hence two tables.  ``fig3b`` defaults to the low-power D2D set
+outputs, hence two tables (``steady`` and ``steady-steady`` on the command
+line).  ``fig3b`` defaults to the low-power D2D set
 (P1 = 13 dBm) and the queueing presets to ``fig6_config()``.
 """
 

@@ -18,8 +18,6 @@ from hetcache import (
     first_association_probability,
     kernel_z1,
     kernel_z2,
-    measure_association,
-    nearest_distances,
     network_model,
     ordering_probability,
     queue_metrics,
@@ -32,6 +30,7 @@ from hetcache import (
     throughput_gain,
 )
 from hetcache.config import fig6_config
+from hetcache.montecarlo import _association_counts, _geometry, _nearest
 from hetcache.queueing import QueueClassLoad, RateMatrix, baseline_model
 
 import itertools
@@ -79,7 +78,7 @@ def test_criterion_3_analysis_vs_simulation():
     for alpha in (0.05, 0.1, 0.25):
         cfg = NetworkConfig().with_updates(alpha=alpha)
         s = run_monte_carlo(
-            cfg, n_topologies=200, n_fading=20, seed=7, window=6000.0,
+            cfg, n_topologies=200, seed=7, window=6000.0,
             max_users=150, max_reference_users=500, tau_grid=taus,
         )
         cells = []
@@ -206,7 +205,7 @@ def test_criterion_8_distribution_checks():
     for seed in range(300):
         real = sample_topology(sparse, 3000.0, seed)
         if len(real.users) and len(real.relays):
-            samples.append(nearest_distances(real, 2)[0])
+            samples.append(_nearest(real.users[:1], real.relays, real.window)[0][0])
     ks_ok = stats.kstest(
         np.array(samples),
         lambda r: 1.0 - np.exp(-math.pi * cfg.lambda2 * r ** 2)).pvalue > 0.01
@@ -217,9 +216,10 @@ def test_criterion_8_distribution_checks():
     for seed in range(20):
         real = sample_topology(cfg, 3000.0, seed)
         n_users += len(real.users)
-        a = measure_association(real, cfg)
+        geo = _geometry(real, cfg, np.arange(len(real.users)))
+        counts = _association_counts(geo.winner, geo.relay_over_bs)
         for i in per_rep:
-            per_rep[i].append(a[f"g{i}"].value)
+            per_rep[i].append(counts[f"g{i}"] / len(real.users))
     assoc_ok = n_users > 10_000
     for i, vals in per_rep.items():
         ana = first_association_probability(cfg, i)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcache import (
     NetworkConfig,
@@ -11,7 +13,43 @@ from hetcache import (
     ordering_probability,
     state_matrix,
 )
-from hetcache.association import activity_constant, pairwise_association_probability
+from hetcache.association import (
+    _zipf_prefix,
+    activity_constant,
+    pairwise_association_probability,
+)
+
+
+def test_zipf_uniform_when_gamma_zero():
+    assert np.diff(_zipf_prefix(0.0, 10)) == pytest.approx(np.full(10, 0.1))
+
+
+def test_zipf_masses_decreasing():
+    masses = np.diff(_zipf_prefix(0.8, 200))
+    assert (np.diff(masses) <= 0.0).all()
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(gamma=st.floats(0.0, 3.0), n=st.integers(1, 500))
+@settings(max_examples=80, deadline=None)
+def test_zipf_total_mass_is_one(gamma, n):
+    prefix = _zipf_prefix(gamma, n)
+    assert prefix[0] == 0.0 and prefix[n] == pytest.approx(1.0, abs=1e-9)
+    assert (np.diff(prefix) >= 0.0).all()
+
+
+@given(gamma=st.floats(0.1, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_zipf_higher_gamma_concentrates_head(gamma):
+    assert _zipf_prefix(gamma + 0.5, 100)[10] >= _zipf_prefix(gamma, 100)[10]
+
+
+def test_zipf_cache_hit_mass_default_set():
+    # direct-summation oracle: sum_{i<=5} i^-0.8 / sum_{i<=200} i^-0.8
+    w = np.arange(1, 201, dtype=float) ** -0.8
+    expect = w[:5].sum() / w.sum()
+    assert _zipf_prefix(0.8, 200)[5] == pytest.approx(expect, rel=1e-14)
+    assert expect == pytest.approx(0.2596280468, abs=5e-10)
 
 
 def test_ordering_probabilities_sum_to_one(cfg):
@@ -75,14 +113,11 @@ def test_state_matrix_structure(cfg):
 
 
 def test_state_matrix_hand_entries(cfg):
-    from hetcache import PopularityModel
-
+    hit = _zipf_prefix(cfg.gamma, cfg.n_contents)[cfg.m1]
     states = state_matrix(cfg)
-    pop = PopularityModel(cfg.gamma, cfg.n_contents)
     g1 = first_association_probability(cfg, 1)
-    assert states.d[0, 0] == pytest.approx(
-        g1 * (1.0 - cfg.alpha) * pop.prefix_sum(1, cfg.m1), rel=1e-12)
-    assert states.d[6, 3] == pytest.approx(cfg.alpha * pop.prefix_sum(1, cfg.m1), rel=1e-12)
+    assert states.d[0, 0] == pytest.approx(g1 * (1.0 - cfg.alpha) * hit, rel=1e-12)
+    assert states.d[6, 3] == pytest.approx(cfg.alpha * hit, rel=1e-12)
 
 
 def test_cases_1_and_4_increase_with_gamma(cfg):

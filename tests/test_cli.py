@@ -116,13 +116,23 @@ def test_cli_steady_meta(tmp_path):
 def test_cli_preset_runs_on_the_preset_config(tmp_path):
     # without --config the steady preset runs on, and echoes, fig6_config
     main(["steady", "--preset", "steady", "--out", str(tmp_path)])
-    env = json.loads((tmp_path / "steady.json").read_text())
+    env = json.loads((tmp_path / "steady-steady.json").read_text())
     assert env["config"] == fig6_config().to_flat_dict()
     library = run_preset("steady")
     assert [r["gain"] for r in env["rows"]] == [r["gain"] for r in library.rows]
     gains = {r["gamma"]: r["gain"] for r in env["rows"] if r["kappa"] == 0.8}
     assert gains[0.8] == pytest.approx(0.046, abs=1e-3)
     assert gains[1.8] == pytest.approx(0.436, abs=1e-3)
+
+
+def test_cli_subcommand_and_its_preset_write_separate_files(tmp_path):
+    # the steady subcommand and the steady preset share a name, not a file
+    main(["steady", "--out", str(tmp_path)])
+    main(["steady", "--preset", "steady", "--out", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "steady-steady.csv", "steady-steady.json", "steady.csv", "steady.json"]
+    assert "varsigma_star" in json.loads((tmp_path / "steady.json").read_text())["meta"]
+    assert "gain" in json.loads((tmp_path / "steady-steady.json").read_text())["columns"]
 
 
 def test_cli_config_file_dbm_keys(tmp_path):
@@ -181,10 +191,10 @@ def test_cli_sweep_rejects_bad_variable(tmp_path, capsys, var):
 def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
     command = next(c for c, exp in COMMANDS.items() if name in exp.presets)
     main([command, "--preset", name, "--seed", "3", "--out", str(tmp_path)])
-    env = json.loads((tmp_path / f"{name}.json").read_text())
+    env = json.loads((tmp_path / f"{command}-{name}.json").read_text())
     assert env["config"] == default_config(name).to_flat_dict()
     library = run_preset(name, seed=3)
-    with open(tmp_path / f"{name}.csv", newline="") as fh:
+    with open(tmp_path / f"{command}-{name}.csv", newline="") as fh:
         header, *lines = csv.reader(fh)
     assert header == library.columns
     for line, row in zip(lines, library.rows, strict=True):

@@ -8,9 +8,7 @@ from scipy import integrate, special, stats
 from hetcache import (
     EmpiricalEstimate,
     first_association_probability,
-    measure_association,
     measure_sinr,
-    nearest_distances,
     run_monte_carlo,
     sample_topology,
 )
@@ -18,10 +16,12 @@ from hetcache.association import active_d2d_density
 from hetcache.montecarlo import (
     _CASE_TIERS,
     SpatialRealization,
+    _association_counts,
     _case_members,
     _fading_average,
     _geometry,
     _interference_weights,
+    _nearest_cache_user,
     _relative_interference,
 )
 
@@ -71,29 +71,6 @@ def test_realization_validation(cfg):
                            np.array([False]), np.array([True]), 0)
 
 
-def test_central_indices_and_policy(cfg):
-    # the window is a torus, so every user is a reference user
-    real = sample_topology(cfg, 2000.0, 3)
-    for tier in (1, 2, 3):
-        assert len(nearest_distances(real, tier)) == len(real.users)
-    with pytest.raises(ValueError):
-        nearest_distances(real, 4)
-
-
-def test_nearest_relay_distance_ks(cfg):
-    # one iid draw per topology; contact CDF 1 - exp(-pi lambda r^2)
-    sparse = cfg.with_updates(lambda0=10.0 / (math.pi * 500.0 ** 2))
-    samples = []
-    for seed in range(300):
-        real = sample_topology(sparse, 3000.0, seed)
-        if len(real.users) == 0 or len(real.relays) == 0:
-            continue
-        samples.append(nearest_distances(real, 2)[0])
-    samples = np.array(samples)
-    cdf = lambda r: 1.0 - np.exp(-math.pi * cfg.lambda2 * r ** 2)
-    assert stats.kstest(samples, cdf).pvalue > 0.01
-
-
 def test_nearest_cache_user_distance_ks(cfg):
     # tier-1 targets are the other cache-enabled users, density alpha*lambda0
     samples = []
@@ -101,7 +78,7 @@ def test_nearest_cache_user_distance_ks(cfg):
         real = sample_topology(cfg, 2000.0, seed)
         if len(real.users) == 0:
             continue
-        samples.append(nearest_distances(real, 1)[0])
+        samples.append(_nearest_cache_user(real, np.arange(1))[0][0])
     samples = np.array(samples)
     lam = cfg.alpha * cfg.lambda0
     cdf = lambda r: 1.0 - np.exp(-math.pi * lam * r ** 2)
@@ -113,20 +90,21 @@ def test_association_fractions_match_analysis(cfg):
     # error must be taken across topologies, not across users
     per_rep = {f"g{i}": [] for i in (1, 2, 3)}
     for seed in range(40):
-        a = measure_association(sample_topology(cfg, 3000.0, seed), cfg)
+        real = sample_topology(cfg, 3000.0, seed)
+        geo = _geometry(real, cfg, np.arange(len(real.users)))
+        counts = _association_counts(geo.winner, geo.relay_over_bs)
         for key in per_rep:
-            per_rep[key].append(a[key].value)
+            per_rep[key].append(counts[key] / len(real.users))
     for i in (1, 2, 3):
         ana = first_association_probability(cfg, i)
         vals = per_rep[f"g{i}"]
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         assert abs(float(np.mean(vals)) - ana) < 4.0 * se + 1e-3
     real = sample_topology(cfg, 3000.0, 11)
-    assoc = measure_association(real, cfg)
-    total = sum(assoc[f"g{i}"].value for i in (1, 2, 3))
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert assoc["p123"].value + assoc["p132"].value == pytest.approx(
-        assoc["g1"].value, abs=1e-12)
+    geo = _geometry(real, cfg, np.arange(len(real.users)))
+    counts = _association_counts(geo.winner, geo.relay_over_bs)
+    assert sum(counts[f"g{i}"] for i in (1, 2, 3)) == len(real.users)
+    assert counts["p123"] + counts["p132"] == counts["g1"]
 
 
 def test_single_interferer_sinr_distribution(cfg):
@@ -247,8 +225,6 @@ def test_nearest_other_cache_user_matches_loop(small_topology):
             d = [_loop_distance(real.users[u], node, real.window) for node in nodes]
             assert idx[row] == int(np.argmin(d))
             assert r[row] == pytest.approx(min(d), rel=1e-12)
-    for tier, r in ((1, geo.r_cache), (2, geo.r_relay), (3, geo.r_bs)):
-        np.testing.assert_array_equal(nearest_distances(real, tier), r)
 
 
 @pytest.mark.parametrize("n_cache", [0, 1])
@@ -265,7 +241,6 @@ def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     assert (geo.r_cache[alone] == math.inf).all() and (geo.cache_idx[alone] == -1).all()
     assert np.isfinite(geo.r_cache[~alone]).all() and (geo.cache_idx[~alone] == ref[0]).all()
     assert (geo.winner[alone] != 1).all()
-    np.testing.assert_array_equal(nearest_distances(real, 1), geo.r_cache)
 
 
 def test_interference_weights_match_per_user_loop(small_topology):
@@ -309,7 +284,7 @@ def test_empirical_estimate_ci(cfg):
 
 
 def test_run_monte_carlo_deterministic(cfg):
-    kw = dict(n_topologies=4, n_fading=3, seed=42, window=1500.0, max_users=30,
+    kw = dict(n_topologies=4, seed=42, window=1500.0, max_users=30,
               max_reference_users=60, tau_grid=(0.1,))
     a = run_monte_carlo(cfg, **kw)
     b = run_monte_carlo(cfg, **kw)
@@ -328,7 +303,7 @@ def test_run_monte_carlo_validation_and_retries(cfg):
         run_monte_carlo(cfg, n_topologies=0)
     starved = cfg.with_updates(lambda2=1e-14, lambda3=1e-15)
     with pytest.raises(RuntimeError):
-        run_monte_carlo(starved, n_topologies=1, n_fading=1, window=1000.0)
+        run_monte_carlo(starved, n_topologies=1, window=1000.0)
 
 
 def test_run_monte_carlo_rejects_other_boundaries(cfg):
@@ -338,7 +313,7 @@ def test_run_monte_carlo_rejects_other_boundaries(cfg):
 
 
 def test_run_monte_carlo_alpha_zero_drops_d2d_cases(cfg):
-    s = run_monte_carlo(cfg.with_updates(alpha=0.0), n_topologies=3, n_fading=2,
+    s = run_monte_carlo(cfg.with_updates(alpha=0.0), n_topologies=3,
                         seed=1, window=1500.0, max_users=20, max_reference_users=40)
     assert s.rates[1].n_samples == 3
     assert s.rates[2].n_samples == 0 and math.isnan(s.rates[2].value)
