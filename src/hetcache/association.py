@@ -17,6 +17,7 @@ network model (1 = D2D, 2 = relay, 3 = BS).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,11 +99,15 @@ class StateMatrix:
         return float(self.d[2 * case - 2 : 2 * case].sum())
 
 
+@functools.lru_cache(maxsize=64)
 def _zipf_prefix(gamma: float, n_contents: int) -> np.ndarray:
     """Zipf prefix sums: entry k is f_1 + ... + f_k, entry 0 is 0, so the
-    mass of ranks a..b is prefix[b] - prefix[a - 1]."""
+    mass of ranks a..b is prefix[b] - prefix[a - 1].  Built once per
+    (gamma, n_contents) and shared, so the array is read-only."""
     weights = np.arange(1, n_contents + 1, dtype=float) ** (-gamma)
-    return np.concatenate(([0.0], np.cumsum(weights / weights.sum())))
+    prefix = np.concatenate(([0.0], np.cumsum(weights / weights.sum())))
+    prefix.flags.writeable = False
+    return prefix
 
 
 def state_matrix(cfg: NetworkConfig) -> StateMatrix:

@@ -12,12 +12,16 @@ stationary PPP with no edge, and every user is a reference user.  Nearest
 nodes (the serving relay and BS, and the nearest other cache-enabled user)
 come from one periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
 ``scipy.spatial`` loads on the first query, so the analytic layers never pay
-for it).  Interference is batched per topology and (case, serving tier): one
-dense distance matrix from the reference users to every active D2D
-transmitter, relay and BS becomes a matrix of interference weights P d^-beta,
-in which an excluded node (the reference user itself, its serving node, and
-the nearest other cache-enabled user when that is the strongest node) is
-infinitely far and weighs 0.
+for it).  Interference is computed per topology and (case, serving tier) in
+one pass per block of ``_ROW_BLOCK`` reference users (``_weight_blocks``).
+The node coordinates, the power vector and three block buffers are built
+once.  Each block then takes the squared torus distances to every active D2D
+transmitter, relay and BS and the weights P sq^(-beta/2) (no square root),
+divided by each user's signal power.  An excluded node (the reference user
+itself, its serving node, and the nearest other cache-enabled user when that
+is the strongest node) is infinitely far and weighs 0.  The block goes
+straight into the fading average, so no (users x nodes) matrix is ever built
+and a block stays in cache.
 
 Given a user's topology, with signal power S, weights w_j and noise
 sigma^2, Rayleigh fading gives the coverage in closed form:
@@ -28,7 +32,8 @@ fading out exactly this way (``_fading_average``): outage is
 integral P(e^u) e^u / (1 + e^u) du over u = ln theta, on a Gauss-Legendre
 rule between 0 and the knee u0 = -ln(sum_j a_j + n) and a Gauss-Laguerre
 rule on either side.  log P takes log1p exactly for the strongest
-``_EXACT_TERMS`` weights and a second-order series for the rest.
+``_EXACT_TERMS`` weights and a fourth-order series for the rest; the error
+bounds are stated next to ``_EXACT_TERMS``.
 ``measure_sinr`` keeps a sampled-fading path (one exponential per user,
 node and draw), which checks the closed form.
 
@@ -39,6 +44,7 @@ reproducible and mergeable.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +52,26 @@ import numpy as np
 from .association import active_d2d_density
 from .config import NetworkConfig
 
-# The fading average: log1p taken exactly for this many strongest weights
-# per user; Gauss-Legendre nodes between 0 and the knee, Gauss-Laguerre nodes
-# on either side; rows per block of the (rows x terms x nodes) log1p tensor.
-_EXACT_TERMS = 64
+# The fading average takes log1p exactly for the _EXACT_TERMS strongest
+# weights of a row.  The rest, each at most a_next, go through
+# log1p(x) = x - x^2/2 + x^3/3 - x^4/4 + r(x), with 0 <= r(x) <= x^5/5.
+# Where x = theta a_next <= 1/2, the series makes the coverage P too high by
+# P (e^(sum r) - 1).  Every exact term is at least log1p(x), and
+# log1p(x) >= 0.81 x, so that error is below
+# (1 + x)^-32 e^(-0.81 s) (e^(x^4 s / 5) - 1) < 5.3e-7 (the worst x is 1/7),
+# where s = theta times the sum of the rest.  Where x > 1/2, the rest enters
+# as e^(-theta a_j) in place of 1 / (1 + theta a_j).  That makes P too low by
+# less than 1.5^-32 max_s (1 / (1 + s) - e^-s) < 4.8e-7.  Both bounds hold
+# for the outage too, absolutely and relative to it.  With the series cut
+# after the cubic term, the first bound would be 5.4e-6.
+_EXACT_TERMS = 32
+# Gauss-Legendre nodes between 0 and the knee, Gauss-Laguerre nodes on
+# either side; rows per block of the fused weights and fading pass.
 _KNEE_X, _KNEE_W = np.polynomial.legendre.leggauss(32)
 _KNEE_X, _KNEE_W = (_KNEE_X + 1.0) / 2.0, _KNEE_W / 2.0
 _TAIL_X, _TAIL_W = np.polynomial.laguerre.laggauss(40)
 _TAIL_W = _TAIL_W * np.exp(_TAIL_X)
-_ROW_BLOCK = 16
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -121,39 +138,6 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
         keep = act.lambda1_active / (cfg.alpha * cfg.lambda0)
         active_flags = cache_flags & (rng.random(len(users)) < keep)
     return SpatialRealization(window, users, relays, bs, cache_flags, active_flags, seed)
-
-
-def _distances(points: np.ndarray, targets: np.ndarray, window: float) -> np.ndarray:
-    """(len(points), len(targets)) torus distance matrix.
-
-    Squared offsets are added one axis at a time into the result, so the
-    working set is three (points x targets) arrays.
-    """
-    shape = (len(points), len(targets))
-    sq = np.zeros(shape)
-    delta = np.empty(shape)
-    wrapped = np.empty(shape)
-    for axis in range(2):
-        np.subtract.outer(points[:, axis], targets[:, axis], out=delta)
-        np.abs(delta, out=delta)
-        np.subtract(window, delta, out=wrapped)
-        np.minimum(delta, wrapped, out=delta)
-        np.multiply(delta, delta, out=delta)
-        sq += delta
-    return np.sqrt(sq, out=sq)
-
-
-def _exclude(d: np.ndarray, row_users: np.ndarray, col_users: np.ndarray) -> None:
-    """Set d[r, c] to inf wherever col_users[c] == row_users[r].
-
-    ``col_users`` is sorted and holds each user at most once, so every row
-    matches at most one column.
-    """
-    if len(col_users) == 0:
-        return
-    col = np.minimum(np.searchsorted(col_users, row_users), len(col_users) - 1)
-    hit = col_users[col] == row_users
-    d[np.flatnonzero(hit), col[hit]] = math.inf
 
 
 def _nearest(points: np.ndarray, targets: np.ndarray, window: float,
@@ -242,49 +226,78 @@ def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: 
     return np.flatnonzero(~caching & (geo.winner == 1) & pick)
 
 
-def _interference_weights(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                          rows: np.ndarray, case_id: int, tier: int) -> np.ndarray:
-    """Interference weights P_j d_j^-beta, shape (len(rows), nodes).
+def _columns(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each of ``ids`` in ``sorted_ids`` (sorted, each id at most
+    once), or -1 where it is absent."""
+    if len(sorted_ids) == 0:
+        return np.full(len(ids), -1)
+    col = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
+    return np.where(sorted_ids[col] == ids, col, -1)
 
-    Columns are every active D2D transmitter (in user order), then every
-    relay, then every BS.  A node that does not interfere weighs 0: the
+
+def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
+                   rows: np.ndarray, case_id: int,
+                   tier: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Relative interference of ``rows`` in one (case, serving tier), in
+    blocks of ``_ROW_BLOCK`` rows.
+
+    Yields ``(block, a, n)``: ``block`` slices ``rows``; ``a`` (rows in the
+    block, nodes) holds the interference weights P_j d_j^-beta and ``n`` the
+    noise, both divided by each row's mean signal power from its serving
+    node.  Columns are every active D2D transmitter (in user order), then
+    every relay, then every BS.  A node that does not interfere weighs 0: the
     reference user itself, the serving relay or BS, and (when the strongest
-    node is a cache-enabled user, i.e. case 1/tier 1 and case 3) that
-    nearest cache-enabled user.
+    node is a cache-enabled user, i.e. case 1/tier 1 and case 3) that nearest
+    cache-enabled user.  ``a`` is a view of a buffer that the next block
+    overwrites.
     """
     d2d_served = case_id == 1 and tier == 1
     ref = geo.ref[rows]
     active = np.flatnonzero(real.active_flags)
-    nodes = np.concatenate((real.users[active], real.relays, real.bs))
+    node_x, node_y = np.concatenate((real.users[active], real.relays, real.bs)).T.copy()
     power = np.repeat((cfg.p1, cfg.p2, cfg.p3), (len(active), len(real.relays), len(real.bs)))
-    d = _distances(real.users[ref], nodes, real.window)
-    d2d = d[:, :len(active)]
-    _exclude(d2d, ref, active)
-    if d2d_served or case_id == 3:
-        _exclude(d2d, geo.cache_idx[rows], active)
-    if not d2d_served:
-        serving = geo.relay_idx[rows] if tier == 2 else len(real.relays) + geo.bs_idx[rows]
-        d[np.arange(len(rows)), len(active) + serving] = math.inf
-    np.power(d, -cfg.beta, out=d)
-    d *= power
-    return d
-
-
-def _relative_interference(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                           rows: np.ndarray, case_id: int,
-                           tier: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interference weights (len(rows), nodes) and noise (len(rows),), both
-    divided by each row's mean signal power from its serving node."""
-    if case_id == 1 and tier == 1:
+    if d2d_served:
         r_serv, p_serv = geo.r_cache[rows], cfg.p1
     elif tier == 2:
         r_serv, p_serv = geo.r_relay[rows], cfg.p2
     else:
         r_serv, p_serv = geo.r_bs[rows], cfg.p3
     signal = p_serv * r_serv ** (-cfg.beta)
-    w = _interference_weights(real, cfg, geo, rows, case_id, tier)
-    w /= signal[:, None]
-    return w, cfg.noise / signal
+    noise = cfg.noise / signal
+    # per row, the columns that do not interfere (-1: none)
+    excluded = [_columns(active, ref)]
+    if d2d_served or case_id == 3:
+        excluded.append(_columns(active, geo.cache_idx[rows]))
+    if not d2d_served:
+        serving = geo.relay_idx[rows] if tier == 2 else len(real.relays) + geo.bs_idx[rows]
+        excluded.append(len(active) + serving)
+    user_x, user_y = real.users[ref].T
+
+    window, exponent = real.window, -cfg.beta / 2.0
+    shape = (min(_ROW_BLOCK, len(rows)), len(node_x))
+    sq_buf, delta_buf, wrap_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, min(start + _ROW_BLOCK, len(rows)))
+        b = block.stop - start
+        sq, delta, wrapped = sq_buf[:b], delta_buf[:b], wrap_buf[:b]
+        # squared torus distances: the x offsets squared into sq, the y
+        # offsets squared into delta
+        for users, targets, out in ((user_x, node_x, sq), (user_y, node_y, delta)):
+            np.subtract.outer(users[block], targets, out=delta)
+            np.abs(delta, out=delta)
+            np.subtract(window, delta, out=wrapped)
+            np.minimum(delta, wrapped, out=delta)
+            np.multiply(delta, delta, out=out)
+        sq += delta
+        for cols in excluded:
+            cols = cols[block]
+            hit = np.flatnonzero(cols >= 0)
+            sq[hit, cols[hit]] = math.inf
+        # P d^-beta = P sq^(-beta/2); an excluded node is infinitely far
+        np.power(sq, exponent, out=sq)
+        sq *= power
+        sq /= signal[block, None]
+        yield block, sq, noise[block]
 
 
 def _fading_average(a: np.ndarray, n: np.ndarray,
@@ -295,30 +308,34 @@ def _fading_average(a: np.ndarray, n: np.ndarray,
     ``a`` (rows, nodes) holds the interference weights and ``n`` (rows,) the
     noise, both divided by the signal power; every row needs a positive
     interference or noise.  Returns the rates (rows,) and the outage
-    (rows, len(taus)).
+    (rows, len(taus)).  All rows are evaluated at once, so callers pass a
+    block of ``_ROW_BLOCK`` rows (``_weight_blocks``).
     """
     rows, nodes = a.shape
     k = min(_EXACT_TERMS, nodes)
     part = np.partition(a, nodes - k, axis=1)
     top, rest = part[:, nodes - k:], part[:, :nodes - k]
+    rest2 = rest * rest
     first = rest.sum(axis=1) + n
-    second = np.einsum("rn,rn->r", rest, rest)
+    second = rest2.sum(axis=1)
+    third = np.einsum("rn,rn->r", rest2, rest)
+    fourth = np.einsum("rn,rn->r", rest2, rest2)
     a_next = rest.max(axis=1, initial=0.0)
 
-    u0 = -np.log(a.sum(axis=1) + n)
+    u0 = -np.log(top.sum(axis=1) + first)
     lo, hi = np.minimum(u0, 0.0)[:, None], np.maximum(u0, 0.0)[:, None]
     u = np.hstack((lo + (hi - lo) * _KNEE_X, hi + _TAIL_X, lo - _TAIL_X))
     weights = np.hstack(((hi - lo) * _KNEE_W, np.tile(_TAIL_W, (rows, 2))))
     theta = np.hstack((np.exp(u), np.tile(np.asarray(taus, dtype=float), (rows, 1))))
 
-    log_p = np.empty_like(theta)
-    for r in range(0, rows, _ROW_BLOCK):
-        block = slice(r, r + _ROW_BLOCK)
-        log_p[block] = -np.log1p(top[block, :, None] * theta[block, None, :]).sum(axis=1)
-    # the rest: log1p(x) = x - x^2/2 + O(x^3); where theta * a_next > 1/2 the
-    # exact terms alone already bound P below 1.5**-_EXACT_TERMS
+    terms = top[:, :, None] * theta[:, None, :]
+    log_p = -np.log1p(terms, out=terms).sum(axis=1)
     log_p -= theta * first[:, None]
-    log_p += np.where(theta * a_next[:, None] <= 0.5, 0.5 * theta ** 2 * second[:, None], 0.0)
+    # the rest through the series of log1p where theta a_next <= 1/2; the
+    # error bounds are stated at _EXACT_TERMS
+    th = np.where(theta * a_next[:, None] <= 0.5, theta, 0.0)
+    log_p += th * th * (second[:, None] / 2.0
+                        - th * (third[:, None] / 3.0 - th * fourth[:, None] / 4.0))
 
     m = u.shape[1]
     rate = np.einsum("rm,rm->r", np.exp(log_p[:, :m]) * weights, 1.0 / (1.0 + np.exp(-u)))
@@ -332,12 +349,12 @@ def measure_sinr(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tie
     rng = np.random.default_rng(seed)
     geo = _geometry(real, cfg, np.arange(len(real.users)))
     rows = _case_members(geo, real, case_id, tier)
-    a, n = _relative_interference(real, cfg, geo, rows, case_id, tier)
     out = rng.standard_exponential((len(rows), n_fading))
-    fading = np.empty((a.shape[1], n_fading))
-    for r in range(len(rows)):
-        rng.standard_exponential(out=fading)
-        out[r] /= a[r] @ fading + n[r]
+    for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
+        fading = np.empty((a.shape[1], n_fading))
+        for r in range(len(a)):
+            rng.standard_exponential(out=fading)
+            out[block.start + r] /= a[r] @ fading + n[r]
     return out
 
 
@@ -429,8 +446,9 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
                 rows = _case_members(geo, real, case_id, tier)
                 if len(rows) > max_users:
                     rows = rng.choice(rows, size=max_users, replace=False)
-                rate, outage = _fading_average(
-                    *_relative_interference(real, cfg, geo, rows, case_id, tier), tau_grid)
+                rate, outage = np.empty(len(rows)), np.empty((len(rows), len(tau_grid)))
+                for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
+                    rate[block], outage[block] = _fading_average(a, n, tau_grid)
                 rates.append(rate)
                 outages.append(outage)
             rate, outage = np.concatenate(rates), np.concatenate(outages)

@@ -52,6 +52,18 @@ def test_zipf_cache_hit_mass_default_set():
     assert expect == pytest.approx(0.2596280468, abs=5e-10)
 
 
+def test_zipf_prefix_is_cached_read_only(cfg):
+    # one shared array per (gamma, n_contents): read-only, equal to a fresh build
+    prefix = _zipf_prefix(cfg.gamma, cfg.n_contents)
+    state_matrix(cfg)
+    active_d2d_density(cfg)
+    assert _zipf_prefix(cfg.gamma, cfg.n_contents) is prefix
+    assert not prefix.flags.writeable
+    with pytest.raises(ValueError):
+        prefix[1] = 0.0
+    np.testing.assert_array_equal(prefix, _zipf_prefix.__wrapped__(cfg.gamma, cfg.n_contents))
+
+
 def test_ordering_probabilities_sum_to_one(cfg):
     total = sum(ordering_probability(cfg, p) for p in itertools.permutations((1, 2, 3)))
     assert total == pytest.approx(1.0, abs=1e-12)

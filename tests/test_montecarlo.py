@@ -12,6 +12,7 @@ from hetcache import (
     run_monte_carlo,
     sample_topology,
 )
+from hetcache import montecarlo
 from hetcache.association import active_d2d_density
 from hetcache.montecarlo import (
     _CASE_TIERS,
@@ -20,9 +21,8 @@ from hetcache.montecarlo import (
     _case_members,
     _fading_average,
     _geometry,
-    _interference_weights,
     _nearest_cache_user,
-    _relative_interference,
+    _weight_blocks,
 )
 
 
@@ -122,6 +122,13 @@ def test_single_interferer_sinr_distribution(cfg):
     assert stats.kstest(sinr / scale, cdf).pvalue > 0.01
 
 
+def _relative_weights(real, cfg, geo, rows, case_id, tier):
+    """All of ``rows``' relative weights (rows, nodes) and noise (rows,),
+    stacked from the producer's blocks."""
+    blocks = [(a.copy(), n) for _, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier)]
+    return np.vstack([a for a, _ in blocks]), np.concatenate([n for _, n in blocks])
+
+
 def _quad_fading_average(a, n, taus):
     """One row's rate and outage from adaptive QUADPACK over u = ln(theta),
     split at 0, the knee and -ln(max a), with the exact log1p sum."""
@@ -151,7 +158,7 @@ def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
-            a, n = _relative_interference(real, c, geo, rows, case_id, tier)
+            a, n = _relative_weights(real, c, geo, rows, case_id, tier)
             rate, outage = _fading_average(a, n, taus)
             total = a.sum(axis=1)
             picks = {int(np.argmin(total)), int(np.argmax(total)),
@@ -172,6 +179,26 @@ def test_fading_average_single_interferer(a):
     np.testing.assert_allclose(outage[0], [t * a / (1.0 + t * a) for t in taus], rtol=1e-12)
 
 
+@pytest.mark.parametrize("count, a, taus", [
+    # 200 weights just above theta a = 1/2 at tau = 0.1, where the series
+    # switches off
+    (200, 5.1, (0.1, 10.0 ** -0.5)),
+    # 33, so that one weight falls past the exact terms; theta a runs from
+    # 5e-3 to 5, through both sides of the series switch
+    (33, 5.1, tuple(np.geomspace(1e-3, 1.0, 31))),
+    # 40 through theta a = 1/7, the worst equal weights for the series bound
+    (40, 1.0, tuple(np.geomspace(0.05, 0.5, 31))),
+])
+def test_fading_average_series_bound(count, a, taus):
+    # adversarial rows of equal weights against the closed form
+    # prod_j 1 / (1 + theta a_j)
+    row = np.full((1, count), a)
+    rate, outage = _fading_average(row, np.zeros(1), taus)
+    expect = [-math.expm1(-count * math.log1p(t * a)) for t in taus]
+    np.testing.assert_allclose(outage[0], expect, rtol=1e-6, atol=0.0)
+    assert rate[0] == pytest.approx(_quad_fading_average(row[0], 0.0, ())[0], rel=1e-5)
+
+
 def test_fading_average_matches_sampled_sinr(cfg):
     # per row, the closed form against the mean of 4000 sampled-fading SINRs
     c = cfg.with_updates(alpha=0.25)
@@ -183,7 +210,7 @@ def test_fading_average_matches_sampled_sinr(cfg):
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
             rate, outage = _fading_average(
-                *_relative_interference(real, c, geo, rows, case_id, tier), taus)
+                *_relative_weights(real, c, geo, rows, case_id, tier), taus)
             sinr = measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5)
             log_rate = np.log1p(sinr)
             se = log_rate.std(axis=1, ddof=1) / math.sqrt(n_fading)
@@ -243,16 +270,26 @@ def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     assert (geo.winner[alone] != 1).all()
 
 
-def test_interference_weights_match_per_user_loop(small_topology):
-    # the batched (rows x nodes) matrix against the per-user construction:
-    # active D2D transmitters, relays, BSs; excluded nodes weigh 0
+def test_interference_weights_match_per_user_loop(small_topology, monkeypatch):
+    # the producer's blocks against the per-user construction: active D2D
+    # transmitters, relays, BSs; excluded nodes weigh 0; weights and noise
+    # are divided by the serving signal power.  The block size does not
+    # divide the row count, so the last block is a partial one.
     c, real, geo = small_topology
+    c = c.with_updates(noise=1e-12)
     rows = np.arange(len(geo.ref))
+    block_rows = 7
+    assert len(rows) % block_rows != 0
+    monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block_rows)
     active = np.flatnonzero(real.active_flags)
     for case_id, tiers in _CASE_TIERS.items():
         for tier in tiers:
             d2d_served = case_id == 1 and tier == 1
-            got = _interference_weights(real, c, geo, rows, case_id, tier)
+            blocks = [(block, a.copy(), n) for block, a, n
+                      in _weight_blocks(real, c, geo, rows, case_id, tier)]
+            assert [(b.start, b.stop) for b, _, _ in blocks] == [
+                (r, min(r + block_rows, len(rows))) for r in range(0, len(rows), block_rows)]
+            got = np.vstack([a for _, a, _ in blocks])
             expect = np.zeros_like(got)
             for row in rows:
                 u, pos = geo.ref[row], real.users[geo.ref[row]]
@@ -271,8 +308,14 @@ def test_interference_weights_match_per_user_loop(small_topology):
                             d = _loop_distance(pos, node, real.window)
                             expect[row, col] = p * d ** -c.beta
                         col += 1
+            r_serv, p_serv = ((geo.r_cache, c.p1) if d2d_served else
+                              (geo.r_relay, c.p2) if tier == 2 else (geo.r_bs, c.p3))
+            signal = p_serv * r_serv[rows] ** -c.beta
+            expect /= signal[:, None]
             assert np.array_equal(got == 0.0, expect == 0.0), (case_id, tier)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(np.concatenate([n for *_, n in blocks]),
+                                       c.noise / signal, rtol=1e-12, atol=0.0)
 
 
 def test_empirical_estimate_ci(cfg):
@@ -296,6 +339,36 @@ def test_run_monte_carlo_deterministic(cfg):
         assert a.outage[k].value == b.outage[k].value
     for k in a.association:
         assert a.association[k].value == b.association[k].value
+
+
+def test_run_monte_carlo_is_block_invariant(cfg, monkeypatch):
+    # the summary does not depend on how the rows are blocked; in the small
+    # window some (case, tier) has no member and some has a single one
+    sizes = []
+    producer = montecarlo._weight_blocks
+
+    def counted(real, c, geo, rows, case_id, tier):
+        sizes.append(len(rows))
+        return producer(real, c, geo, rows, case_id, tier)
+
+    monkeypatch.setattr(montecarlo, "_weight_blocks", counted)
+    kw = dict(n_topologies=6, seed=3, window=1000.0, max_users=40,
+              max_reference_users=20, tau_grid=(0.1, 1.0))
+    runs = []
+    for block_rows in (1, 7, montecarlo._ROW_BLOCK):
+        monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block_rows)
+        runs.append(run_monte_carlo(cfg.with_updates(alpha=0.05), **kw))
+    assert 0 in sizes and 1 in sizes
+    default = runs[-1]
+    for run in runs[:-1]:
+        for group in ("rates", "outage", "association"):
+            got, expect = getattr(run, group), getattr(default, group)
+            assert got.keys() == expect.keys()
+            for key in expect:
+                np.testing.assert_allclose(
+                    [got[key].value, got[key].std_error],
+                    [expect[key].value, expect[key].std_error], rtol=1e-14, atol=0.0)
+                assert got[key].n_samples == expect[key].n_samples
 
 
 def test_run_monte_carlo_validation_and_retries(cfg):
