@@ -25,7 +25,6 @@ from .montecarlo import (
     EmpiricalEstimate,
     MonteCarloSummary,
     SpatialRealization,
-    measure_sinr,
     run_monte_carlo,
     sample_topology,
 )

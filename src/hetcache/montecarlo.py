@@ -15,13 +15,14 @@ come from one periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
 for it).  Interference is computed per topology and (case, serving tier) in
 one pass per block of ``_ROW_BLOCK`` reference users (``_weight_blocks``).
 The node coordinates, the power vector and three block buffers are built
-once.  Each block then takes the squared torus distances to every active D2D
-transmitter, relay and BS and the weights P sq^(-beta/2) (no square root),
-divided by each user's signal power.  An excluded node (the reference user
-itself, its serving node, and the nearest other cache-enabled user when that
-is the strongest node) is infinitely far and weighs 0.  The block goes
-straight into the fading average, so no (users x nodes) matrix is ever built
-and a block stays in cache.
+once.  Each block then takes the squared torus distances sq to every active
+D2D transmitter, relay and BS and the weights P sq^(-beta/2) (no square
+root), divided by each user's signal power.  At beta = 4 a weight is
+(sqrt(P) / sq)^2, a division and a square in place of ``np.power``.  An
+excluded node (the reference user itself, its serving node, and the nearest
+other cache-enabled user when that is the strongest node) is infinitely far
+and weighs 0.  The block goes straight into the fading average, so no
+(users x nodes) matrix is ever built and a block stays in cache.
 
 Given a user's topology, with signal power S, weights w_j and noise
 sigma^2, Rayleigh fading gives the coverage in closed form:
@@ -29,13 +30,11 @@ P(SINR > theta) = exp(-theta n) prod_j 1 / (1 + theta a_j), where
 a_j = w_j / S and n = sigma^2 / S.  ``run_monte_carlo`` averages the
 fading out exactly this way (``_fading_average``): outage is
 -expm1(log P(tau)), and the ergodic rate is
-integral P(e^u) e^u / (1 + e^u) du over u = ln theta, on a Gauss-Legendre
-rule between 0 and the knee u0 = -ln(sum_j a_j + n) and a Gauss-Laguerre
-rule on either side.  log P takes log1p exactly for the strongest
-``_EXACT_TERMS`` weights and a fourth-order series for the rest; the error
-bounds are stated next to ``_EXACT_TERMS``.
-``measure_sinr`` keeps a sampled-fading path (one exponential per user,
-node and draw), which checks the closed form.
+integral P(e^u) e^u / (1 + e^u) du over u = ln theta, on a 24-node
+Gauss-Legendre rule between 0 and the knee u0 = -ln(sum_j a_j + n) and a
+32-node Gauss-Laguerre rule on either side.  log P takes log1p exactly for
+the strongest ``_EXACT_TERMS`` weights and a fourth-order series for the
+rest; the error bounds are stated next to ``_EXACT_TERMS``.
 
 Replications split a master seed through ``SeedSequence`` so runs are
 reproducible and mergeable.
@@ -66,11 +65,18 @@ from .config import NetworkConfig
 # after the cubic term, the first bound would be 5.4e-6.
 _EXACT_TERMS = 32
 # Gauss-Legendre nodes between 0 and the knee, Gauss-Laguerre nodes on
-# either side; rows per block of the fused weights and fading pass.
-_KNEE_X, _KNEE_W = np.polynomial.legendre.leggauss(32)
+# either side.
+_KNEE_X, _KNEE_W = np.polynomial.legendre.leggauss(24)
 _KNEE_X, _KNEE_W = (_KNEE_X + 1.0) / 2.0, _KNEE_W / 2.0
-_TAIL_X, _TAIL_W = np.polynomial.laguerre.laggauss(40)
-_TAIL_W = _TAIL_W * np.exp(_TAIL_X)
+_TAIL_X, _TAIL_W = np.polynomial.laguerre.laggauss(32)
+# the rate nodes u = (lo, hi, 1) @ _RATE_U: lo + (hi - lo) x between the knee
+# and 0, then hi + x and lo - x on the tails; _TAIL_W weighs both tails
+_RATE_U = np.stack([np.concatenate(parts) for parts in (
+    (1.0 - _KNEE_X, np.zeros_like(_TAIL_X), np.ones_like(_TAIL_X)),
+    (_KNEE_X, np.ones_like(_TAIL_X), np.zeros_like(_TAIL_X)),
+    (np.zeros_like(_KNEE_X), _TAIL_X, -_TAIL_X))])
+_TAIL_W = np.tile(_TAIL_W * np.exp(_TAIL_X), 2)
+# rows per block of the fused weights and fading pass
 _ROW_BLOCK = 32
 
 
@@ -274,6 +280,7 @@ def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
     user_x, user_y = real.users[ref].T
 
     window, exponent = real.window, -cfg.beta / 2.0
+    root_power = np.sqrt(power)
     shape = (min(_ROW_BLOCK, len(rows)), len(node_x))
     sq_buf, delta_buf, wrap_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     for start in range(0, len(rows), _ROW_BLOCK):
@@ -293,9 +300,14 @@ def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
             cols = cols[block]
             hit = np.flatnonzero(cols >= 0)
             sq[hit, cols[hit]] = math.inf
-        # P d^-beta = P sq^(-beta/2); an excluded node is infinitely far
-        np.power(sq, exponent, out=sq)
-        sq *= power
+        # P d^-beta = P sq^(-beta/2), at beta = 4 as (sqrt(P) / sq)^2; an
+        # excluded node is infinitely far
+        if cfg.beta == 4.0:
+            np.divide(root_power, sq, out=sq)
+            np.square(sq, out=sq)
+        else:
+            np.power(sq, exponent, out=sq)
+            sq *= power
         sq /= signal[block, None]
         yield block, sq, noise[block]
 
@@ -307,26 +319,34 @@ def _fading_average(a: np.ndarray, n: np.ndarray,
 
     ``a`` (rows, nodes) holds the interference weights and ``n`` (rows,) the
     noise, both divided by the signal power; every row needs a positive
-    interference or noise.  Returns the rates (rows,) and the outage
-    (rows, len(taus)).  All rows are evaluated at once, so callers pass a
-    block of ``_ROW_BLOCK`` rows (``_weight_blocks``).
+    interference or noise.  Each row of ``a`` is reordered in place (a
+    partition that puts its ``_EXACT_TERMS`` largest weights last).
+    Returns the rates (rows,) and the outage (rows, len(taus)).  All rows
+    are evaluated at once, so callers pass a block of ``_ROW_BLOCK`` rows
+    (``_weight_blocks``).
     """
     rows, nodes = a.shape
     k = min(_EXACT_TERMS, nodes)
-    part = np.partition(a, nodes - k, axis=1)
-    top, rest = part[:, nodes - k:], part[:, :nodes - k]
+    if k < nodes:
+        # the largest of the rest, a_next, lands in column nodes - k - 1
+        a.partition(nodes - k - 1, axis=1)
+        a_next = a[:, nodes - k - 1]
+    else:
+        a_next = np.zeros(rows)
+    top, rest = a[:, nodes - k:], a[:, :nodes - k]
     rest2 = rest * rest
     first = rest.sum(axis=1) + n
     second = rest2.sum(axis=1)
     third = np.einsum("rn,rn->r", rest2, rest)
     fourth = np.einsum("rn,rn->r", rest2, rest2)
-    a_next = rest.max(axis=1, initial=0.0)
 
     u0 = -np.log(top.sum(axis=1) + first)
-    lo, hi = np.minimum(u0, 0.0)[:, None], np.maximum(u0, 0.0)[:, None]
-    u = np.hstack((lo + (hi - lo) * _KNEE_X, hi + _TAIL_X, lo - _TAIL_X))
-    weights = np.hstack(((hi - lo) * _KNEE_W, np.tile(_TAIL_W, (rows, 2))))
-    theta = np.hstack((np.exp(u), np.tile(np.asarray(taus, dtype=float), (rows, 1))))
+    lo, hi = np.minimum(u0, 0.0), np.maximum(u0, 0.0)
+    knee, m = len(_KNEE_X), _RATE_U.shape[1]
+    u = np.column_stack((lo, hi, np.ones(rows))) @ _RATE_U
+    theta = np.empty((rows, m + len(taus)))
+    np.exp(u, out=theta[:, :m])
+    theta[:, m:] = taus
 
     terms = top[:, :, None] * theta[:, None, :]
     log_p = -np.log1p(terms, out=terms).sum(axis=1)
@@ -337,25 +357,11 @@ def _fading_average(a: np.ndarray, n: np.ndarray,
     log_p += th * th * (second[:, None] / 2.0
                         - th * (third[:, None] / 3.0 - th * fourth[:, None] / 4.0))
 
-    m = u.shape[1]
-    rate = np.einsum("rm,rm->r", np.exp(log_p[:, :m]) * weights, 1.0 / (1.0 + np.exp(-u)))
+    # the rate integrand P(e^u) e^u / (1 + e^u) at the rule's nodes
+    f = np.exp(log_p[:, :m])
+    f /= 1.0 + np.exp(-u)
+    rate = (hi - lo) * (f[:, :knee] @ _KNEE_W) + f[:, knee:] @ _TAIL_W
     return rate, -np.expm1(log_p[:, m:])
-
-
-def measure_sinr(real: SpatialRealization, cfg: NetworkConfig, case_id: int, tier: int,
-                 n_fading: int, seed: int) -> np.ndarray:
-    """Sampled SINR, shape (users, n_fading), for the users in one
-    (case, serving tier): every (user, node, draw) fades independently."""
-    rng = np.random.default_rng(seed)
-    geo = _geometry(real, cfg, np.arange(len(real.users)))
-    rows = _case_members(geo, real, case_id, tier)
-    out = rng.standard_exponential((len(rows), n_fading))
-    for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
-        fading = np.empty((a.shape[1], n_fading))
-        for r in range(len(a)):
-            rng.standard_exponential(out=fading)
-            out[block.start + r] /= a[r] @ fading + n[r]
-    return out
 
 
 @dataclass(frozen=True)

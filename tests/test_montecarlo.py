@@ -8,7 +8,6 @@ from scipy import integrate, special, stats
 from hetcache import (
     EmpiricalEstimate,
     first_association_probability,
-    measure_sinr,
     run_monte_carlo,
     sample_topology,
 )
@@ -107,6 +106,21 @@ def test_association_fractions_match_analysis(cfg):
     assert counts["p123"] + counts["p132"] == counts["g1"]
 
 
+def _measure_sinr(real, cfg, case_id, tier, n_fading, seed):
+    """Sampled SINR, shape (users, n_fading), for the users in one
+    (case, serving tier): every (user, node, draw) fades independently."""
+    rng = np.random.default_rng(seed)
+    geo = _geometry(real, cfg, np.arange(len(real.users)))
+    rows = _case_members(geo, real, case_id, tier)
+    out = rng.standard_exponential((len(rows), n_fading))
+    for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
+        fading = np.empty((a.shape[1], n_fading))
+        for r in range(len(a)):
+            rng.standard_exponential(out=fading)
+            out[block.start + r] /= a[r] @ fading + n[r]
+    return out
+
+
 def test_single_interferer_sinr_distribution(cfg):
     # one non-caching user, its serving BS, and a single far relay interferer:
     # the SIR is a ratio of independent exponentials with CDF x / (x + 1)
@@ -116,7 +130,7 @@ def test_single_interferer_sinr_distribution(cfg):
     relays = np.array([[500.0, 900.0]])
     flags = np.array([False])
     real = SpatialRealization(1000.0, users, relays, bs, flags, flags, 0)
-    sinr = measure_sinr(real, c, 1, 3, n_fading=4000, seed=5).ravel()
+    sinr = _measure_sinr(real, c, 1, 3, n_fading=4000, seed=5).ravel()
     scale = (c.p3 * 100.0 ** -c.beta) / (c.p2 * 400.0 ** -c.beta)
     cdf = lambda x: x / (x + 1.0)
     assert stats.kstest(sinr / scale, cdf).pvalue > 0.01
@@ -211,7 +225,7 @@ def test_fading_average_matches_sampled_sinr(cfg):
             assert len(rows) > 0
             rate, outage = _fading_average(
                 *_relative_weights(real, c, geo, rows, case_id, tier), taus)
-            sinr = measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5)
+            sinr = _measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5)
             log_rate = np.log1p(sinr)
             se = log_rate.std(axis=1, ddof=1) / math.sqrt(n_fading)
             assert (abs(log_rate.mean(axis=1) - rate) <= 4.0 * se).all(), (case_id, tier)
@@ -270,13 +284,16 @@ def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     assert (geo.winner[alone] != 1).all()
 
 
-def test_interference_weights_match_per_user_loop(small_topology, monkeypatch):
+@pytest.mark.parametrize("beta", [4.0, 3.5])
+def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, beta):
     # the producer's blocks against the per-user construction: active D2D
     # transmitters, relays, BSs; excluded nodes weigh 0; weights and noise
     # are divided by the serving signal power.  The block size does not
-    # divide the row count, so the last block is a partial one.
+    # divide the row count, so the last block is a partial one.  beta = 4
+    # takes the weights as a square, any other beta through a power.
     c, real, geo = small_topology
-    c = c.with_updates(noise=1e-12)
+    c = c.with_updates(noise=1e-12, beta=beta)
+    geo = _geometry(real, c, geo.ref)
     rows = np.arange(len(geo.ref))
     block_rows = 7
     assert len(rows) % block_rows != 0
