@@ -7,6 +7,11 @@ distance integral on a fixed double-exponential rule with noise, and
 case 3's fixed-rule integral over the normalized blocker distance
 (interference-limited only).  Case 4 (own cache) never
 experiences outage.
+
+The threshold ``tau`` may be a float or a 1-D array of thresholds.  An
+array is evaluated in one coverage pass, and each of its values is
+bit-identical to the float call at that threshold, so a CDF curve costs one
+call per (config, case) rather than one per threshold.
 """
 
 from __future__ import annotations
@@ -17,10 +22,20 @@ from .config import NetworkConfig
 from .rates import _coverage, _Kernels
 
 
-def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float) -> float:
+def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
     """CDF of the SINR at threshold ``tau`` for the given case and serving
     tier, which is the outage probability P(SINR < tau).  Case 4 involves no
-    radio link, so its outage is exactly zero at every tier."""
+    radio link, so its outage is exactly zero at every tier.
+
+    A float ``tau`` gives a float; a 1-D array (or sequence) of thresholds
+    gives an array of outages, one per threshold."""
+    if not isinstance(tau, (int, float)):
+        taus = np.asarray(tau, dtype=float)
+        if taus.ndim == 1:
+            return _sinr_cdf_array(cfg, case_id, tier, taus)
+        if taus.ndim:
+            raise ValueError("SINR thresholds must be a float or a 1-D array")
+        tau = float(taus)
     if tau < 0.0:
         raise ValueError("SINR threshold must be non-negative")
     if case_id == 4:
@@ -29,3 +44,16 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau: float) -> float:
     if not -1e-12 <= value <= 1.0 + 1e-12:
         raise ValueError(f"outage probability {value} outside [0, 1]")
     return value
+
+
+def _sinr_cdf_array(cfg: NetworkConfig, case_id: int, tier: int, taus: np.ndarray) -> np.ndarray:
+    """``sinr_cdf`` on a 1-D threshold array, under the float path's checks."""
+    if np.any(taus < 0.0):
+        raise ValueError("SINR threshold must be non-negative")
+    if case_id == 4:
+        return np.zeros(len(taus))
+    values = 1.0 - _coverage(cfg, case_id, tier, _Kernels(taus, cfg.beta))
+    valid = (values >= -1e-12) & (values <= 1.0 + 1e-12)
+    if not valid.all():
+        raise ValueError(f"outage probability {values[~valid][0]} outside [0, 1]")
+    return values

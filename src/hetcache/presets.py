@@ -95,13 +95,20 @@ def _cdf_rows(cfg: NetworkConfig, taus_db, column: str) -> list[dict]:
     2 and 3 need cache-enabled users, and case 3 is defined without noise
     only (the rule of ``case_rate_table``)."""
     cases = (1, 2, 3) if cfg.noise == 0.0 else (1, 2)
+    cdf = _cdf_columns(cfg, [c for c in cases if c == 1 or cfg.alpha != 0.0], taus_db)
     return [
-        {"tau_db": tau_db, "case": case_id,
-         column: sinr_cdf(cfg, case_id, 3, db_to_linear(tau_db))}
-        for tau_db in taus_db
-        for case_id in cases
-        if case_id == 1 or cfg.alpha != 0.0
+        {"tau_db": tau_db, "case": case_id, column: values[i]}
+        for i, tau_db in enumerate(taus_db)
+        for case_id, values in cdf.items()
     ]
+
+
+def _cdf_columns(cfg: NetworkConfig, cases, taus_db) -> dict[int, list[float]]:
+    """SINR CDF at BS serving of each case over a dB grid, one coverage pass
+    per case; each threshold is ``db_to_linear`` of a float, as in a
+    one-threshold call, so the values are the same bits."""
+    taus = [db_to_linear(t) for t in taus_db]
+    return {case_id: sinr_cdf(cfg, case_id, 3, taus).tolist() for case_id in cases}
 
 
 def association(cfg: NetworkConfig, seed: int) -> Table:
@@ -247,31 +254,29 @@ def rate_sweep(cfg: NetworkConfig, seed: int) -> Table:
 
 def fig4(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["alpha", "tau_db", "outage_case1", "outage_case2", "outage_case3"]
-    rows = []
-    for tau_db in (-10.0, -5.0):
-        tau = db_to_linear(tau_db)
-        for alpha in np.linspace(0.02, 0.6, 30):
-            c = cfg.with_updates(alpha=float(alpha))
-            rows.append({
-                "alpha": float(alpha),
-                "tau_db": tau_db,
-                **{f"outage_case{k}": sinr_cdf(c, k, 3, tau) for k in (1, 2, 3)},
-            })
+    taus_db = (-10.0, -5.0)
+    alphas = [float(a) for a in np.linspace(0.02, 0.6, 30)]
+    cdf = [_cdf_columns(cfg.with_updates(alpha=alpha), (1, 2, 3), taus_db) for alpha in alphas]
+    rows = [
+        {"alpha": alpha, "tau_db": tau_db,
+         **{f"outage_case{k}": values[i] for k, values in by_case.items()}}
+        for i, tau_db in enumerate(taus_db)
+        for alpha, by_case in zip(alphas, cdf)
+    ]
     return columns, rows, {}
 
 
 def fig5(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["tau_db", "alpha", "cdf_case1", "cdf_case2", "cdf_case3"]
+    taus_db = [float(t) for t in np.arange(-20.0, 20.5, 1.0)]
     rows = []
     for alpha in (0.05, 0.10):
-        c = cfg.with_updates(alpha=alpha)
-        for tau_db in np.arange(-20.0, 20.5, 1.0):
-            tau = db_to_linear(float(tau_db))
-            rows.append({
-                "tau_db": float(tau_db),
-                "alpha": alpha,
-                **{f"cdf_case{k}": sinr_cdf(c, k, 3, tau) for k in (1, 2, 3)},
-            })
+        cdf = _cdf_columns(cfg.with_updates(alpha=alpha), (1, 2, 3), taus_db)
+        rows += [
+            {"tau_db": tau_db, "alpha": alpha,
+             **{f"cdf_case{k}": values[i] for k, values in cdf.items()}}
+            for i, tau_db in enumerate(taus_db)
+        ]
     return columns, rows, {}
 
 

@@ -208,7 +208,7 @@ def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -
     if worst == 0.0:
         raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
     binding = int(rulers.argmax())
-    return SteadyAnalysis(rulers, binding, cfg.varsigma / worst)
+    return SteadyAnalysis(rulers, binding, float(cfg.varsigma / worst))
 
 
 def network_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:

@@ -3,7 +3,9 @@
 CSV files are deterministic (LF endings, '.' decimal, repr-roundtrip floats)
 so reruns with the same seed are byte-identical.  The JSON envelope carries
 the config echo, seed, version string and wall clock, which is enough to
-reproduce the CSV exactly.
+reproduce the CSV exactly, and the rows again.  It is written as one line
+of JSON by json's C encoder; ``python -m json.tool <name>.json`` prints it
+indented.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import functools
 import importlib.metadata
 import json
 import subprocess
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+# cell types the csv module writes as ``_cell`` does: a float as its repr
+_PLAIN_CELLS = frozenset({str, int, float})
+
+
+def _records(rows: list[dict], columns: list[str]):
+    """The rows as cell sequences in column order.  When every cell is a
+    plain str, int or float the csv module formats them itself, at C level;
+    any other cell (a numpy float, None, a bool) sends all rows through
+    ``_cell``."""
+    if columns and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _PLAIN_CELLS:
+        cells = map(itemgetter(*columns), rows)
+        # a one-column itemgetter returns the bare cell, not a 1-tuple
+        return zip(cells) if len(columns) == 1 else cells
+    return ([_cell(row[c]) for c in columns] for row in rows)
+
+
 def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
                  config: dict | None = None, seed: int | None = None,
                  meta: dict | None = None) -> tuple[Path, Path]:
@@ -63,8 +83,7 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerows(_records(rows, columns))
 
     envelope = {
         "name": name,
@@ -76,7 +95,6 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
         "columns": columns,
         "rows": rows,
     }
-    with open(json_path, "w") as fh:
-        json.dump(envelope, fh, indent=2, default=float)
-        fh.write("\n")
+    # no indent, so that json runs its C encoder
+    json_path.write_text(json.dumps(envelope, default=float) + "\n")
     return csv_path, json_path

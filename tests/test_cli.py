@@ -32,6 +32,32 @@ def test_emit_results_writes_numpy_floats_as_plain_repr(tmp_path):
     assert csv_path.read_text() == "x,y\n0.1,0.5\n"
 
 
+def test_emit_results_cell_format(tmp_path):
+    # plain cells and cells that need ``_cell`` (numpy floats) give the same bytes
+    row = {"small": 1e-05, "big": 1e+16, "inf": math.inf, "nan": math.nan, "neg0": -0.0,
+           "np": np.float64(0.30000000000000004), "int": 7, "str": "bs"}
+    columns = list(row)
+    expect = ("small,big,inf,nan,neg0,np,int,str\n"
+              "1e-05,1e+16,inf,nan,-0.0,0.30000000000000004,7,bs\n")
+    csv_path, _ = emit_results([row], columns, tmp_path, "mixed")
+    assert csv_path.read_text() == expect
+    plain = {**row, "np": 0.30000000000000004}
+    csv_path, _ = emit_results([plain, plain], columns, tmp_path, "plain")
+    assert csv_path.read_text() == expect + expect.splitlines(keepends=True)[1]
+    csv_path, _ = emit_results([{"x": np.float32(0.1), "y": None}], ["x", "y"], tmp_path, "f32")
+    assert csv_path.read_text() == "x,y\n0.10000000149011612,None\n"
+
+
+def test_emit_results_one_column(tmp_path):
+    csv_path, json_path = emit_results([{"tau": 0.5}, {"tau": "bs"}], ["tau"], tmp_path, "one")
+    assert csv_path.read_text() == "tau\n0.5\nbs\n"
+    csv_path, _ = emit_results([{"x": np.float64(0.25)}], ["x"], tmp_path, "one_np")
+    assert csv_path.read_text() == "x\n0.25\n"
+    text = json_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text)["rows"] == [{"tau": 0.5}, {"tau": "bs"}]
+
+
 def test_emit_results_empty_rows(tmp_path, cfg):
     csv_path, _ = emit_results([], ["a", "b"], tmp_path, "empty",
                                config=cfg.to_flat_dict(), seed=0, meta={})
@@ -266,6 +292,15 @@ def test_cli_preset_rejects_subcommand_flags(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert argv[3] in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_rows_hold_plain_values(name):
+    # plain str/int/float cells, never numpy scalars (np.float64 passes isinstance float)
+    r = run_preset(name)
+    assert {type(v) for row in r.rows for v in row.values()} <= {str, int, float}
+    if name == "steady":
+        assert type(r.meta["varsigma_star"]) is float
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig4", "fig6", "steady"])

@@ -11,6 +11,7 @@ from hetcache import (
     sinr_cdf,
 )
 from hetcache import rates
+from hetcache.config import db_to_linear
 from hetcache.rates import interference_coefficients
 
 
@@ -37,6 +38,46 @@ def test_outage_is_valid_cdf(cfg, case_id):
     # case 2 decays only like sqrt(tau) near zero (close active D2D interferers)
     assert vals[0] < 0.05 and vals[-1] > 0.97
     assert sinr_cdf(cfg, case_id, 3, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+
+# (beta, noise [W], case): case 3 is defined without noise only
+_ARRAY_CASES = [
+    (beta, noise, case_id)
+    for beta in (3.0, 4.0)
+    for noise in (0.0, 1e-12, 1.0)
+    for case_id in (1, 2, 3, 4)
+    if case_id != 3 or noise == 0.0
+]
+
+
+@pytest.mark.parametrize("beta, noise, case_id", _ARRAY_CASES)
+def test_threshold_array_matches_float_calls(beta, noise, case_id):
+    # one coverage pass over the array gives the float path's bits at each threshold
+    cfg = NetworkConfig(beta=beta, noise=noise)
+    taus = [0.0] + [db_to_linear(float(t)) for t in range(-20, 21, 2)] + [1e4]
+    values = sinr_cdf(cfg, case_id, 3, taus)
+    assert isinstance(values, np.ndarray) and values.shape == (len(taus),)
+    expect = np.array([sinr_cdf(cfg, case_id, 3, t) for t in taus])
+    assert np.max(np.abs(values - expect)) == 0.0
+
+
+def test_threshold_array_domain(cfg):
+    with pytest.raises(ValueError, match="non-negative"):
+        sinr_cdf(cfg, 1, 3, [0.1, 1.0, -1e-3, 10.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        sinr_cdf(cfg, 4, 0, np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        sinr_cdf(cfg, 1, 3, np.ones((2, 2)))
+    zeros = sinr_cdf(cfg, 4, 0, np.array([0.1, 1.0, 10.0]))
+    assert isinstance(zeros, np.ndarray) and zeros.tolist() == [0.0, 0.0, 0.0]
+    assert sinr_cdf(cfg, 1, 3, []).shape == (0,)
+
+
+def test_float_threshold_gives_python_float(cfg):
+    for tau in (0.1, np.float64(0.1), 1, np.array(0.1)):
+        for case_id in (1, 2, 3, 4):
+            assert type(sinr_cdf(cfg, case_id, 3, tau)) is float
+    assert sinr_cdf(cfg, 2, 3, np.array(0.1)) == sinr_cdf(cfg, 2, 3, 0.1)
 
 
 def test_case4_outage_exactly_zero(cfg):
