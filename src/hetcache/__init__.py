@@ -8,8 +8,11 @@ the active D2D density read the Zipf content popularity from its ``gamma``
 and ``n_contents``.  Rates (``rate_case1..3``) and outage (``sinr_cdf``, the
 one outage entry point) derive from one coverage probability per radio case.
 Quadrature tolerances are fixed inside ``quadrature``; no public function
-takes one.  The simulation oracle measures association, rates and outage in
-one pass, ``run_monte_carlo``.
+takes one.  ``queue_metrics`` is the one steady-state analysis of the
+processor-sharing queues: its steady rulers give stability, occupancy,
+throughput and delay, the binding node type and the maximum arrival rate
+``varsigma_star``.  The simulation oracle measures association, rates and
+outage in one pass, ``run_monte_carlo``.
 """
 
 from .association import (
@@ -34,14 +37,12 @@ from .queueing import (
     QueueClassLoad,
     QueueMetrics,
     RateMatrix,
-    SteadyAnalysis,
     baseline_model,
     class_loads,
     ctmc_simulate,
     network_model,
     queue_metrics,
     rate_matrix,
-    steady_ruler,
     throughput_gain,
 )
 from .quadrature import QuadratureError, integrate_interval

@@ -33,7 +33,6 @@ from .queueing import (
     ctmc_simulate,
     network_model,
     queue_metrics,
-    steady_ruler,
     throughput_gain,
 )
 from .rates import case_rate_table, rate_case1, rate_case2, rate_case3
@@ -65,9 +64,8 @@ def _rulers(values) -> dict[str, float]:
     return {n: float(r) for n, r in zip(STATE_COLUMNS, values)}
 
 
-def _steady(cfg: NetworkConfig, model=network_model):
-    _, loads, rates = model(cfg)
-    return steady_ruler(cfg, loads, rates)
+def _metrics(cfg: NetworkConfig, model=network_model):
+    return queue_metrics(cfg, *model(cfg)[1:])
 
 
 def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
@@ -87,7 +85,7 @@ def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
         for j, node in enumerate(STATE_COLUMNS)
         if loads.sigma[i, j] != 0.0
     ]
-    return rows, metrics.steady_ruler
+    return rows, metrics.rulers
 
 
 def _cdf_rows(cfg: NetworkConfig, taus_db, column: str) -> list[dict]:
@@ -162,27 +160,21 @@ def queue(cfg: NetworkConfig, seed: int) -> Table:
 
 
 def steady(cfg: NetworkConfig, seed: int) -> Table:
-    analysis = _steady(cfg)
+    metrics = _metrics(cfg)
     columns = ["node", "ruler"]
-    rows = [{"node": n, "ruler": r} for n, r in _rulers(analysis.rulers).items()]
-    meta = {"varsigma_star": analysis.varsigma_star, "binding_node": analysis.binding_node}
+    rows = [{"node": n, "ruler": r} for n, r in _rulers(metrics.rulers).items()]
+    meta = {"varsigma_star": metrics.varsigma_star, "binding_node": metrics.binding_node}
     return columns, rows, meta
 
 
 def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
-    cached, base = _steady(cfg), _steady(cfg, baseline_model)
     columns = ["model", "node", "ruler", "varsigma_star"]
-    rows = [
-        {"model": model_name, "node": n, "ruler": r, "varsigma_star": analysis.varsigma_star}
-        for model_name, analysis in (("cached", cached), ("baseline", base))
-        for n, r in _rulers(analysis.rulers).items()
-    ]
-    gain = {
-        "varsigma_star_cached": cached.varsigma_star,
-        "varsigma_star_baseline": base.varsigma_star,
-        "gain": cached.varsigma_star / base.varsigma_star - 1.0,
-    }
-    return columns, rows, gain
+    rows = []
+    for model_name, model in (("cached", network_model), ("baseline", baseline_model)):
+        metrics = _metrics(cfg, model)
+        rows += [{"model": model_name, "node": n, "ruler": r, "varsigma_star": metrics.varsigma_star}
+                 for n, r in _rulers(metrics.rulers).items()]
+    return columns, rows, throughput_gain(cfg)
 
 
 def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
@@ -205,7 +197,7 @@ def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
 
 
 _SWEEP_QUANTITIES = {
-    "varsigma_star": lambda c, tau_db: _steady(c).varsigma_star,
+    "varsigma_star": lambda c, tau_db: _metrics(c).varsigma_star,
     "rate_case1": lambda c, tau_db: rate_case1(c, 3).value,
     "outage_case1": lambda c, tau_db: sinr_cdf(c, 1, 3, db_to_linear(tau_db)),
 }
@@ -321,11 +313,11 @@ def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
                 **throughput_gain(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)),
                 "target_gain": targets[gamma] if kappa == 0.8 else math.nan,
             })
-    analysis = _steady(cfg)
+    metrics = _metrics(cfg)
     meta = {
-        "rulers": _rulers(analysis.rulers),
-        "binding_node": analysis.binding_node,
-        "varsigma_star": analysis.varsigma_star,
+        "rulers": _rulers(metrics.rulers),
+        "binding_node": metrics.binding_node,
+        "varsigma_star": metrics.varsigma_star,
     }
     return columns, rows, meta
 

@@ -3,10 +3,13 @@
 Per serving-node column (d2d, relay, bs, local) each of the 8 user states is
 a traffic class.  The service-rate matrix converts case rates to bits/s with
 the backhaul penalty on even rows; class loads follow from the state matrix
-and the node densities; the analytic stationary metrics, the steady rulers
-and the maximum request arrival rate are closed forms.  An exact-jump CTMC
-simulator of the same generator provides the stochastic cross-check, and the
-no-caching baseline reuses the whole pipeline with a two-tier state matrix.
+and the node densities.  One steady-state analysis, ``queue_metrics``, takes
+everything from the steady ruler rho_j = sum_i sigma_ij / A_ij of each node
+type: stability (rho_j < 1), the per-class and per-node occupancy,
+throughput and delay, the binding node type and the maximum request arrival
+rate varsigma / max_j rho_j.  An exact-jump CTMC simulator of the same
+generator provides the stochastic cross-check, and the no-caching baseline
+reuses the whole pipeline with a two-tier state matrix.
 """
 
 from __future__ import annotations
@@ -56,9 +59,8 @@ def rate_matrix(cfg: NetworkConfig, case_rates: np.ndarray, states: StateMatrix)
         raise ValueError("case-rate table must be 4x4")
     a = np.zeros((N_CLASSES, N_NODE_TYPES))
     scale = cfg.eta * cfg.bandwidth_w
-    for m in range(4):
-        a[2 * m] = scale * u[m]
-        a[2 * m + 1] = scale * cfg.backhaul_kappa * u[m]
+    a[0::2] = scale * u
+    a[1::2] = scale * cfg.backhaul_kappa * u
     a[states.d == 0.0] = 0.0
     return RateMatrix(a)
 
@@ -113,9 +115,11 @@ class QueueMetrics:
     """Stationary metrics of the processor-sharing queues.
 
     Per class: mean resident requests, throughput per request [bits/s],
-    delay [s]; per node: the aggregates.  Columns with an unstable queue
-    (ruler >= 1) carry infinite N/D and zero T; columns with no traffic have
-    NaN critical demand and zero occupancy.
+    delay [s]; per node: the aggregates.  ``rulers`` holds the steady ruler
+    rho_j = sum_i sigma_ij / A_ij of each node type and ``stable`` marks
+    rho_j < 1.  Columns with an unstable queue carry infinite N/D and zero T;
+    columns with no traffic have zero occupancy and NaN T/D.  ``varsigma`` is
+    the configured arrival rate the rulers were taken at.
     """
 
     n_class: np.ndarray
@@ -124,10 +128,19 @@ class QueueMetrics:
     n_node: np.ndarray
     t_node: np.ndarray
     d_node: np.ndarray
-    steady_ruler: np.ndarray
-    sigma_node: np.ndarray
-    sigma_critical: np.ndarray
+    rulers: np.ndarray
     stable: np.ndarray
+    varsigma: float
+
+    @property
+    def binding_node(self) -> str:
+        """The node type of the largest ruler, whose queue caps the arrival rate."""
+        return STATE_COLUMNS[_binding(self.rulers)]
+
+    @property
+    def varsigma_star(self) -> float:
+        """The maximum sustainable arrival rate varsigma / max_j rho_j."""
+        return _varsigma_star(self.varsigma, self.rulers)
 
 
 def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
@@ -146,69 +159,45 @@ def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.
     return per_class.sum(axis=0)
 
 
-def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
-    a, sigma, zeta = rates.a, loads.sigma, loads.zeta
-    ruler = _rulers(cfg, loads, rates)
-    sigma_node = sigma.sum(axis=0)
-    zeta_node = zeta.sum(axis=0)
-    sigma_crit = np.where(ruler > 0.0, sigma_node / np.where(ruler > 0.0, ruler, 1.0), math.nan)
-    stable = ruler < 1.0
-    loaded = sigma_node > 0.0
-
-    n_class = np.zeros_like(sigma)
-    t_class = np.zeros_like(sigma)
-    d_class = np.full_like(sigma, math.nan)
-    n_node = np.zeros(N_NODE_TYPES)
-    t_node = np.full(N_NODE_TYPES, math.nan)
-    d_node = np.full(N_NODE_TYPES, math.nan)
-
-    delay_scale = cfg.content_size_s * cfg.varrho_inv
-    for j in range(N_NODE_TYPES):
-        if not loaded[j]:
-            continue
-        if not stable[j]:
-            mask = sigma[:, j] > 0.0
-            n_class[mask, j] = math.inf
-            d_class[mask, j] = math.inf
-            n_node[j] = math.inf
-            t_node[j] = 0.0
-            d_node[j] = math.inf
-            continue
-        slack = 1.0 - ruler[j]
-        active = a[:, j] > 0.0
-        n_class[active, j] = sigma[active, j] / (slack * a[active, j])
-        t_class[active, j] = slack * a[active, j]
-        d_class[active, j] = delay_scale / (slack * a[active, j])
-        n_node[j] = sigma_node[j] / (sigma_crit[j] - sigma_node[j])
-        t_node[j] = sigma_crit[j] - sigma_node[j]
-        d_node[j] = n_node[j] / zeta_node[j]
-    return QueueMetrics(n_class, t_class, d_class, n_node, t_node, d_node,
-                        ruler, sigma_node, sigma_crit, stable)
+def _binding(rulers: np.ndarray) -> int:
+    """Column index of the largest ruler; none binds without traffic."""
+    if not rulers.any():
+        raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
+    return int(rulers.argmax())
 
 
-@dataclass(frozen=True)
-class SteadyAnalysis:
-    """Steady rulers at the configured arrival rate, the binding node type,
-    and the maximum sustainable arrival rate."""
-
-    rulers: np.ndarray
-    binding: int              # column index of the largest ruler
-    varsigma_star: float
-
-    @property
-    def binding_node(self) -> str:
-        return STATE_COLUMNS[self.binding]
-
-
-def steady_ruler(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> SteadyAnalysis:
+def _varsigma_star(varsigma: float, rulers: np.ndarray) -> float:
     """The rulers are linear in the arrival rate, so the supremum of stable
     rates is the closed-form ratio varsigma / max_j ruler_j."""
+    return float(varsigma / rulers[_binding(rulers)])
+
+
+def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
+    """A stable loaded column j serves class i at (1 - rho_j) A_ij, so
+    N_ij = sigma_ij / ((1 - rho_j) A_ij) and D_ij = S varrho^-1 / ((1 - rho_j)
+    A_ij); the column throughput is the critical demand sigma_j / rho_j less
+    the demand sigma_j."""
+    a, sigma = rates.a, loads.sigma
     rulers = _rulers(cfg, loads, rates)
-    worst = rulers.max()
-    if worst == 0.0:
-        raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
-    binding = int(rulers.argmax())
-    return SteadyAnalysis(rulers, binding, float(cfg.varsigma / worst))
+    sigma_node, zeta_node = sigma.sum(axis=0), loads.zeta.sum(axis=0)
+    loaded = sigma_node > 0.0
+    stable = rulers < 1.0
+    up = loaded & stable  # columns with a stationary law
+    served = up & (a > 0.0)
+    jammed = loaded & ~stable & (sigma > 0.0)
+
+    t_class = np.where(served, (1.0 - rulers) * a, 0.0)
+    share = np.where(served, t_class, 1.0)
+    n_class = np.where(served, sigma / share, np.where(jammed, math.inf, 0.0))
+    d_class = np.where(served, cfg.content_size_s * cfg.varrho_inv / share,
+                       np.where(jammed, math.inf, math.nan))
+    t_node = np.where(up, sigma_node / np.where(up, rulers, 1.0) - sigma_node,
+                      np.where(loaded, 0.0, math.nan))
+    n_node = np.where(up, sigma_node / np.where(up, t_node, 1.0), np.where(loaded, math.inf, 0.0))
+    d_node = np.where(up, n_node / np.where(up, zeta_node, 1.0),
+                      np.where(loaded, math.inf, math.nan))
+    return QueueMetrics(n_class, t_class, d_class, n_node, t_node, d_node,
+                        rulers, stable, cfg.varsigma)
 
 
 def network_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
@@ -246,14 +235,12 @@ def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, Rat
 def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
     no-caching baseline, with both critical rates."""
-    _, loads, rates = network_model(cfg)
-    cached = steady_ruler(cfg, loads, rates)
-    _, bloads, brates = baseline_model(cfg)
-    base = steady_ruler(cfg, bloads, brates)
+    cached, base = (_varsigma_star(cfg.varsigma, _rulers(cfg, *model(cfg)[1:]))
+                    for model in (network_model, baseline_model))
     return {
-        "varsigma_star_cached": cached.varsigma_star,
-        "varsigma_star_baseline": base.varsigma_star,
-        "gain": cached.varsigma_star / base.varsigma_star - 1.0,
+        "varsigma_star_cached": cached,
+        "varsigma_star_baseline": base,
+        "gain": cached / base - 1.0,
     }
 
 
@@ -296,6 +283,8 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
         raise ValueError("simulation horizon must be positive")
     if not 0.0 <= warmup < horizon:
         raise ValueError("warmup must lie in [0, horizon)")
+    if not slot > 0.0:
+        raise ValueError("slot duration must be positive")
     j = node_type - 1
     zeta = loads.zeta[:, j]
     # departure rate per resident request when alone: varrho * A / S
@@ -373,8 +362,6 @@ def _slot_average(times: np.ndarray, totals: np.ndarray, horizon: float,
                   slot: float) -> tuple[np.ndarray, np.ndarray]:
     """Time-average of the piecewise-constant total occupancy per slot: the
     cumulative area at the event times, read off at the slot edges."""
-    if slot <= 0.0:
-        raise ValueError("slot duration must be positive")
     edges = np.arange(0.0, horizon + slot, slot)
     edges[-1] = min(edges[-1], horizon)
     if edges[-1] <= edges[-2]:

@@ -165,11 +165,10 @@ def test_criterion_5_queueing_correctness():
 
 def test_criterion_6_bs_queue_binds():
     cfg = fig6_config()
-    from hetcache import steady_ruler
     _, loads, rates = network_model(cfg)
-    steady = steady_ruler(cfg, loads, rates)
-    rulers = dict(zip(("d2d", "relay", "bs", "local"), steady.rulers))
-    ok = (steady.binding_node == "bs"
+    m = queue_metrics(cfg, loads, rates)
+    rulers = dict(zip(("d2d", "relay", "bs", "local"), m.rulers))
+    ok = (m.binding_node == "bs"
           and rulers["bs"] > rulers["relay"]
           and rulers["bs"] > rulers["d2d"])
     _check(6, "BS ruler largest; critical arrival rate set by the BS queue", ok)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hetcache import results
+from hetcache import network_model, queue_metrics, results, throughput_gain
 from hetcache.cli import main
 from hetcache.config import fig6_config
 from hetcache.presets import COMMANDS, PRESET_NAMES, default_config, run_preset
@@ -323,6 +323,22 @@ def test_preset_fig2_monotone_case1(cfg):
     assert all(b > a for a, b in zip(case1, case1[1:]))
 
 
-def test_preset_steady_meta(cfg):
-    r = run_preset("steady", cfg, seed=0)
-    assert "rulers" in r.meta or len(r.rows) > 0
+def test_preset_steady_meta():
+    # the preset's meta is the steady-state analysis of fig6_config
+    r = run_preset("steady")
+    cfg = fig6_config()
+    m = queue_metrics(cfg, *network_model(cfg)[1:])
+    assert r.meta == {
+        "rulers": dict(zip(("d2d", "relay", "bs", "local"), m.rulers.tolist())),
+        "binding_node": m.binding_node,
+        "varsigma_star": m.varsigma_star,
+    }
+    assert r.meta["binding_node"] == "bs"
+
+
+def test_baseline_compare_meta_is_throughput_gain(cfg):
+    _, rows, meta = COMMANDS["baseline-compare"].run(cfg, 0)
+    assert meta == throughput_gain(cfg)
+    star = {r["model"]: r["varsigma_star"] for r in rows}
+    assert star == {"cached": meta["varsigma_star_cached"],
+                    "baseline": meta["varsigma_star_baseline"]}

@@ -12,9 +12,9 @@ from hetcache import (
     queue_metrics,
     rate_matrix,
     state_matrix,
-    steady_ruler,
     throughput_gain,
 )
+from hetcache.config import NetworkConfig, fig6_config
 from hetcache.queueing import (
     _DRAW_BLOCK,
     QueueClassLoad,
@@ -29,8 +29,6 @@ from hetcache.rates import case_rate_table
 
 @pytest.fixture(scope="module")
 def queue_model(request):
-    from hetcache.config import fig6_config
-
     cfg = fig6_config()
     return cfg, network_model(cfg)
 
@@ -83,7 +81,7 @@ def test_littles_law_per_class_and_node(queue_model):
     assert np.allclose(m.n_class[mask], loads.zeta[mask] * m.d_class[mask],
                        rtol=1e-10, atol=0.0)
     for j in range(4):
-        if m.sigma_node[j] > 0.0 and m.stable[j]:
+        if loads.sigma[:, j].any() and m.stable[j]:
             assert m.n_node[j] == pytest.approx(
                 loads.zeta[:, j].sum() * m.d_node[j], rel=1e-10)
 
@@ -92,7 +90,7 @@ def test_single_class_reduces_to_mm1_ps(cfg):
     loads, rates = _single_class_model(cfg, zeta=0.6, mu=1.0)
     m = queue_metrics(cfg, loads, rates)
     rho = 0.6
-    assert m.steady_ruler[2] == pytest.approx(rho, rel=1e-12)
+    assert m.rulers[2] == pytest.approx(rho, rel=1e-12)
     assert m.n_class[0, 2] == pytest.approx(rho / (1.0 - rho), rel=1e-12)
     assert m.n_node[2] == pytest.approx(rho / (1.0 - rho), rel=1e-12)
 
@@ -105,6 +103,90 @@ def test_unstable_marked_not_nan(cfg):
     assert m.t_node[2] == 0.0
 
 
+def _queue_metrics_loop(cfg, loads, rates):
+    """Per-column walk over the node types: the reference for queue_metrics."""
+    a, sigma, zeta = rates.a, loads.sigma, loads.zeta
+    ruler = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0).sum(axis=0)
+    sigma_node = sigma.sum(axis=0)
+    zeta_node = zeta.sum(axis=0)
+    sigma_crit = np.where(ruler > 0.0, sigma_node / np.where(ruler > 0.0, ruler, 1.0), math.nan)
+    n_class = np.zeros_like(sigma)
+    t_class = np.zeros_like(sigma)
+    d_class = np.full_like(sigma, math.nan)
+    n_node = np.zeros(4)
+    t_node = np.full(4, math.nan)
+    d_node = np.full(4, math.nan)
+    delay_scale = cfg.content_size_s * cfg.varrho_inv
+    for j in range(4):
+        if not sigma_node[j] > 0.0:
+            continue
+        if not ruler[j] < 1.0:
+            mask = sigma[:, j] > 0.0
+            n_class[mask, j] = math.inf
+            d_class[mask, j] = math.inf
+            n_node[j] = math.inf
+            t_node[j] = 0.0
+            d_node[j] = math.inf
+            continue
+        slack = 1.0 - ruler[j]
+        active = a[:, j] > 0.0
+        n_class[active, j] = sigma[active, j] / (slack * a[active, j])
+        t_class[active, j] = slack * a[active, j]
+        d_class[active, j] = delay_scale / (slack * a[active, j])
+        n_node[j] = sigma_node[j] / (sigma_crit[j] - sigma_node[j])
+        t_node[j] = sigma_crit[j] - sigma_node[j]
+        d_node[j] = n_node[j] / zeta_node[j]
+    return ruler, (n_class, t_class, d_class), (n_node, t_node, d_node)
+
+
+def _reference_models():
+    base = NetworkConfig()
+    return {
+        "fig6": (fig6_config(), network_model(fig6_config())[1:]),
+        "baseline": (fig6_config(), baseline_model(fig6_config())[1:]),
+        "unstable": (NetworkConfig(varsigma=5.0), network_model(NetworkConfig(varsigma=5.0))[1:]),
+        "mm1": (base, _single_class_model(base, zeta=0.6, mu=1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["fig6", "baseline", "unstable", "mm1"])
+def test_queue_metrics_matches_per_column_loop(name):
+    cfg, (loads, rates) = _reference_models()[name]
+    m = queue_metrics(cfg, loads, rates)
+    ruler, classes, nodes = _queue_metrics_loop(cfg, loads, rates)
+    assert np.array_equal(m.rulers, ruler)
+    assert np.array_equal(m.stable, ruler < 1.0)
+    for got, want in zip((m.n_class, m.t_class, m.d_class), classes):
+        assert np.array_equal(got, want, equal_nan=True)
+    for got, want in zip((m.n_node, m.t_node, m.d_node), nodes):
+        # NaN and inf must sit where the loop puts them
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    if name == "unstable":
+        assert not m.stable.all() and m.stable.any()
+    if name == "baseline":
+        assert np.isnan(m.t_node[[0, 3]]).all()
+    assert m.varsigma_star == cfg.varsigma / ruler.max()
+    assert m.binding_node == ("d2d", "relay", "bs", "local")[int(ruler.argmax())]
+
+
+def test_no_traffic_has_no_binding_node_or_critical_rate(cfg):
+    loads, rates = _single_class_model(cfg, zeta=0.0, mu=1.0)
+    m = queue_metrics(cfg, loads, rates)
+    assert (m.rulers == 0.0).all() and (m.n_node == 0.0).all()
+    with pytest.raises(ValueError, match="no traffic anywhere"):
+        m.varsigma_star
+    with pytest.raises(ValueError, match="no traffic anywhere"):
+        m.binding_node
+
+
+def test_throughput_gain_matches_queue_metrics(cfg_queue):
+    gain = throughput_gain(cfg_queue)
+    cached = queue_metrics(cfg_queue, *network_model(cfg_queue)[1:]).varsigma_star
+    base = queue_metrics(cfg_queue, *baseline_model(cfg_queue)[1:]).varsigma_star
+    assert gain == {"varsigma_star_cached": cached, "varsigma_star_baseline": base,
+                    "gain": cached / base - 1.0}
+
+
 def test_metrics_reject_traffic_without_service(cfg):
     loads, rates = _single_class_model(cfg, zeta=0.5, mu=1.0)
     bad = RateMatrix(np.zeros((8, 4)))
@@ -112,39 +194,39 @@ def test_metrics_reject_traffic_without_service(cfg):
         queue_metrics(cfg, loads, bad)
 
 
-def test_steady_ruler_closed_form_matches_bisection(queue_model):
+def test_varsigma_star_closed_form_matches_bisection(queue_model):
     cfg, (states, loads, rates) = queue_model
-    steady = steady_ruler(cfg, loads, rates)
+    m = queue_metrics(cfg, loads, rates)
 
     def worst_ruler(varsigma):
         c = cfg.with_updates(varsigma=float(varsigma))
         l2 = class_loads(c, states)
-        return float(steady_ruler(c, l2, rates).rulers.max()) - 1.0
+        return float(queue_metrics(c, l2, rates).rulers.max()) - 1.0
 
     root = optimize.brentq(worst_ruler, 1e-6, 1e4, xtol=1e-12, rtol=1e-12)
-    assert steady.varsigma_star == pytest.approx(root, rel=1e-9)
+    assert m.varsigma_star == pytest.approx(root, rel=1e-9)
 
 
 def test_varsigma_star_exact_scalings(queue_model):
     cfg, (states, loads, rates) = queue_model
-    base = steady_ruler(cfg, loads, rates).varsigma_star
+    base = queue_metrics(cfg, loads, rates).varsigma_star
 
     c2 = cfg.with_updates(content_size_s=2.0 * cfg.content_size_s)
     l2 = class_loads(c2, states)
     r2 = rate_matrix(c2, case_rate_table(c2), states)
-    assert steady_ruler(c2, l2, r2).varsigma_star == pytest.approx(base / 2.0, rel=1e-12)
+    assert queue_metrics(c2, l2, r2).varsigma_star == pytest.approx(base / 2.0, rel=1e-12)
 
     c3 = cfg.with_updates(varrho_inv=cfg.varrho_inv / 2.0)  # doubled mean service share
     l3 = class_loads(c3, states)
     r3 = rate_matrix(c3, case_rate_table(c3), states)
-    assert steady_ruler(c3, l3, r3).varsigma_star == pytest.approx(base * 2.0, rel=1e-12)
+    assert queue_metrics(c3, l3, r3).varsigma_star == pytest.approx(base * 2.0, rel=1e-12)
 
 
 def test_bs_queue_binds(queue_model):
     cfg, (states, loads, rates) = queue_model
-    steady = steady_ruler(cfg, loads, rates)
-    assert steady.binding_node == "bs"
-    rulers = dict(zip(("d2d", "relay", "bs", "local"), steady.rulers))
+    m = queue_metrics(cfg, loads, rates)
+    assert m.binding_node == "bs"
+    rulers = dict(zip(("d2d", "relay", "bs", "local"), m.rulers))
     assert rulers["bs"] > rulers["relay"] > rulers["d2d"]
 
 
@@ -154,7 +236,8 @@ def test_baseline_structure(cfg):
     assert (states.d[:, 0] == 0.0).all() and (states.d[:, 3] == 0.0).all()
     assert states.d[1, 1] > 0.0 and states.d[0, 2] > 0.0  # relay always backhauled
     m = queue_metrics(cfg, *baseline_model(cfg)[1:])
-    assert m.sigma_node[0] == 0.0 and m.sigma_node[3] == 0.0
+    assert m.rulers[0] == 0.0 and m.rulers[3] == 0.0
+    assert m.n_node[0] == 0.0 and m.n_node[3] == 0.0
 
 
 def test_caching_gain_positive_and_monotone(cfg_queue):
@@ -228,6 +311,18 @@ def test_ctmc_domain_errors(cfg):
         ctmc_simulate(cfg, loads, rates, 5, horizon=1.0, seed=0)
     with pytest.raises(ValueError):
         ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0, warmup=2.0)
+
+
+@pytest.mark.parametrize("slot", [0.0, -0.2, math.nan])
+def test_ctmc_rejects_bad_slot_before_simulating(cfg, monkeypatch, slot):
+    loads, rates = _single_class_model(cfg, zeta=0.5, mu=1.0)
+
+    def no_draws(seed):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="slot"):
+        ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0, slot=slot)
 
 
 def test_ctmc_deterministic(cfg):
