@@ -11,7 +11,9 @@ experiences outage.
 The threshold ``tau`` may be a float or a 1-D array of thresholds.  An
 array is evaluated in one coverage pass, and each of its values is
 bit-identical to the float call at that threshold, so a CDF curve costs one
-call per (config, case) rather than one per threshold.
+call per (config, case) rather than one per threshold.  The kernels of a
+threshold array depend only on beta, so they are tabulated once per
+(beta, thresholds) and shared across configs, as a sweep over alpha asks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import NetworkConfig
-from .rates import _coverage, _Kernels
+from .rates import _coverage, _Kernels, _threshold_kernels
 
 
 def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
@@ -52,7 +54,7 @@ def _sinr_cdf_array(cfg: NetworkConfig, case_id: int, tier: int, taus: np.ndarra
         raise ValueError("SINR threshold must be non-negative")
     if case_id == 4:
         return np.zeros(len(taus))
-    values = 1.0 - _coverage(cfg, case_id, tier, _Kernels(taus, cfg.beta))
+    values = 1.0 - _coverage(cfg, case_id, tier, _threshold_kernels(cfg.beta, taus.tobytes()))
     valid = (values >= -1e-12) & (values <= 1.0 + 1e-12)
     if not valid.all():
         raise ValueError(f"outage probability {values[~valid][0]} outside [0, 1]")

@@ -14,6 +14,7 @@ reuses the whole pipeline with a two-tier state matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -246,19 +247,35 @@ def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class CtmcTrace:
-    """Exact-jump sample path of one node-type queue.
+    """Exact-jump sample path of one node-type queue over [0, horizon].
 
     ``times``/``states`` hold the embedded jump chain (states row r valid on
-    [times[r], times[r+1])); ``slot_times``/``slot_occupancy`` are the
-    slot-averaged total occupancies used for reporting; ``time_average`` is
-    the per-class time-averaged occupancy after the warmup.
+    [times[r], times[r+1])); ``time_average`` is the per-class time-averaged
+    occupancy after the warmup.  ``slot_times``/``slot_occupancy`` are the
+    total occupancies averaged per slot, used for reporting.  They are built
+    together on first access, so a caller that reads only ``time_average``
+    never builds them.
     """
 
     times: np.ndarray
     states: np.ndarray
-    slot_times: np.ndarray
-    slot_occupancy: np.ndarray
     time_average: np.ndarray
+    horizon: float
+    slot: float
+
+    @functools.cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        return _slot_average(self.times, self.states.sum(axis=1), self.horizon, self.slot)
+
+    @property
+    def slot_times(self) -> np.ndarray:
+        """Start of each slot."""
+        return self._slots[0]
+
+    @property
+    def slot_occupancy(self) -> np.ndarray:
+        """Total occupancy averaged over each slot."""
+        return self._slots[1]
 
 
 # Holding times and jump uniforms are drawn this many at a time.
@@ -279,12 +296,12 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     """
     if not 1 <= node_type <= N_NODE_TYPES:
         raise ValueError("node type must be 1..4")
-    if horizon <= 0.0:
-        raise ValueError("simulation horizon must be positive")
-    if not 0.0 <= warmup < horizon:
-        raise ValueError("warmup must lie in [0, horizon)")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("simulation horizon must be positive and finite")
     if not slot > 0.0:
         raise ValueError("slot duration must be positive")
+    if not 0.0 <= warmup < horizon:
+        raise ValueError("warmup must lie in [0, horizon)")
     j = node_type - 1
     zeta = loads.zeta[:, j]
     # departure rate per resident request when alone: varrho * A / S
@@ -297,6 +314,10 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     lam = [float(zeta[i]) for i in classes]
     rate = [float(mu[i]) for i in classes]
     x = [0] * len(classes)
+    # departure rates times the resident count, and that count; one class
+    # moves per jump, so only its entry changes
+    dep = [0.0] * len(classes)
+    total = 0
     arrival_total = sum(lam)
 
     rng = np.random.default_rng(seed)
@@ -309,8 +330,6 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
             holds = rng.standard_exponential(_DRAW_BLOCK).tolist()
             picks = rng.random(_DRAW_BLOCK).tolist()
             k = 0
-        total = sum(x)
-        dep = [m * n for m, n in zip(rate, x)]  # departure rates times total
         out_rate = arrival_total + (sum(dep) / total if total else 0.0)
         t += holds[k] / out_rate
         if t >= horizon:
@@ -320,11 +339,14 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
         if target < arrival_total:
             c = _pick(lam, target)
             x[c] += 1
+            total += 1
             jumps.append(classes[c])
         else:
             c = _pick(dep, (target - arrival_total) * total)
             x[c] -= 1
+            total -= 1
             jumps.append(N_CLASSES + classes[c])
+        dep[c] = rate[c] * x[c]
         times.append(t)
 
     times_arr = np.asarray(times)
@@ -332,9 +354,8 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     steps = np.zeros((len(times), N_CLASSES), dtype=np.int64)
     steps[np.arange(1, len(times)), codes % N_CLASSES] = np.where(codes < N_CLASSES, 1, -1)
     states_arr = np.cumsum(steps, axis=0)
-    slot_times, slot_occ = _slot_average(times_arr, states_arr.sum(axis=1), horizon, slot)
     time_avg = _time_average(times_arr, states_arr, horizon, warmup)
-    return CtmcTrace(times_arr, states_arr, slot_times, slot_occ, time_avg)
+    return CtmcTrace(times_arr, states_arr, time_avg, horizon, slot)
 
 
 def _pick(weights: list[float], target: float) -> int:

@@ -115,9 +115,15 @@ _CASE3_X, _CASE3_W = (1.0 + _CASE3_X) / 2.0, _CASE3_W / 2.0
 _RATE_REFINEMENTS = 3
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class _Kernels:
     """Z1, Z2 and the case-3 grid x^2 Z3 (thresholds x ``_CASE3_X``) of one
-    beta on a threshold array, each computed on first use."""
+    beta on a threshold array, each computed on first use and read-only:
+    the caches below share them."""
 
     def __init__(self, tau: np.ndarray, beta: float):
         self.tau = tau
@@ -125,15 +131,15 @@ class _Kernels:
 
     @functools.cached_property
     def z1(self) -> np.ndarray:
-        return kernel_z1(self.tau, self.beta)
+        return _read_only(kernel_z1(self.tau, self.beta))
 
     @functools.cached_property
     def z2(self) -> np.ndarray:
-        return kernel_z2(self.tau, self.beta)
+        return _read_only(kernel_z2(self.tau, self.beta))
 
     @functools.cached_property
     def x2z3(self) -> np.ndarray:
-        return kernel_x2z3(self.tau[:, None], _CASE3_X, self.beta)
+        return _read_only(kernel_x2z3(self.tau[:, None], _CASE3_X, self.beta))
 
 
 @functools.lru_cache(maxsize=_RATE_REFINEMENTS + 1)
@@ -151,6 +157,13 @@ def _rate_kernels(beta: float, level: int) -> _Kernels:
     """Kernels at the thresholds e^t - 1 of a rate rule, tabulated once per
     beta: they depend on no other parameter."""
     return _Kernels(np.expm1(_rate_rule(level)[0]), beta)
+
+
+@functools.lru_cache(maxsize=16)
+def _threshold_kernels(beta: float, taus: bytes) -> _Kernels:
+    """Kernels at a threshold array, passed as its float64 bytes, tabulated
+    once per (beta, thresholds): a CDF sweep over configs shares them."""
+    return _Kernels(np.frombuffer(taus), beta)
 
 
 def _distance_integral(u: np.ndarray, beta: float) -> np.ndarray:

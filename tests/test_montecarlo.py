@@ -183,14 +183,57 @@ def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
                 np.testing.assert_allclose(outage[i], ref_outage, rtol=1e-6, atol=0.0)
 
 
+def _full_tails():
+    """The rate nodes and weights with both 32-node Gauss-Laguerre tails
+    whole: the reference for the truncated tails."""
+    x, w = np.polynomial.laguerre.laggauss(32)
+    knee = montecarlo._KNEE_X
+    rate_u = np.stack([np.concatenate(parts) for parts in (
+        (1.0 - knee, np.zeros_like(x), np.ones_like(x)),
+        (knee, np.ones_like(x), np.zeros_like(x)),
+        (np.zeros_like(knee), x, -x))])
+    return rate_u, np.tile(w * np.exp(x), 2)
+
+
+def _assert_truncated_tails_negligible(monkeypatch, a, n, taus):
+    """The truncated tails against the whole ones: each rate within the
+    dropped weight's bound of 4.3e-19 plus 4 ulp, each outage equal."""
+    rate, outage = _fading_average(a.copy(), n, taus)
+    rate_u, tail_w = _full_tails()
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_RATE_U", rate_u)
+        m.setattr(montecarlo, "_TAIL_W", tail_w)
+        full_rate, full_outage = _fading_average(a.copy(), n, taus)
+    assert (np.abs(rate - full_rate) <= 4.3e-19 + 4.0 * np.spacing(full_rate)).all()
+    assert np.array_equal(outage, full_outage)
+
+
+def test_truncated_tails_drop_negligible_weight(cfg, monkeypatch):
+    weights = np.polynomial.laguerre.laggauss(32)[1]
+    assert weights[montecarlo._TAIL_NODES:].sum() < 2.2e-19
+    # every block of criterion 3's geometry, in every (case, tier)
+    taus = (0.1, 10.0 ** -0.5)
+    for alpha in (0.05, 0.1, 0.25):
+        c = cfg.with_updates(alpha=alpha)
+        real = sample_topology(c, 6000.0, 11)
+        ref = np.sort(np.random.default_rng(0).choice(len(real.users), 500, replace=False))
+        geo = _geometry(real, c, ref)
+        for case_id, tiers in _CASE_TIERS.items():
+            for tier in tiers:
+                rows = _case_members(geo, real, case_id, tier)
+                for _, a, n in _weight_blocks(real, c, geo, rows, case_id, tier):
+                    _assert_truncated_tails_negligible(monkeypatch, a, n, taus)
+
+
 @pytest.mark.parametrize("a", [1e-5, 1.0, 1e4])
-def test_fading_average_single_interferer(a):
+def test_fading_average_single_interferer(a, monkeypatch):
     # P(SINR > theta) = 1 / (1 + a theta): rate ln(a) / (a - 1), outage
     # tau a / (1 + tau a); the knee sits far right, at 0 and far left
     taus = (0.1, 1.0, 10.0)
     rate, outage = _fading_average(np.array([[a]]), np.zeros(1), taus)
     assert rate[0] == pytest.approx(math.log(a) / (a - 1.0) if a != 1.0 else 1.0, rel=1e-10)
     np.testing.assert_allclose(outage[0], [t * a / (1.0 + t * a) for t in taus], rtol=1e-12)
+    _assert_truncated_tails_negligible(monkeypatch, np.array([[a]]), np.zeros(1), taus)
 
 
 @pytest.mark.parametrize("count, a, taus", [
@@ -203,7 +246,7 @@ def test_fading_average_single_interferer(a):
     # 40 through theta a = 1/7, the worst equal weights for the series bound
     (40, 1.0, tuple(np.geomspace(0.05, 0.5, 31))),
 ])
-def test_fading_average_series_bound(count, a, taus):
+def test_fading_average_series_bound(count, a, taus, monkeypatch):
     # adversarial rows of equal weights against the closed form
     # prod_j 1 / (1 + theta a_j)
     row = np.full((1, count), a)
@@ -211,6 +254,7 @@ def test_fading_average_series_bound(count, a, taus):
     expect = [-math.expm1(-count * math.log1p(t * a)) for t in taus]
     np.testing.assert_allclose(outage[0], expect, rtol=1e-6, atol=0.0)
     assert rate[0] == pytest.approx(_quad_fading_average(row[0], 0.0, ())[0], rel=1e-5)
+    _assert_truncated_tails_negligible(monkeypatch, row, np.zeros(1), taus)
 
 
 def test_fading_average_matches_sampled_sinr(cfg):
@@ -331,6 +375,18 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
             expect /= signal[:, None]
             assert np.array_equal(got == 0.0, expect == 0.0), (case_id, tier)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+            # the same arithmetic broadcast over all rows at once gives the
+            # same bits: the offsets u - v, the torus fold, dx^2 + dy^2
+            nodes = np.concatenate((real.users[active], real.relays, real.bs))
+            offset = np.abs(real.users[geo.ref[rows]][:, None, :] - nodes)
+            offset = np.minimum(offset, real.window - offset)
+            sq = offset[..., 0] * offset[..., 0] + offset[..., 1] * offset[..., 1]
+            sq[expect == 0.0] = math.inf
+            power = np.repeat((c.p1, c.p2, c.p3),
+                              (len(active), len(real.relays), len(real.bs)))
+            broadcast = ((np.sqrt(power) / sq) ** 2 if beta == 4.0
+                         else sq ** (-beta / 2.0) * power) / signal[:, None]
+            assert np.array_equal(got, broadcast), (case_id, tier)
             np.testing.assert_allclose(np.concatenate([n for *_, n in blocks]),
                                        c.noise / signal, rtol=1e-12, atol=0.0)
 

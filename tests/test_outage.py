@@ -218,3 +218,25 @@ def test_interference_coefficients_built_once_per_config(cfg, monkeypatch):
             sinr_cdf(cfg, case_id, 3, tau)
     sinr_cdf(NetworkConfig(), 1, 3, 0.1)  # an equal config is the same key
     assert built == [cfg]
+
+
+def test_threshold_kernels_built_once_per_beta_and_thresholds(monkeypatch):
+    rates._threshold_kernels.cache_clear()
+    built = []
+
+    def counting(tau, beta):
+        built.append(beta)
+        return kernel_z1(tau, beta)
+
+    monkeypatch.setattr(rates, "kernel_z1", counting)
+    taus = [db_to_linear(-10.0), db_to_linear(-5.0)]
+    for alpha in (0.05, 0.1, 0.25):  # a sweep over alpha, as fig4's
+        for case_id in (1, 2, 3):
+            sinr_cdf(NetworkConfig(alpha=alpha), case_id, 3, taus)
+    assert built == [4.0]
+    sinr_cdf(NetworkConfig(beta=3.0), 1, 3, taus)
+    sinr_cdf(NetworkConfig(), 1, 3, taus[:1])
+    assert built == [4.0, 3.0, 4.0]
+    kernels = rates._threshold_kernels(4.0, np.array(taus).tobytes())
+    for shared in (kernels.tau, kernels.z1, kernels.z2, kernels.x2z3):
+        assert not shared.flags.writeable

@@ -14,6 +14,7 @@ from hetcache import (
     state_matrix,
     throughput_gain,
 )
+from hetcache import queueing
 from hetcache.config import NetworkConfig, fig6_config
 from hetcache.queueing import (
     _DRAW_BLOCK,
@@ -323,6 +324,115 @@ def test_ctmc_rejects_bad_slot_before_simulating(cfg, monkeypatch, slot):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="slot"):
         ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0, slot=slot)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+def test_ctmc_rejects_bad_horizon_before_simulating(cfg, monkeypatch, horizon):
+    # an infinite horizon would never end the loop
+    loads, rates = _single_class_model(cfg, zeta=0.5, mu=1.0)
+
+    def no_draws(seed):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="simulation horizon"):
+        ctmc_simulate(cfg, loads, rates, 3, horizon=horizon, seed=0)
+
+
+def _ctmc_loop(cfg, loads, rates, node_type, horizon, seed, slot=0.2, warmup=0.0):
+    """Per-event walk that re-sums the resident count and rebuilds the
+    departure weights on every event: the reference for ctmc_simulate.
+    Returns times, states, time_average, slot_times and slot_occupancy."""
+    j = node_type - 1
+    zeta = loads.zeta[:, j]
+    mu = rates.a[:, j] / (cfg.content_size_s * cfg.varrho_inv)
+    classes = [int(i) for i in np.flatnonzero(zeta > 0.0)]
+    lam = [float(zeta[i]) for i in classes]
+    rate = [float(mu[i]) for i in classes]
+    x = [0] * len(classes)
+    arrival_total = sum(lam)
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    times = [0.0]
+    jumps = []
+    k = _DRAW_BLOCK
+    while arrival_total > 0.0:
+        if k == _DRAW_BLOCK:
+            holds = rng.standard_exponential(_DRAW_BLOCK).tolist()
+            picks = rng.random(_DRAW_BLOCK).tolist()
+            k = 0
+        total = sum(x)
+        dep = [m * n for m, n in zip(rate, x)]
+        out_rate = arrival_total + (sum(dep) / total if total else 0.0)
+        t += holds[k] / out_rate
+        if t >= horizon:
+            break
+        target = picks[k] * out_rate
+        k += 1
+        if target < arrival_total:
+            c = _pick(lam, target)
+            x[c] += 1
+            jumps.append(classes[c])
+        else:
+            c = _pick(dep, (target - arrival_total) * total)
+            x[c] -= 1
+            jumps.append(8 + classes[c])
+        times.append(t)
+    times = np.asarray(times)
+    states = np.zeros((len(times), 8), dtype=np.int64)
+    for r, code in enumerate(jumps, start=1):
+        states[r] = states[r - 1]
+        states[r, code % 8] += 1 if code < 8 else -1
+    return (times, states, _time_average(times, states, horizon, warmup),
+            *_slot_average(times, states.sum(axis=1), horizon, slot))
+
+
+def _ctmc_reference_queues():
+    fig6 = fig6_config()
+    _, loads, rates = network_model(fig6)
+    base = NetworkConfig()
+    return {
+        "bs": (fig6, loads, rates, dict(node_type=3, horizon=20000.0, warmup=1000.0)),
+        "d2d": (fig6, loads, rates, dict(node_type=1, horizon=1000.0)),
+        "mm1": (base, *_single_class_model(base, zeta=0.6, mu=1.0),
+                dict(node_type=3, horizon=3000.0, warmup=300.0)),
+        "overloaded": (base, *_single_class_model(base, zeta=1.2, mu=1.0),
+                       dict(node_type=3, horizon=2000.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["bs", "d2d", "mm1", "overloaded"])
+def test_ctmc_matches_per_event_loop(name):
+    cfg, loads, rates, args = _ctmc_reference_queues()[name]
+    if name == "bs":
+        assert (loads.zeta[:, 2] > 0.0).sum() == 3
+    for seed in (0, 1, 2):
+        trace = ctmc_simulate(cfg, loads, rates, seed=seed, **args)
+        want = _ctmc_loop(cfg, loads, rates, seed=seed, **args)
+        got = (trace.times, trace.states, trace.time_average,
+               trace.slot_times, trace.slot_occupancy)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_ctmc_builds_slot_averages_once_and_only_when_read(cfg, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _slot_average(*args)
+
+    monkeypatch.setattr(queueing, "_slot_average", counted)
+    loads, rates = _single_class_model(cfg, zeta=0.6, mu=1.0)
+    unread = ctmc_simulate(cfg, loads, rates, 3, horizon=200.0, seed=3)
+    assert unread.time_average.sum() > 0.0
+    assert calls == []
+    trace = ctmc_simulate(cfg, loads, rates, 3, horizon=200.0, seed=3)
+    slot_times = trace.slot_times
+    assert len(calls) == 1
+    assert trace.slot_occupancy is trace.slot_occupancy
+    assert trace.slot_times is slot_times
+    assert len(calls) == 1
 
 
 def test_ctmc_deterministic(cfg):
