@@ -117,6 +117,8 @@ class NetworkConfig:
             raise ValueError("local read-out rate must be positive")
         if self.varsigma < 0.0 or self.varrho_inv <= 0.0:
             raise ValueError("traffic parameters out of range")
+        if self.nu != 1.0 or self.bias != 1.0:
+            raise ValueError("nu and bias are both fixed at 1; the analysis reads neither")
 
     @property
     def lambda1(self) -> float:

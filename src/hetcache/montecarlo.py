@@ -9,21 +9,26 @@ user given its topology.
 
 The window is a torus: every distance wraps, so each tier stays a
 stationary PPP with no edge, and every user is a reference user.  Nearest
-nodes (the serving relay and BS, and the nearest other cache-enabled user)
-come from one periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
+nodes (the nearest other cache-enabled user, relay and BS) come from one
+periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
 ``scipy.spatial`` loads on the first query, so the analytic layers never pay
-for it).  Interference is computed per topology and (case, serving tier) in
-one pass per block of ``_ROW_BLOCK`` reference users (``_weight_blocks``).
-The node coordinates, the power vector and three block buffers are built
-once.  Each block then takes the squared torus distances sq to every active
-D2D transmitter, relay and BS (the coordinate offsets as one matrix product
-per axis, exact) and the weights P sq^(-beta/2) (no square root), divided by
-each user's signal power.  At beta = 4 a weight is
-(sqrt(P) / sq)^2, a division and a square in place of ``np.power``.  An
-excluded node (the reference user itself, its serving node, and the nearest
-other cache-enabled user when that is the strongest node) is infinitely far
-and weighs 0.  The block goes straight into the fading average, so no
-(users x nodes) matrix is ever built and a block stays in cache.
+for it).  They give each reference user one received-power table
+(``_geometry``): per tier, the nearest node and its mean received power
+P d^-beta.  The serving node is the strongest in the table, and every
+(case, serving tier) reads its signal power from the same table.
+Interference is computed per topology and (case, serving tier) in one pass
+per block of ``_ROW_BLOCK`` reference users (``_weight_blocks``).  The node
+coordinates, the power vector and three block buffers are built once.  Each
+block then takes the squared torus distances sq to every active D2D
+transmitter, relay and BS (the coordinate offsets as one matrix product per
+axis, exact) and the weights P sq^(-beta/2) (no square root), divided by
+each user's signal power.  At beta = 4 a weight is (sqrt(P) / sq)^2, a
+division and a square in place of ``np.power``.  One rule excludes nodes
+in every (case, serving tier): the reference user itself, its serving node
+and, in case 3, the blocker (the nearest cache-enabled user, which outranks
+the serving relay or BS).  An excluded node is infinitely far and weighs 0.
+The block goes straight into the fading average, so no (users x nodes)
+matrix is ever built and a block stays in cache.
 
 Given a user's topology, with signal power S, weights w_j and noise
 sigma^2, Rayleigh fading gives the coverage in closed form:
@@ -180,15 +185,13 @@ def _nearest_cache_user(real: SpatialRealization,
 
 @dataclass
 class _Geometry:
-    """Per-reference-user serving geometry and ranking, shared by all measures."""
+    """Per-reference-user received-power table and ranking, shared by all
+    measures.  Row i - 1 of ``nearest`` and ``received`` is tier i: the
+    nearest other cache-enabled user, the nearest relay, the nearest BS."""
 
     ref: np.ndarray            # reference user indices into real.users
-    r_cache: np.ndarray        # distance to nearest other cache-enabled user (inf if none)
-    cache_idx: np.ndarray      # user index of that nearest cache-enabled user (-1 if none)
-    r_relay: np.ndarray
-    relay_idx: np.ndarray
-    r_bs: np.ndarray
-    bs_idx: np.ndarray
+    nearest: np.ndarray        # (3, rows) index of that node in its tier (-1 if none)
+    received: np.ndarray       # (3, rows) its mean received power P_i d^-beta (0 if none)
     winner: np.ndarray         # tier (1/2/3) with max average received power
     relay_over_bs: np.ndarray  # bool: relay beats BS
 
@@ -197,18 +200,14 @@ def _geometry(real: SpatialRealization, cfg: NetworkConfig, ref: np.ndarray) -> 
     if len(real.relays) == 0 or len(real.bs) == 0:
         raise RuntimeError("relay and BS tiers must be non-empty; resample the topology")
     pts = real.users[ref]
+    r_cache, cache_idx = _nearest_cache_user(real, ref)
     r_relay, relay_idx = _nearest(pts, real.relays, real.window)
     r_bs, bs_idx = _nearest(pts, real.bs, real.window)
-    r_cache, cache_idx = _nearest_cache_user(real, ref)
-
-    beta = cfg.beta
+    # a missing cache-enabled user is at inf, and inf^-beta = 0
     with np.errstate(divide="ignore"):
-        pr1 = np.where(np.isfinite(r_cache), cfg.p1 * r_cache ** (-beta), 0.0)
-        pr2 = cfg.p2 * r_relay ** (-beta)
-        pr3 = cfg.p3 * r_bs ** (-beta)
-    winner = np.argmax(np.stack([pr1, pr2, pr3]), axis=0) + 1
-    return _Geometry(ref, r_cache, cache_idx, r_relay, relay_idx, r_bs, bs_idx,
-                     winner, pr2 > pr3)
+        received = np.asarray(cfg.powers)[:, None] * np.stack((r_cache, r_relay, r_bs)) ** -cfg.beta
+    return _Geometry(ref, np.stack((cache_idx, relay_idx, bs_idx)), received,
+                     np.argmax(received, axis=0) + 1, received[1] > received[2])
 
 
 def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[str, int]:
@@ -228,27 +227,17 @@ _CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
 
 def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: int) -> np.ndarray:
     """Row indices (into geo arrays) of reference users in the geometric
-    conditioning of (case, serving tier).  Cases 1/3 condition on non-caching
-    users, case 2 on cache-enabled ones; the content split is analytic."""
-    if case_id not in _CASE_TIERS or tier not in _CASE_TIERS[case_id]:
-        raise ValueError(f"unsupported case/tier pair ({case_id}, {tier})")
+    conditioning of (case, serving tier), a pair of ``_CASE_TIERS``.  Cases
+    1/3 condition on non-caching users, case 2 on cache-enabled ones; the
+    content split is analytic."""
     caching = real.cache_flags[geo.ref]
     if case_id == 1:
         return np.flatnonzero(~caching & (geo.winner == tier))
+    # cases 2 and 3 are served by the stronger of relay and BS
+    serving = geo.relay_over_bs == (tier == 2)
     if case_id == 2:
-        pick = geo.relay_over_bs if tier == 2 else ~geo.relay_over_bs
-        return np.flatnonzero(caching & pick)
-    pick = geo.relay_over_bs if tier == 2 else ~geo.relay_over_bs
-    return np.flatnonzero(~caching & (geo.winner == 1) & pick)
-
-
-def _columns(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Position of each of ``ids`` in ``sorted_ids`` (sorted, each id at most
-    once), or -1 where it is absent."""
-    if len(sorted_ids) == 0:
-        return np.full(len(ids), -1)
-    col = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
-    return np.where(sorted_ids[col] == ids, col, -1)
+        return np.flatnonzero(caching & serving)
+    return np.flatnonzero(~caching & (geo.winner == 1) & serving)
 
 
 def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
@@ -261,32 +250,28 @@ def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
     block, nodes) holds the interference weights P_j d_j^-beta and ``n`` the
     noise, both divided by each row's mean signal power from its serving
     node.  Columns are every active D2D transmitter (in user order), then
-    every relay, then every BS.  A node that does not interfere weighs 0: the
-    reference user itself, the serving relay or BS, and (when the strongest
-    node is a cache-enabled user, i.e. case 1/tier 1 and case 3) that nearest
-    cache-enabled user.  ``a`` is a view of a buffer that the next block
-    overwrites.
+    every relay, then every BS.  One rule holds in every (case, tier): the
+    reference user itself, its serving node and, in case 3 only, the
+    blocker (the nearest cache-enabled user, which outranks the serving
+    relay or BS) do not interfere and weigh 0.  ``a`` is a view of a buffer
+    that the next block overwrites.
     """
-    d2d_served = case_id == 1 and tier == 1
     ref = geo.ref[rows]
     active = np.flatnonzero(real.active_flags)
     node_xy = np.concatenate((real.users[active], real.relays, real.bs))
-    power = np.repeat((cfg.p1, cfg.p2, cfg.p3), (len(active), len(real.relays), len(real.bs)))
-    if d2d_served:
-        r_serv, p_serv = geo.r_cache[rows], cfg.p1
-    elif tier == 2:
-        r_serv, p_serv = geo.r_relay[rows], cfg.p2
-    else:
-        r_serv, p_serv = geo.r_bs[rows], cfg.p3
-    signal = p_serv * r_serv ** (-cfg.beta)
+    power = np.repeat(cfg.powers, (len(active), len(real.relays), len(real.bs)))
+    signal = geo.received[tier - 1, rows]
     noise = cfg.noise / signal
+    # each tier's node index to its column; a user that does not transmit,
+    # and the index -1 of a missing node, map to -1 (no column)
+    user_col = np.full(len(real.users) + 1, -1)
+    user_col[active] = np.arange(len(active))
+    node_col = (user_col, len(active) + np.arange(len(real.relays)),
+                len(active) + len(real.relays) + np.arange(len(real.bs)))
     # per row, the columns that do not interfere (-1: none)
-    excluded = [_columns(active, ref)]
-    if d2d_served or case_id == 3:
-        excluded.append(_columns(active, geo.cache_idx[rows]))
-    if not d2d_served:
-        serving = geo.relay_idx[rows] if tier == 2 else len(real.relays) + geo.bs_idx[rows]
-        excluded.append(len(active) + serving)
+    excluded = [user_col[ref], node_col[tier - 1][geo.nearest[tier - 1, rows]]]
+    if case_id == 3:
+        excluded.append(user_col[geo.nearest[0, rows]])
     # per axis, the users as rows (u, 1) and the nodes as columns (1, -v):
     # their matrix product is every offset u - v, rounded once exactly as
     # np.subtract.outer rounds it, at a third of its cost
@@ -461,8 +446,6 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
             assoc_acc.setdefault(key, []).append(count / n_ref if n_ref else math.nan)
 
         for case_id, tiers in _CASE_TIERS.items():
-            if case_id in (2, 3) and cfg.alpha == 0.0:
-                continue
             rates, outages = [], []
             for tier in tiers:
                 rows = _case_members(geo, real, case_id, tier)

@@ -323,7 +323,9 @@ def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
 
 
 _TAU_DB = ("--tau-db", dict(type=float, nargs="+", default=[-10.0, -5.0]))
-_SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig) if isinstance(f.default, float))
+# nu and bias are fixed at 1, so neither can be swept
+_SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig)
+                    if isinstance(f.default, float) and f.name not in ("nu", "bias"))
 
 COMMANDS: dict[str, Experiment] = {
     "association": Experiment(association, "user-state probabilities", presets=("fig2",)),

@@ -145,18 +145,19 @@ class _Kernels:
 @functools.lru_cache(maxsize=_RATE_REFINEMENTS + 1)
 def _rate_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights of the rate's rule with step 2^-(3 + level), on
-    (0, inf); level 1 is also the noisy distance integral's rule."""
+    (0, inf); level 1 is also the noisy distance integral's rule.  Both are
+    read-only: every later call shares them."""
     n = 8 << level
     k = np.arange(-6 * n, 6 * n + 1) / n
     t = np.exp(k - np.exp(-k))
-    return t, t * (1.0 + np.exp(-k)) / n
+    return _read_only(t), _read_only(t * (1.0 + np.exp(-k)) / n)
 
 
 @functools.lru_cache(maxsize=16)
 def _rate_kernels(beta: float, level: int) -> _Kernels:
     """Kernels at the thresholds e^t - 1 of a rate rule, tabulated once per
     beta: they depend on no other parameter."""
-    return _Kernels(np.expm1(_rate_rule(level)[0]), beta)
+    return _Kernels(_read_only(np.expm1(_rate_rule(level)[0])), beta)
 
 
 @functools.lru_cache(maxsize=16)

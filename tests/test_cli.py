@@ -204,7 +204,7 @@ def test_sweep_rejects_bad_grid_without_exiting(cfg, num):
                               quantity="rate_case1", tau_db=-10.0)
 
 
-@pytest.mark.parametrize("var", ["bogus", "seed", "n_contents"])
+@pytest.mark.parametrize("var", ["bogus", "seed", "n_contents", "nu", "bias"])
 def test_cli_sweep_rejects_bad_variable(tmp_path, capsys, var):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--var", var, "--start", "0.4", "--stop", "1.2",

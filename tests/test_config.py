@@ -81,6 +81,7 @@ _INVALID_MAPPINGS = [
     {"beta": 1.9}, {"noise": -1e-12}, {"bandwidth_w": 0.0},
     {"n_contents": 1}, {"content_size_s": 0.0}, {"m1": 0}, {"m2": 1}, {"gamma": -0.1},
     {"varsigma": -0.1}, {"varrho_inv": 0.0},
+    {"nu": 2.0}, {"bias": 0.5},   # both fixed at 1
     {"backhaul_kappa": 0.0}, {"backhaul_kappa": 1.0}, {"local_rate_ul": 0.0},
     {"p1": -1.0, "p1_dbm": 13.0},   # the dBm key wins, but the watts value is still checked
     {"frequency": 2.4e9},
@@ -115,12 +116,12 @@ def test_numpy_scalars_are_numbers():
 
 
 def test_load_default_config_file(tmp_path):
-    from importlib import resources
-
-    with resources.files("hetcache").joinpath("default_config.json").open() as fh:
-        raw = json.load(fh)
+    # the default network as a file states it: densities in nodes/m^2,
+    # powers in dBm
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
+    path.write_text('{"lambda0": 3.819718634205488e-04, "lambda2": 6.366197723675814e-06, '
+                    '"lambda3": 1.2732395447351628e-06, "alpha": 0.1, '
+                    '"p1_dbm": 23.0, "p2_dbm": 33.0, "p3_dbm": 43.0, "beta": 4.0}')
     cfg = load_config(str(path))
     assert cfg.lambda0 == pytest.approx(300.0 / DISK_500M_AREA, rel=1e-9)
     assert math.isclose(cfg.p2, dbm_to_watts(33.0), rel_tol=1e-9)

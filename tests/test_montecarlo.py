@@ -295,27 +295,30 @@ def small_topology(cfg):
 
 
 def test_nearest_other_cache_user_matches_loop(small_topology):
+    # each tier's row of the received-power table: the nearest other
+    # cache-enabled user, relay and BS, and P_i d^-beta from each
     c, real, geo = small_topology
     cache_users = np.flatnonzero(real.cache_flags)
     assert real.cache_flags[geo.ref].any()  # some reference users must skip themselves
     for row, u in enumerate(geo.ref):
-        d = {v: _loop_distance(real.users[u], real.users[v], real.window)
-             for v in cache_users if v != u}
-        best = min(d, key=d.get)
-        assert geo.cache_idx[row] == best
-        assert geo.r_cache[row] == pytest.approx(d[best], rel=1e-12)
-        # the serving relay and BS candidates
-        for nodes, idx, r in ((real.relays, geo.relay_idx, geo.r_relay),
-                              (real.bs, geo.bs_idx, geo.r_bs)):
-            d = [_loop_distance(real.users[u], node, real.window) for node in nodes]
-            assert idx[row] == int(np.argmin(d))
-            assert r[row] == pytest.approx(min(d), rel=1e-12)
+        pos = real.users[u]
+        candidates = (
+            {v: real.users[v] for v in cache_users if v != u},
+            dict(enumerate(real.relays)),
+            dict(enumerate(real.bs)),
+        )
+        for tier, nodes in enumerate(candidates, start=1):
+            d = {v: _loop_distance(pos, node, real.window) for v, node in nodes.items()}
+            best = min(d, key=d.get)
+            assert geo.nearest[tier - 1, row] == best
+            assert geo.received[tier - 1, row] == pytest.approx(
+                c.powers[tier - 1] * d[best] ** -c.beta, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_cache", [0, 1])
 def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     # with zero cache-enabled users, or one (which must not find itself),
-    # the nearest other cache-enabled user is at inf with index -1
+    # there is no nearest other cache-enabled user: index -1, received power 0
     real = sample_topology(cfg, 1200.0, 4)
     ref = np.arange(len(real.users))
     flags = np.zeros(len(real.users), dtype=bool)
@@ -323,8 +326,8 @@ def test_no_other_cache_user_is_infinitely_far(cfg, n_cache):
     real = dataclasses.replace(real, cache_flags=flags, active_flags=flags)
     geo = _geometry(real, cfg, ref)
     alone = np.ones(len(ref), dtype=bool) if n_cache == 0 else np.arange(len(ref)) == 0
-    assert (geo.r_cache[alone] == math.inf).all() and (geo.cache_idx[alone] == -1).all()
-    assert np.isfinite(geo.r_cache[~alone]).all() and (geo.cache_idx[~alone] == ref[0]).all()
+    assert (geo.received[0, alone] == 0.0).all() and (geo.nearest[0, alone] == -1).all()
+    assert (geo.received[0, ~alone] > 0.0).all() and (geo.nearest[0, ~alone] == ref[0]).all()
     assert (geo.winner[alone] != 1).all()
 
 
@@ -352,9 +355,15 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
                 (r, min(r + block_rows, len(rows))) for r in range(0, len(rows), block_rows)]
             got = np.vstack([a for _, a, _ in blocks])
             expect = np.zeros_like(got)
+            signal = np.empty(len(rows))
             for row in rows:
                 u, pos = geo.ref[row], real.users[geo.ref[row]]
-                skip_cache = geo.cache_idx[row] if (d2d_served or case_id == 3) else -1
+                cache_idx, relay_idx, bs_idx = geo.nearest[:, row]
+                serving_xy, p_serv = ((real.users[cache_idx], c.p1) if d2d_served else
+                                      (real.relays[relay_idx], c.p2) if tier == 2 else
+                                      (real.bs[bs_idx], c.p3))
+                signal[row] = p_serv * _loop_distance(pos, serving_xy, real.window) ** -c.beta
+                skip_cache = cache_idx if (d2d_served or case_id == 3) else -1
                 col = 0
                 for v in active:
                     if v not in (u, skip_cache):
@@ -362,16 +371,13 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
                         expect[row, col] = c.p1 * d ** -c.beta
                     col += 1
                 for tier_nodes, p, serving, served_here in (
-                        (real.relays, c.p2, geo.relay_idx[row], tier == 2),
-                        (real.bs, c.p3, geo.bs_idx[row], tier == 3)):
+                        (real.relays, c.p2, relay_idx, tier == 2),
+                        (real.bs, c.p3, bs_idx, tier == 3)):
                     for n, node in enumerate(tier_nodes):
                         if d2d_served or not (served_here and n == serving):
                             d = _loop_distance(pos, node, real.window)
                             expect[row, col] = p * d ** -c.beta
                         col += 1
-            r_serv, p_serv = ((geo.r_cache, c.p1) if d2d_served else
-                              (geo.r_relay, c.p2) if tier == 2 else (geo.r_bs, c.p3))
-            signal = p_serv * r_serv[rows] ** -c.beta
             expect /= signal[:, None]
             assert np.array_equal(got == 0.0, expect == 0.0), (case_id, tier)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
@@ -385,7 +391,7 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
             power = np.repeat((c.p1, c.p2, c.p3),
                               (len(active), len(real.relays), len(real.bs)))
             broadcast = ((np.sqrt(power) / sq) ** 2 if beta == 4.0
-                         else sq ** (-beta / 2.0) * power) / signal[:, None]
+                         else sq ** (-beta / 2.0) * power) / geo.received[tier - 1, rows, None]
             assert np.array_equal(got, broadcast), (case_id, tier)
             np.testing.assert_allclose(np.concatenate([n for *_, n in blocks]),
                                        c.noise / signal, rtol=1e-12, atol=0.0)
@@ -459,8 +465,13 @@ def test_run_monte_carlo_rejects_other_boundaries(cfg):
 
 
 def test_run_monte_carlo_alpha_zero_drops_d2d_cases(cfg):
-    s = run_monte_carlo(cfg.with_updates(alpha=0.0), n_topologies=3,
-                        seed=1, window=1500.0, max_users=20, max_reference_users=40)
+    # at alpha = 0 the case-2 and case-3 conditionings are empty in every
+    # topology, so their cells hold NaN from 0 samples
+    taus = (0.1, 1.0)
+    s = run_monte_carlo(cfg.with_updates(alpha=0.0), n_topologies=3, seed=1, window=1500.0,
+                        max_users=20, max_reference_users=40, tau_grid=taus)
     assert s.rates[1].n_samples == 3
-    assert s.rates[2].n_samples == 0 and math.isnan(s.rates[2].value)
-    assert s.rates[3].n_samples == 0
+    assert all(s.outage[(1, t)].n_samples == 3 for t in taus)
+    for case_id in (2, 3):
+        for est in (s.rates[case_id], *(s.outage[(case_id, t)] for t in taus)):
+            assert est.n_samples == 0 and math.isnan(est.value), case_id

@@ -250,6 +250,15 @@ def test_rate_rule_raises_when_no_step_resolves_the_coverage(cfg, monkeypatch):
     assert 0.0 < exc.value.partial < 1.0
 
 
+def test_shared_rule_arrays_are_read_only():
+    # the cached rule and its thresholds feed every later rate and noisy
+    # coverage, so no caller may write into them
+    nodes, weights = rates._rate_rule(1)
+    for shared in (nodes, weights, rates._rate_kernels(4.0, 1).tau):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+
 def test_rate_kernel_table_built_once_per_beta(monkeypatch):
     rates._rate_kernels.cache_clear()
     grids = []
