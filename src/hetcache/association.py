@@ -150,14 +150,12 @@ class D2DActivity:
 
     ``alpha_star`` is the cache-enabled fraction below which every
     cache-enabled user must transmit; ``alpha_hat`` maximizes the active
-    density; ``h`` is the relay+BS association weight relative to the full
-    user population at D2D power.
+    density.
     """
 
     lambda1_active: float
     alpha_star: float
     alpha_hat: float
-    h: float
 
 
 def activity_constant(cfg: NetworkConfig) -> float:
@@ -180,4 +178,4 @@ def active_d2d_density(cfg: NetworkConfig) -> D2DActivity:
     else:
         g31 = first_association_probability(cfg, 1)
         lam_active = (1.0 - alpha) * cfg.lambda0 * g31 * f1m1
-    return D2DActivity(lam_active, alpha_star, alpha_hat, h)
+    return D2DActivity(lam_active, alpha_star, alpha_hat)

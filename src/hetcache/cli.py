@@ -6,7 +6,8 @@ flags and accepted presets, the config it runs on without ``--config``, and
 the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
 everything internal is watts/linear/nats.  Every run writes a CSV table and
-a JSON envelope with the config that was run and the seed, sufficient to
+a JSON envelope with the config that was run, the seed and the
+subcommand's flags (``params``, empty for a preset), sufficient to
 reproduce the CSV byte-identically: ``<command>.csv``/``.json``, or
 ``<command>-<preset>.csv``/``.json`` for a ``--preset`` run, so no two runs
 share a file name.
@@ -60,7 +61,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     csv_path, json_path = emit_results(
-        rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, meta=meta,
+        rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, params=params, meta=meta,
     )
     print(f"wrote {csv_path} and {json_path}")
     return 0

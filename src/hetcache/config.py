@@ -156,7 +156,10 @@ def config_from_dict(raw: dict) -> NetworkConfig:
 
     Powers may be given either in watts (``p1``) or dBm (``p1_dbm``);
     the dBm form wins if both are present, but the watts value must still
-    be valid.  A mapping that is not a valid network raises
+    be valid.  A pair whose dBm value is exactly ``watts_to_dbm`` of its
+    watts value is the echo of one power (as ``to_flat_dict`` writes it),
+    so the watts value is kept and the echo rebuilds the config exactly.
+    A mapping that is not a valid network raises
     ``ValueError("invalid config: ...")``.
     """
     try:
@@ -171,6 +174,8 @@ def config_from_dict(raw: dict) -> NetworkConfig:
         for dbm_key, watt_key in _DBM_KEYS.items():
             if dbm_key in raw:
                 _check_number(dbm_key, raw[dbm_key])
+                if watt_key in raw and raw[dbm_key] == watts_to_dbm(getattr(cfg, watt_key)):
+                    continue
                 try:
                     watts[watt_key] = dbm_to_watts(raw[dbm_key])
                 except OverflowError:

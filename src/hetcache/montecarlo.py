@@ -108,10 +108,6 @@ class EmpiricalEstimate:
         if self.std_error < 0.0 or self.n_samples < 0:
             raise ValueError("standard error and sample count must be non-negative")
 
-    def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.std_error
-        return self.value - half, self.value + half
-
 
 @dataclass(frozen=True)
 class SpatialRealization:
@@ -123,7 +119,6 @@ class SpatialRealization:
     bs: np.ndarray             # (n_bs, 2)
     cache_flags: np.ndarray    # bool per user
     active_flags: np.ndarray   # bool per user; active => cache-enabled
-    seed: int
 
     def __post_init__(self) -> None:
         if self.window <= 0.0:
@@ -158,7 +153,7 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     else:
         keep = act.lambda1_active / (cfg.alpha * cfg.lambda0)
         active_flags = cache_flags & (rng.random(len(users)) < keep)
-    return SpatialRealization(window, users, relays, bs, cache_flags, active_flags, seed)
+    return SpatialRealization(window, users, relays, bs, cache_flags, active_flags)
 
 
 def _nearest(points: np.ndarray, targets: np.ndarray, window: float,

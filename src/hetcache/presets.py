@@ -287,10 +287,10 @@ def fig7(cfg: NetworkConfig, seed: int) -> Table:
     _, loads, rates = network_model(cfg)
     metrics = queue_metrics(cfg, loads, rates)
     analytic = float(metrics.n_class[:, 0].sum())
-    trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon, seed=seed, slot=0.2)
+    trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon, seed=seed)
     columns = ["slot_time", "occupancy", "analytic_mean"]
     rows = [{"slot_time": float(t), "occupancy": float(o), "analytic_mean": analytic}
-            for t, o in zip(trace.slot_times, trace.slot_occupancy)]
+            for t, o in zip(*trace.slot_average(0.2))]
     meta = {
         "simulated_mean": float(trace.time_average.sum()),
         "analytic_mean": analytic,
@@ -373,18 +373,9 @@ PRESETS: dict[str, Experiment] = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def _preset(name: str) -> Experiment:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return PRESETS[name]
-
-
-def default_config(name: str) -> NetworkConfig:
-    """The config a preset runs on when it is given none."""
-    return _preset(name).config()
-
-
 def run_preset(name: str, cfg: NetworkConfig | None = None, seed: int = 0) -> PresetResult:
     """Run a preset on ``cfg``, or on the preset's default config when None."""
-    exp = _preset(name)
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    exp = PRESETS[name]
     return PresetResult(name, *exp.run(cfg if cfg is not None else exp.config(), seed))

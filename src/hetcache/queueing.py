@@ -14,7 +14,6 @@ reuses the whole pipeline with a two-tier state matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -251,31 +250,20 @@ class CtmcTrace:
 
     ``times``/``states`` hold the embedded jump chain (states row r valid on
     [times[r], times[r+1])); ``time_average`` is the per-class time-averaged
-    occupancy after the warmup.  ``slot_times``/``slot_occupancy`` are the
-    total occupancies averaged per slot, used for reporting.  They are built
-    together on first access, so a caller that reads only ``time_average``
-    never builds them.
+    occupancy after the warmup.
     """
 
     times: np.ndarray
     states: np.ndarray
     time_average: np.ndarray
     horizon: float
-    slot: float
 
-    @functools.cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        return _slot_average(self.times, self.states.sum(axis=1), self.horizon, self.slot)
-
-    @property
-    def slot_times(self) -> np.ndarray:
-        """Start of each slot."""
-        return self._slots[0]
-
-    @property
-    def slot_occupancy(self) -> np.ndarray:
-        """Total occupancy averaged over each slot."""
-        return self._slots[1]
+    def slot_average(self, slot: float) -> tuple[np.ndarray, np.ndarray]:
+        """The start of each slot of length ``slot`` and the total occupancy
+        averaged over it."""
+        if not slot > 0.0:
+            raise ValueError("slot duration must be positive")
+        return _slot_average(self.times, self.states.sum(axis=1), self.horizon, slot)
 
 
 # Holding times and jump uniforms are drawn this many at a time.
@@ -284,7 +272,7 @@ _DRAW_BLOCK = 1024
 
 def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
                   node_type: int, horizon: float, seed: int,
-                  slot: float = 0.2, warmup: float = 0.0) -> CtmcTrace:
+                  warmup: float = 0.0) -> CtmcTrace:
     """Simulate the multiclass processor-sharing queue at one node type.
 
     Arrivals are Poisson per class; the server splits its capacity over the
@@ -298,8 +286,6 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
         raise ValueError("node type must be 1..4")
     if not 0.0 < horizon < math.inf:
         raise ValueError("simulation horizon must be positive and finite")
-    if not slot > 0.0:
-        raise ValueError("slot duration must be positive")
     if not 0.0 <= warmup < horizon:
         raise ValueError("warmup must lie in [0, horizon)")
     j = node_type - 1
@@ -355,7 +341,7 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     steps[np.arange(1, len(times)), codes % N_CLASSES] = np.where(codes < N_CLASSES, 1, -1)
     states_arr = np.cumsum(steps, axis=0)
     time_avg = _time_average(times_arr, states_arr, horizon, warmup)
-    return CtmcTrace(times_arr, states_arr, time_avg, horizon, slot)
+    return CtmcTrace(times_arr, states_arr, time_avg, horizon)
 
 
 def _pick(weights: list[float], target: float) -> int:

@@ -2,8 +2,9 @@
 
 CSV files are deterministic (LF endings, '.' decimal, repr-roundtrip floats)
 so reruns with the same seed are byte-identical.  The JSON envelope carries
-the config echo, seed, version string and wall clock, which is enough to
-reproduce the CSV exactly, and the rows again.  It is written as one line
+the config echo, the seed, the run's parameters (a command's flags), the
+version string and the wall clock, which is enough to reproduce the CSV
+exactly, and the rows again.  It is written as one line
 of JSON by json's C encoder; ``python -m json.tool <name>.json`` prints it
 indented.
 """
@@ -65,12 +66,13 @@ def _records(rows: list[dict], columns: list[str]):
 
 def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
                  config: dict | None = None, seed: int | None = None,
-                 meta: dict | None = None) -> tuple[Path, Path]:
+                 params: dict | None = None, meta: dict | None = None) -> tuple[Path, Path]:
     """Write ``<name>.csv`` and ``<name>.json`` under ``out_dir``.
 
     ``columns`` is the authoritative header (an empty row set still yields a
     header-only CSV); every row must be a dict over exactly these keys.
-    Returns the two paths.
+    ``params`` are the keyword arguments the rows were computed with; they
+    are only recorded.  Returns the two paths.
     """
     for row in rows:
         if set(row) != set(columns):
@@ -91,6 +93,7 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": seed,
         "config": config,
+        "params": params or {},
         "meta": meta or {},
         "columns": columns,
         "rows": rows,

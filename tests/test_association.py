@@ -15,7 +15,6 @@ from hetcache import (
 )
 from hetcache.association import (
     _zipf_prefix,
-    activity_constant,
     pairwise_association_probability,
 )
 
@@ -157,7 +156,6 @@ def test_activity_critical_points(cfg, cfg_lowpower):
     act13 = active_d2d_density(cfg_lowpower)
     assert act13.alpha_star == 0.0
     assert act13.alpha_hat == pytest.approx(0.3162, abs=5e-4)
-    assert act13.h == pytest.approx(activity_constant(cfg_lowpower), rel=1e-14)
 
 
 def test_active_density_continuous_at_alpha_star(cfg):

@@ -8,7 +8,7 @@ import pytest
 from hetcache import network_model, queue_metrics, results, throughput_gain
 from hetcache.cli import main
 from hetcache.config import fig6_config
-from hetcache.presets import COMMANDS, PRESET_NAMES, default_config, run_preset
+from hetcache.presets import COMMANDS, PRESET_NAMES, PRESETS, run_preset
 from hetcache.results import emit_results
 
 
@@ -170,6 +170,53 @@ def test_cli_config_file_dbm_keys(tmp_path):
     assert env["config"]["p1_dbm"] == pytest.approx(13.0)
 
 
+# one run per subcommand, with flags wherever it takes them
+_RERUNS = [
+    ["association"],
+    ["d2d-density", "--points", "5"],
+    ["rate"],
+    ["outage", "--tau-db", "-3", "2.5"],
+    ["sinr-cdf", "--tau-min", "-5", "--tau-max", "5", "--tau-step", "5"],
+    ["queue"],
+    ["steady"],
+    ["baseline-compare"],
+    ["simulate", "--topologies", "2", "--window", "1500"],
+    ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "0.3", "--num", "3",
+     "--quantity", "varsigma_star"],
+    ["queue", "--config", "off-grid"],
+]
+
+
+def _rerun_argv(env: dict, config_path) -> list[str]:
+    """A command line that runs an envelope's config, seed and params again."""
+    config_path.write_text(json.dumps(env["config"]))
+    argv = [env["name"], "--config", str(config_path), "--seed", str(env["seed"])]
+    for dest, value in env["params"].items():
+        argv.append("--" + dest.replace("_", "-"))
+        argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    return argv
+
+
+def test_rerun_cases_cover_every_command():
+    assert {argv[0] for argv in _RERUNS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _RERUNS, ids=lambda argv: "-".join(argv[:2]))
+def test_cli_rerun_from_envelope_is_byte_identical(tmp_path, argv):
+    if "off-grid" in argv:
+        # powers with no exact dBm value: the config echo must keep the watts
+        off_grid = tmp_path / "off-grid.json"
+        off_grid.write_text(json.dumps({"p1": 0.3, "p2": 2.1, "p3": 19.0}))
+        argv = [str(off_grid) if a == "off-grid" else a for a in argv]
+    first, second = tmp_path / "first", tmp_path / "second"
+    main(argv + ["--seed", "4", "--out", str(first)])
+    env = json.loads((first / f"{argv[0]}.json").read_text())
+    assert "params" not in env["meta"]
+    main(_rerun_argv(env, tmp_path / "echo.json") + ["--out", str(second)])
+    name = f"{argv[0]}.csv"
+    assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_cli_simulate_has_positive_std_errors(tmp_path):
     main(["simulate", "--topologies", "4",
           "--window", "1500", "--tau-db", "-10", "--out", str(tmp_path), "--seed", "3"])
@@ -218,7 +265,8 @@ def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
     command = next(c for c, exp in COMMANDS.items() if name in exp.presets)
     main([command, "--preset", name, "--seed", "3", "--out", str(tmp_path)])
     env = json.loads((tmp_path / f"{command}-{name}.json").read_text())
-    assert env["config"] == default_config(name).to_flat_dict()
+    assert env["config"] == PRESETS[name].config().to_flat_dict()
+    assert env["params"] == {}
     library = run_preset(name, seed=3)
     with open(tmp_path / f"{command}-{name}.csv", newline="") as fh:
         header, *lines = csv.reader(fh)
@@ -233,7 +281,7 @@ def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
 
 
 def test_fig3b_is_the_fig3a_sweep_on_the_low_power_set():
-    low_power = default_config("fig3b")
+    low_power = PRESETS["fig3b"].config()
     assert low_power.to_flat_dict()["p1_dbm"] == pytest.approx(13.0)
     assert run_preset("fig3b").rows == run_preset("fig3a", low_power).rows
 

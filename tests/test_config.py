@@ -62,6 +62,18 @@ def test_config_from_dict_dbm_wins():
     assert cfg.alpha == 0.2
 
 
+def test_config_echo_round_trips_off_grid_powers():
+    # 0.3 W is not an exact dBm value: its dBm echo rebuilds 0.3000000000000001 W
+    cfg = NetworkConfig(p1=0.3, p2=2.1, p3=19.0)
+    assert dbm_to_watts(watts_to_dbm(0.3)) != 0.3
+    assert config_from_dict(cfg.to_flat_dict()) == cfg
+    rng = np.random.default_rng(21)
+    for powers in 10.0 ** rng.uniform(-6.0, 4.0, size=(2000, 3)):
+        cfg = NetworkConfig(p1=float(powers[0]), p2=float(powers[1]), p3=float(powers[2]))
+        echo = json.loads(json.dumps(cfg.to_flat_dict()))
+        assert config_from_dict(echo) == cfg
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(Exception):
         config_from_dict({"frequency": 2.4e9})

@@ -292,7 +292,7 @@ def test_ctmc_stability_dichotomy(cfg):
     assert tr.time_average.sum() < 20.0
     unstable_loads, rates = _single_class_model(cfg, zeta=1.2, mu=1.0)
     tr = ctmc_simulate(cfg, unstable_loads, rates, 3, horizon=2000.0, seed=5)
-    assert tr.slot_occupancy[-1] > 100.0  # linear growth at 20% overload
+    assert tr.slot_average(0.2)[1][-1] > 100.0  # linear growth at 20% overload
 
 
 def test_ctmc_origin_start_sits_below_analytic(queue_model):
@@ -315,15 +315,11 @@ def test_ctmc_domain_errors(cfg):
 
 
 @pytest.mark.parametrize("slot", [0.0, -0.2, math.nan])
-def test_ctmc_rejects_bad_slot_before_simulating(cfg, monkeypatch, slot):
+def test_slot_average_rejects_bad_slot(cfg, slot):
     loads, rates = _single_class_model(cfg, zeta=0.5, mu=1.0)
-
-    def no_draws(seed):
-        raise AssertionError("the simulation started")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    trace = ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="slot"):
-        ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0, slot=slot)
+        trace.slot_average(slot)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
@@ -409,8 +405,7 @@ def test_ctmc_matches_per_event_loop(name):
     for seed in (0, 1, 2):
         trace = ctmc_simulate(cfg, loads, rates, seed=seed, **args)
         want = _ctmc_loop(cfg, loads, rates, seed=seed, **args)
-        got = (trace.times, trace.states, trace.time_average,
-               trace.slot_times, trace.slot_occupancy)
+        got = (trace.times, trace.states, trace.time_average, *trace.slot_average(0.2))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -424,15 +419,15 @@ def test_ctmc_builds_slot_averages_once_and_only_when_read(cfg, monkeypatch):
 
     monkeypatch.setattr(queueing, "_slot_average", counted)
     loads, rates = _single_class_model(cfg, zeta=0.6, mu=1.0)
-    unread = ctmc_simulate(cfg, loads, rates, 3, horizon=200.0, seed=3)
-    assert unread.time_average.sum() > 0.0
-    assert calls == []
     trace = ctmc_simulate(cfg, loads, rates, 3, horizon=200.0, seed=3)
-    slot_times = trace.slot_times
+    assert trace.time_average.sum() > 0.0
+    assert calls == []
+    first = trace.slot_average(0.2)
     assert len(calls) == 1
-    assert trace.slot_occupancy is trace.slot_occupancy
-    assert trace.slot_times is slot_times
-    assert len(calls) == 1
+    second = trace.slot_average(0.2)
+    assert len(calls) == 2
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_ctmc_deterministic(cfg):
@@ -442,7 +437,7 @@ def test_ctmc_deterministic(cfg):
     assert len(a.times) > 2 * _DRAW_BLOCK  # the random draws were refilled
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.slot_occupancy, b.slot_occupancy)
+    assert np.array_equal(a.slot_average(0.2)[1], b.slot_average(0.2)[1])
 
 
 def _slot_average_loop(times, totals, horizon, slot):
