@@ -16,25 +16,28 @@ for it).  They give each reference user one received-power table
 (``_geometry``): per tier, the nearest node and its mean received power
 P d^-beta.  The serving node is the strongest in the table, and every
 (case, serving tier) reads its signal power from the same table.
-Interference is computed per topology and (case, serving tier) in one pass
-per block of ``_ROW_BLOCK`` reference users (``_weight_blocks``).  The node
-coordinates, the power vector and three block buffers are built once.  Each
-block then takes the squared torus distances sq to every active D2D
-transmitter, relay and BS (the coordinate offsets as one matrix product per
-axis, exact) and the weights P sq^(-beta/2) (no square root), divided by
-each user's signal power.  At beta = 4 a weight is (sqrt(P) / sq)^2, a
-division and a square in place of ``np.power``.  One rule excludes nodes
-in every (case, serving tier): the reference user itself, its serving node
-and, in case 3, the blocker (the nearest cache-enabled user, which outranks
-the serving relay or BS).  An excluded node is infinitely far and weighs 0.
-The block goes straight into the fading average, so no (users x nodes)
-matrix is ever built and a block stays in cache.
+Interference is computed in one pass per topology (``_weight_blocks``):
+the rows of every (case, serving tier), case-major, go through it together
+in blocks of ``_ROW_BLOCK`` reference users, each row with its own case and
+serving tier.  The node coordinates, the power vector, the column maps and
+three block buffers are built once per topology.  Each block then takes the
+squared torus distances sq to every active D2D transmitter, relay and BS
+(the coordinate offsets as one matrix product per axis, exact) and the
+weights P sq^(-beta/2) (no square root).  At beta = 4 a weight is
+(sqrt(P) / sq)^2, a division and a square in place of ``np.power``.  One
+rule excludes nodes in every (case, serving tier): the reference user
+itself, its serving node and, in case 3, the blocker (the nearest
+cache-enabled user, which outranks the serving relay or BS).  An excluded
+node is infinitely far and weighs 0.  The block goes straight into the
+fading average, so no (users x nodes) matrix is ever built and a block
+stays in cache.
 
 Given a user's topology, with signal power S, weights w_j and noise
 sigma^2, Rayleigh fading gives the coverage in closed form:
 P(SINR > theta) = exp(-theta n) prod_j 1 / (1 + theta a_j), where
 a_j = w_j / S and n = sigma^2 / S.  ``run_monte_carlo`` averages the
-fading out exactly this way (``_fading_average``): outage is
+fading out exactly this way (``_fading_average``), with 1 / S applied to
+each row's reductions rather than to its weights: outage is
 -expm1(log P(tau)), and the ergodic rate is
 integral P(e^u) e^u / (1 + e^u) du over u = ln theta, on a 24-node
 Gauss-Legendre rule between 0 and the knee u0 = -ln(sum_j a_j + n) and, on
@@ -236,37 +239,42 @@ def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: 
 
 
 def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
-                   rows: np.ndarray, case_id: int,
-                   tier: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Relative interference of ``rows`` in one (case, serving tier), in
+                   rows: np.ndarray, case_ids: np.ndarray | int, tiers: np.ndarray | int
+                   ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Interference of ``rows``, each in its own (case, serving tier), in
     blocks of ``_ROW_BLOCK`` rows.
 
-    Yields ``(block, a, n)``: ``block`` slices ``rows``; ``a`` (rows in the
-    block, nodes) holds the interference weights P_j d_j^-beta and ``n`` the
-    noise, both divided by each row's mean signal power from its serving
-    node.  Columns are every active D2D transmitter (in user order), then
-    every relay, then every BS.  One rule holds in every (case, tier): the
-    reference user itself, its serving node and, in case 3 only, the
-    blocker (the nearest cache-enabled user, which outranks the serving
-    relay or BS) do not interfere and weigh 0.  ``a`` is a view of a buffer
-    that the next block overwrites.
+    ``case_ids`` and ``tiers`` hold each row's case and serving tier; a
+    scalar holds for every row.  Yields ``(block, w, signal, n)``: ``block``
+    slices ``rows``; ``w`` (rows in the block, nodes) holds the interference
+    weights P_j d_j^-beta, ``signal`` each row's mean signal power from its
+    serving node and ``n`` the noise divided by that signal.  ``w`` is not
+    divided by the signal: ``_fading_average`` applies 1 / signal to its
+    per-row reductions instead.  Columns are every active D2D transmitter
+    (in user order), then every relay, then every BS.  One rule holds in
+    every (case, tier): the reference user itself, its serving node and, in
+    case 3 only, the blocker (the nearest cache-enabled user, which outranks
+    the serving relay or BS) do not interfere and weigh 0.  ``w`` is a view
+    of a buffer that the next block overwrites.
     """
+    case_ids, tiers = np.broadcast_arrays(case_ids, tiers, rows)[:2]
     ref = geo.ref[rows]
     active = np.flatnonzero(real.active_flags)
     node_xy = np.concatenate((real.users[active], real.relays, real.bs))
     power = np.repeat(cfg.powers, (len(active), len(real.relays), len(real.bs)))
-    signal = geo.received[tier - 1, rows]
+    signal = geo.received[tiers - 1, rows]
     noise = cfg.noise / signal
-    # each tier's node index to its column; a user that does not transmit,
-    # and the index -1 of a missing node, map to -1 (no column)
+    # each user's column; a user that does not transmit, and the index -1 of
+    # a missing node, map to -1 (no column)
     user_col = np.full(len(real.users) + 1, -1)
     user_col[active] = np.arange(len(active))
-    node_col = (user_col, len(active) + np.arange(len(real.relays)),
-                len(active) + len(real.relays) + np.arange(len(real.bs)))
+    # per row and tier, the column of its nearest node in that tier
+    nearest_col = np.stack((user_col[geo.nearest[0, rows]],
+                            len(active) + geo.nearest[1, rows],
+                            len(active) + len(real.relays) + geo.nearest[2, rows]))
     # per row, the columns that do not interfere (-1: none)
-    excluded = [user_col[ref], node_col[tier - 1][geo.nearest[tier - 1, rows]]]
-    if case_id == 3:
-        excluded.append(user_col[geo.nearest[0, rows]])
+    excluded = [user_col[ref], nearest_col[tiers - 1, np.arange(len(rows))],
+                np.where(case_ids == 3, nearest_col[0], -1)]
     # per axis, the users as rows (u, 1) and the nodes as columns (1, -v):
     # their matrix product is every offset u - v, rounded once exactly as
     # np.subtract.outer rounds it, at a third of its cost
@@ -302,39 +310,44 @@ def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
         else:
             np.power(sq, exponent, out=sq)
             sq *= power
-        sq /= signal[block, None]
-        yield block, sq, noise[block]
+        yield block, sq, signal[block], noise[block]
 
 
-def _fading_average(a: np.ndarray, n: np.ndarray,
+def _fading_average(w: np.ndarray, signal: np.ndarray, n: np.ndarray,
                     taus: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Ergodic rate E[ln(1 + SINR)] and outage P(SINR <= tau) of each row,
     averaged over Rayleigh fading given the row's topology.
 
-    ``a`` (rows, nodes) holds the interference weights and ``n`` (rows,) the
-    noise, both divided by the signal power; every row needs a positive
-    interference or noise.  Each row of ``a`` is reordered in place (a
-    partition that puts its ``_EXACT_TERMS`` largest weights last).
+    ``w`` (rows, nodes) holds the interference weights, ``signal`` (rows,)
+    the signal power and ``n`` (rows,) the noise divided by the signal;
+    every row needs a positive interference or noise.  The relative weights
+    a_j = w_j / S are never formed: 1 / S scales each row's reductions (the
+    rest's power sums, a_next, the top weights' sum and the theta grid that
+    multiplies the top weights).  The partition is scale-invariant, so it
+    picks the same exact terms as on a.  Each row of ``w`` is reordered in
+    place (a partition that puts its ``_EXACT_TERMS`` largest weights last).
     Returns the rates (rows,) and the outage (rows, len(taus)).  All rows
     are evaluated at once, so callers pass a block of ``_ROW_BLOCK`` rows
     (``_weight_blocks``).
     """
-    rows, nodes = a.shape
+    rows, nodes = w.shape
+    inv = 1.0 / signal
     k = min(_EXACT_TERMS, nodes)
     if k < nodes:
         # the largest of the rest, a_next, lands in column nodes - k - 1
-        a.partition(nodes - k - 1, axis=1)
-        a_next = a[:, nodes - k - 1]
+        w.partition(nodes - k - 1, axis=1)
+        a_next = w[:, nodes - k - 1] * inv
     else:
         a_next = np.zeros(rows)
-    top, rest = a[:, nodes - k:], a[:, :nodes - k]
+    top, rest = w[:, nodes - k:], w[:, :nodes - k]
     rest2 = rest * rest
-    first = rest.sum(axis=1) + n
-    second = rest2.sum(axis=1)
-    third = np.einsum("rn,rn->r", rest2, rest)
-    fourth = np.einsum("rn,rn->r", rest2, rest2)
+    inv2 = inv * inv
+    first = rest.sum(axis=1) * inv + n
+    second = rest2.sum(axis=1) * inv2
+    third = np.einsum("rn,rn->r", rest2, rest) * (inv2 * inv)
+    fourth = np.einsum("rn,rn->r", rest2, rest2) * (inv2 * inv2)
 
-    u0 = -np.log(top.sum(axis=1) + first)
+    u0 = -np.log(top.sum(axis=1) * inv + first)
     lo, hi = np.minimum(u0, 0.0), np.maximum(u0, 0.0)
     knee, m = len(_KNEE_X), _RATE_U.shape[1]
     u = np.column_stack((lo, hi, np.ones(rows))) @ _RATE_U
@@ -342,9 +355,9 @@ def _fading_average(a: np.ndarray, n: np.ndarray,
     np.exp(u, out=theta[:, :m])
     theta[:, m:] = taus
 
-    # every top weight times every theta, as einsum forms it at half the
+    # every top weight times every theta / S, as einsum forms it at half the
     # cost of a broadcast multiply
-    terms = np.einsum("rk,rc->rkc", top, theta)
+    terms = np.einsum("rk,rc->rkc", top, theta * inv[:, None])
     log_p = -np.log1p(terms, out=terms).sum(axis=1)
     log_p -= theta * first[:, None]
     # the rest through the series of log1p where theta a_next <= 1/2; the
@@ -368,11 +381,14 @@ class MonteCarloSummary:
     tiers (the analytic rates are tier-independent per case); ``outage`` maps
     (case id, linear threshold) likewise; ``association`` maps the
     association fractions.  Standard errors are across replications.
+    ``reference_rows`` maps each (case id, serving tier) to the reference
+    users measured in it, summed over replications.
     """
 
     rates: dict[int, EmpiricalEstimate]
     outage: dict[tuple[int, float], EmpiricalEstimate]
     association: dict[str, EmpiricalEstimate]
+    reference_rows: dict[tuple[int, int], int]
 
 
 def _across_reps(per_rep: list[float]) -> EmpiricalEstimate:
@@ -407,6 +423,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     out_acc: dict[tuple[int, float], list[float]] = {
         (c, t): [] for c in _CASE_TIERS for t in tau_grid}
     assoc_acc: dict[str, list[float]] = {}
+    row_acc = {(c, t): 0 for c, tiers in _CASE_TIERS.items() for t in tiers}
 
     retry_budget = 20
     for child in children:
@@ -440,29 +457,37 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         for key, count in counts.items():
             assoc_acc.setdefault(key, []).append(count / n_ref if n_ref else math.nan)
 
-        for case_id, tiers in _CASE_TIERS.items():
-            rates, outages = [], []
-            for tier in tiers:
+        # every (case, serving tier)'s rows, drawn in this order, go through
+        # one pass, case-major: each case's rows stay one contiguous run
+        picked, case_ids, tiers = [], [], []
+        for case_id, case_tiers in _CASE_TIERS.items():
+            for tier in case_tiers:
                 rows = _case_members(geo, real, case_id, tier)
                 if len(rows) > max_users:
                     rows = rng.choice(rows, size=max_users, replace=False)
-                rate, outage = np.empty(len(rows)), np.empty((len(rows), len(tau_grid)))
-                for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
-                    rate[block], outage[block] = _fading_average(a, n, tau_grid)
-                rates.append(rate)
-                outages.append(outage)
-            rate, outage = np.concatenate(rates), np.concatenate(outages)
-            if rate.size == 0:
+                picked.append(rows)
+                case_ids.append(np.full(len(rows), case_id))
+                tiers.append(np.full(len(rows), tier))
+                row_acc[(case_id, tier)] += len(rows)
+        rows, case_ids, tiers = map(np.concatenate, (picked, case_ids, tiers))
+        rate, outage = np.empty(len(rows)), np.empty((len(rows), len(tau_grid)))
+        for block, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_ids, tiers):
+            rate[block], outage[block] = _fading_average(w, signal, n, tau_grid)
+
+        for case_id in _CASE_TIERS:
+            members = case_ids == case_id
+            if not members.any():
                 rate_acc[case_id].append(math.nan)
                 for t in tau_grid:
                     out_acc[(case_id, t)].append(math.nan)
                 continue
-            rate_acc[case_id].append(float(rate.mean()))
-            for t, column in zip(tau_grid, outage.T):
+            rate_acc[case_id].append(float(rate[members].mean()))
+            for t, column in zip(tau_grid, outage[members].T):
                 out_acc[(case_id, t)].append(float(column.mean()))
 
     return MonteCarloSummary(
         rates={c: _across_reps(v) for c, v in rate_acc.items()},
         outage={k: _across_reps(v) for k, v in out_acc.items()},
         association={k: _across_reps(v) for k, v in assoc_acc.items()},
+        reference_rows=row_acc,
     )

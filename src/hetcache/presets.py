@@ -193,6 +193,7 @@ def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
     rows += [row("outage", c, 10.0 * math.log10(t), e) for (c, t), e in sorted(summary.outage.items())]
     meta = {k: {"value": e.value, "std_error": e.std_error}
             for k, e in summary.association.items()}
+    meta["reference_rows"] = {f"case{c}_tier{t}": n for (c, t), n in summary.reference_rows.items()}
     return columns, rows, meta
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hetcache import network_model, queue_metrics, results, throughput_gain
+from hetcache import network_model, queue_metrics, results, run_monte_carlo, throughput_gain
 from hetcache.cli import main
 from hetcache.config import fig6_config
 from hetcache.presets import COMMANDS, PRESET_NAMES, PRESETS, run_preset
@@ -227,6 +227,17 @@ def test_cli_simulate_has_positive_std_errors(tmp_path):
     main(["outage", "--out", str(tmp_path)])
     out_env = json.loads((tmp_path / "outage.json").read_text())
     assert "std_error" not in out_env["columns"]
+
+
+def test_cli_simulate_meta_counts_rows_per_case_and_tier(tmp_path, cfg):
+    # next to the association fractions, the reference users measured per
+    # (case, serving tier), summed over topologies
+    main(["simulate", "--topologies", "2", "--window", "1500", "--seed", "4",
+          "--out", str(tmp_path)])
+    counts = json.loads((tmp_path / "simulate.json").read_text())["meta"]["reference_rows"]
+    summary = run_monte_carlo(cfg, n_topologies=2, seed=4, window=1500.0)
+    assert counts == {f"case{c}_tier{t}": n for (c, t), n in summary.reference_rows.items()}
+    assert len(counts) == 7 and all(n > 0 for n in counts.values())
 
 
 def test_cli_sweep(tmp_path):

@@ -113,7 +113,8 @@ def _measure_sinr(real, cfg, case_id, tier, n_fading, seed):
     geo = _geometry(real, cfg, np.arange(len(real.users)))
     rows = _case_members(geo, real, case_id, tier)
     out = rng.standard_exponential((len(rows), n_fading))
-    for block, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
+    for block, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_id, tier):
+        a = w / signal[:, None]
         fading = np.empty((a.shape[1], n_fading))
         for r in range(len(a)):
             rng.standard_exponential(out=fading)
@@ -138,8 +139,10 @@ def test_single_interferer_sinr_distribution(cfg):
 
 def _relative_weights(real, cfg, geo, rows, case_id, tier):
     """All of ``rows``' relative weights (rows, nodes) and noise (rows,),
-    stacked from the producer's blocks."""
-    blocks = [(a.copy(), n) for _, a, n in _weight_blocks(real, cfg, geo, rows, case_id, tier)]
+    stacked from the producer's blocks: each block's weights divided by its
+    signal powers."""
+    blocks = [(w / signal[:, None], n)
+              for _, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_id, tier)]
     return np.vstack([a for a, _ in blocks]), np.concatenate([n for _, n in blocks])
 
 
@@ -173,7 +176,7 @@ def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
             a, n = _relative_weights(real, c, geo, rows, case_id, tier)
-            rate, outage = _fading_average(a, n, taus)
+            rate, outage = _fading_average(a, np.ones(len(a)), n, taus)
             total = a.sum(axis=1)
             picks = {int(np.argmin(total)), int(np.argmax(total)),
                      *range(0, len(rows), max(1, len(rows) // 5))}
@@ -198,21 +201,20 @@ def _full_tails():
 def _assert_truncated_tails_negligible(monkeypatch, a, n, taus):
     """The truncated tails against the whole ones: each rate within the
     dropped weight's bound of 4.3e-19 plus 4 ulp, each outage equal."""
-    rate, outage = _fading_average(a.copy(), n, taus)
+    ones = np.ones(len(a))
+    rate, outage = _fading_average(a.copy(), ones, n, taus)
     rate_u, tail_w = _full_tails()
     with monkeypatch.context() as m:
         m.setattr(montecarlo, "_RATE_U", rate_u)
         m.setattr(montecarlo, "_TAIL_W", tail_w)
-        full_rate, full_outage = _fading_average(a.copy(), n, taus)
+        full_rate, full_outage = _fading_average(a.copy(), ones, n, taus)
     assert (np.abs(rate - full_rate) <= 4.3e-19 + 4.0 * np.spacing(full_rate)).all()
     assert np.array_equal(outage, full_outage)
 
 
-def test_truncated_tails_drop_negligible_weight(cfg, monkeypatch):
-    weights = np.polynomial.laguerre.laggauss(32)[1]
-    assert weights[montecarlo._TAIL_NODES:].sum() < 2.2e-19
-    # every block of criterion 3's geometry, in every (case, tier)
-    taus = (0.1, 10.0 ** -0.5)
+def _criterion3_blocks(cfg):
+    """Every block of criterion 3's geometry (seed 11), at each of its
+    alphas and in every (case, tier), as ``_weight_blocks`` yields it."""
     for alpha in (0.05, 0.1, 0.25):
         c = cfg.with_updates(alpha=alpha)
         real = sample_topology(c, 6000.0, 11)
@@ -221,8 +223,15 @@ def test_truncated_tails_drop_negligible_weight(cfg, monkeypatch):
         for case_id, tiers in _CASE_TIERS.items():
             for tier in tiers:
                 rows = _case_members(geo, real, case_id, tier)
-                for _, a, n in _weight_blocks(real, c, geo, rows, case_id, tier):
-                    _assert_truncated_tails_negligible(monkeypatch, a, n, taus)
+                yield from _weight_blocks(real, c, geo, rows, case_id, tier)
+
+
+def test_truncated_tails_drop_negligible_weight(cfg, monkeypatch):
+    weights = np.polynomial.laguerre.laggauss(32)[1]
+    assert weights[montecarlo._TAIL_NODES:].sum() < 2.2e-19
+    taus = (0.1, 10.0 ** -0.5)
+    for _, w, signal, n in _criterion3_blocks(cfg):
+        _assert_truncated_tails_negligible(monkeypatch, w / signal[:, None], n, taus)
 
 
 @pytest.mark.parametrize("a", [1e-5, 1.0, 1e4])
@@ -230,7 +239,7 @@ def test_fading_average_single_interferer(a, monkeypatch):
     # P(SINR > theta) = 1 / (1 + a theta): rate ln(a) / (a - 1), outage
     # tau a / (1 + tau a); the knee sits far right, at 0 and far left
     taus = (0.1, 1.0, 10.0)
-    rate, outage = _fading_average(np.array([[a]]), np.zeros(1), taus)
+    rate, outage = _fading_average(np.array([[a]]), np.ones(1), np.zeros(1), taus)
     assert rate[0] == pytest.approx(math.log(a) / (a - 1.0) if a != 1.0 else 1.0, rel=1e-10)
     np.testing.assert_allclose(outage[0], [t * a / (1.0 + t * a) for t in taus], rtol=1e-12)
     _assert_truncated_tails_negligible(monkeypatch, np.array([[a]]), np.zeros(1), taus)
@@ -250,7 +259,7 @@ def test_fading_average_series_bound(count, a, taus, monkeypatch):
     # adversarial rows of equal weights against the closed form
     # prod_j 1 / (1 + theta a_j)
     row = np.full((1, count), a)
-    rate, outage = _fading_average(row, np.zeros(1), taus)
+    rate, outage = _fading_average(row, np.ones(1), np.zeros(1), taus)
     expect = [-math.expm1(-count * math.log1p(t * a)) for t in taus]
     np.testing.assert_allclose(outage[0], expect, rtol=1e-6, atol=0.0)
     assert rate[0] == pytest.approx(_quad_fading_average(row[0], 0.0, ())[0], rel=1e-5)
@@ -267,8 +276,8 @@ def test_fading_average_matches_sampled_sinr(cfg):
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
-            rate, outage = _fading_average(
-                *_relative_weights(real, c, geo, rows, case_id, tier), taus)
+            a, n = _relative_weights(real, c, geo, rows, case_id, tier)
+            rate, outage = _fading_average(a, np.ones(len(a)), n, taus)
             sinr = _measure_sinr(real, c, case_id, tier, n_fading=n_fading, seed=5)
             log_rate = np.log1p(sinr)
             se = log_rate.std(axis=1, ddof=1) / math.sqrt(n_fading)
@@ -349,7 +358,7 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
     for case_id, tiers in _CASE_TIERS.items():
         for tier in tiers:
             d2d_served = case_id == 1 and tier == 1
-            blocks = [(block, a.copy(), n) for block, a, n
+            blocks = [(block, w / signal[:, None], n) for block, w, signal, n
                       in _weight_blocks(real, c, geo, rows, case_id, tier)]
             assert [(b.start, b.stop) for b, _, _ in blocks] == [
                 (r, min(r + block_rows, len(rows))) for r in range(0, len(rows), block_rows)]
@@ -397,6 +406,55 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
                                        c.noise / signal, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_one_pass_over_all_row_sets_matches_per_set_passes(small_topology, monkeypatch,
+                                                            shuffle):
+    # all seven (case, tier) row sets through one pass, case-major as
+    # run_monte_carlo orders them or shuffled so that the case ids and tiers
+    # mix within blocks, in blocks that split the sets mid-set: each row's
+    # rate and outage as from a pass over its own (case, tier) alone
+    c, real, geo = small_topology
+    c = c.with_updates(noise=1e-12)
+    taus = (0.1, 1.0)
+    monkeypatch.setattr(montecarlo, "_ROW_BLOCK", 7)
+    sets = [(case_id, tier, _case_members(geo, real, case_id, tier))
+            for case_id, tiers in _CASE_TIERS.items() for tier in tiers]
+    sizes = [len(rows) for *_, rows in sets]
+    assert min(sizes) > 0 and any(size % 7 for size in sizes)
+    rows = np.concatenate([rows for *_, rows in sets])
+    case_ids = np.repeat([case_id for case_id, *_ in sets], sizes)
+    tiers = np.repeat([tier for _, tier, _ in sets], sizes)
+    order = (np.random.default_rng(1).permutation(len(rows)) if shuffle
+             else np.arange(len(rows)))
+    if shuffle:
+        assert len(np.unique(case_ids[order][:7])) > 1
+    rate, outage = np.empty(len(rows)), np.empty((len(rows), len(taus)))
+    for block, w, signal, n in _weight_blocks(real, c, geo, rows[order], case_ids[order],
+                                              tiers[order]):
+        rate[order[block]], outage[order[block]] = _fading_average(w, signal, n, taus)
+    start = 0
+    for case_id, tier, set_rows in sets:
+        alone = slice(start, start + len(set_rows))
+        start = alone.stop
+        for block, w, signal, n in _weight_blocks(real, c, geo, set_rows, case_id, tier):
+            own_rate, own_outage = _fading_average(w, signal, n, taus)
+            rows_here = np.arange(alone.start, alone.stop)[block]
+            np.testing.assert_allclose(rate[rows_here], own_rate, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(outage[rows_here], own_outage, rtol=1e-14, atol=0.0)
+
+
+def test_signal_fold_matches_relative_weights(cfg):
+    # on every block of criterion 3's geometry, 1 / S applied to the
+    # reductions gives what the relative weights w / S give
+    taus = (0.1, 10.0 ** -0.5)
+    for _, w, signal, n in _criterion3_blocks(cfg):
+        relative = w / signal[:, None]
+        rate, outage = _fading_average(w, signal, n, taus)
+        expect_rate, expect_outage = _fading_average(relative, np.ones(len(signal)), n, taus)
+        np.testing.assert_allclose(rate, expect_rate, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(outage, expect_outage, rtol=1e-14, atol=0.0)
+
+
 def test_empirical_estimate_validation(cfg):
     with pytest.raises(ValueError):
         EmpiricalEstimate(1.0, -0.1, 50)
@@ -421,13 +479,14 @@ def test_run_monte_carlo_is_block_invariant(cfg, monkeypatch):
     # the summary does not depend on how the rows are blocked; in the small
     # window some (case, tier) has no member and some has a single one
     sizes = []
-    producer = montecarlo._weight_blocks
+    members = montecarlo._case_members
 
-    def counted(real, c, geo, rows, case_id, tier):
+    def counted(geo, real, case_id, tier):
+        rows = members(geo, real, case_id, tier)
         sizes.append(len(rows))
-        return producer(real, c, geo, rows, case_id, tier)
+        return rows
 
-    monkeypatch.setattr(montecarlo, "_weight_blocks", counted)
+    monkeypatch.setattr(montecarlo, "_case_members", counted)
     kw = dict(n_topologies=6, seed=3, window=1000.0, max_users=40,
               max_reference_users=20, tau_grid=(0.1, 1.0))
     runs = []
@@ -445,6 +504,39 @@ def test_run_monte_carlo_is_block_invariant(cfg, monkeypatch):
                     [got[key].value, got[key].std_error],
                     [expect[key].value, expect[key].std_error], rtol=1e-14, atol=0.0)
                 assert got[key].n_samples == expect[key].n_samples
+        assert run.reference_rows == default.reference_rows
+
+
+def test_run_monte_carlo_counts_rows_per_case_and_tier(cfg, monkeypatch):
+    # one interference pass per topology; the rows per (case, serving tier)
+    # are the capped _case_members sizes, and per case they add up to the
+    # rows of that case in the pass
+    kw = dict(n_topologies=3, seed=5, window=1500.0, max_users=30,
+              max_reference_users=60, tau_grid=(0.1,))
+    members, producer = montecarlo._case_members, montecarlo._weight_blocks
+    drawn = {}
+    passed = []
+
+    def counted_members(geo, real, case_id, tier):
+        rows = members(geo, real, case_id, tier)
+        drawn[(case_id, tier)] = drawn.get((case_id, tier), 0) + min(len(rows), kw["max_users"])
+        return rows
+
+    def counted_blocks(real, c, geo, rows, case_ids, tiers):
+        passed.append(np.array(case_ids, copy=True))
+        return producer(real, c, geo, rows, case_ids, tiers)
+
+    monkeypatch.setattr(montecarlo, "_case_members", counted_members)
+    monkeypatch.setattr(montecarlo, "_weight_blocks", counted_blocks)
+    s = run_monte_carlo(cfg.with_updates(alpha=0.25), **kw)
+    assert len(passed) == kw["n_topologies"]
+    assert s.reference_rows == drawn
+    assert list(s.reference_rows) == [(c, t) for c, tiers in _CASE_TIERS.items() for t in tiers]
+    assert all(count > 0 for count in s.reference_rows.values())
+    case_ids = np.concatenate(passed)
+    for case_id, tiers in _CASE_TIERS.items():
+        total = sum(s.reference_rows[(case_id, t)] for t in tiers)
+        assert total == (case_ids == case_id).sum()
 
 
 def test_run_monte_carlo_validation_and_retries(cfg):
