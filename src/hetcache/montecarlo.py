@@ -418,6 +418,8 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         raise ValueError(f"the window is a torus; boundary {boundary!r} is not supported")
     if n_topologies < 1:
         raise ValueError("need at least one topology replication")
+    if len(set(tau_grid)) != len(tau_grid):  # one accumulator per (case, threshold)
+        raise ValueError("outage thresholds must be distinct")
     children = np.random.SeedSequence(seed).spawn(n_topologies)
     rate_acc: dict[int, list[float]] = {c: [] for c in _CASE_TIERS}
     out_acc: dict[tuple[int, float], list[float]] = {

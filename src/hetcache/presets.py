@@ -28,13 +28,7 @@ from .association import (
 from .config import NetworkConfig, db_to_linear, dbm_to_watts, fig6_config
 from .montecarlo import run_monte_carlo
 from .outage import sinr_cdf
-from .queueing import (
-    baseline_model,
-    ctmc_simulate,
-    network_model,
-    queue_metrics,
-    throughput_gain,
-)
+from .queueing import _gain, baseline_model, ctmc_simulate, network_model, queue_metrics
 from .rates import case_rate_table, rate_case1, rate_case2, rate_case3
 
 Table = tuple[list[str], list[dict], dict]
@@ -169,20 +163,19 @@ def steady(cfg: NetworkConfig, seed: int) -> Table:
 
 def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["model", "node", "ruler", "varsigma_star"]
-    rows = []
-    for model_name, model in (("cached", network_model), ("baseline", baseline_model)):
-        metrics = _metrics(cfg, model)
-        rows += [{"model": model_name, "node": n, "ruler": r, "varsigma_star": metrics.varsigma_star}
-                 for n, r in _rulers(metrics.rulers).items()]
-    return columns, rows, throughput_gain(cfg)
+    cached, base = _metrics(cfg), _metrics(cfg, baseline_model)
+    rows = [{"model": model_name, "node": n, "ruler": r, "varsigma_star": metrics.varsigma_star}
+            for model_name, metrics in (("cached", cached), ("baseline", base))
+            for n, r in _rulers(metrics.rulers).items()]
+    return columns, rows, _gain(cached, base)
 
 
 def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
              tau_db: list[float]) -> Table:
-    summary = run_monte_carlo(
-        cfg, n_topologies=topologies, seed=seed, window=window,
-        tau_grid=tuple(db_to_linear(t) for t in tau_db),
-    )
+    taus = tuple(db_to_linear(t) for t in tau_db)
+    summary = run_monte_carlo(cfg, n_topologies=topologies, seed=seed, window=window,
+                              tau_grid=taus)
+    db_of = dict(zip(taus, tau_db))  # each threshold's dB value as given
     columns = ["quantity", "case", "tau_db", "value", "std_error", "n_samples"]
 
     def row(quantity, case_id, db, est):
@@ -190,7 +183,7 @@ def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
                 "value": est.value, "std_error": est.std_error, "n_samples": est.n_samples}
 
     rows = [row("rate_nats", c, math.nan, e) for c, e in sorted(summary.rates.items())]
-    rows += [row("outage", c, 10.0 * math.log10(t), e) for (c, t), e in sorted(summary.outage.items())]
+    rows += [row("outage", c, db_of[t], e) for (c, t), e in sorted(summary.outage.items())]
     meta = {k: {"value": e.value, "std_error": e.std_error}
             for k, e in summary.association.items()}
     meta["reference_rows"] = {f"case{c}_tier{t}": n for (c, t), n in summary.reference_rows.items()}
@@ -220,9 +213,10 @@ def fig2(cfg: NetworkConfig, seed: int) -> Table:
     rows = []
     g = {f"g{i}": first_association_probability(cfg, i) for i in (1, 2, 3)}
     for gamma in np.arange(0.2, 2.01, 0.1):
-        states = state_matrix(cfg.with_updates(gamma=round(float(gamma), 10)))
+        gamma = round(float(gamma), 10)
+        states = state_matrix(cfg.with_updates(gamma=gamma))
         rows.append({
-            "gamma": float(gamma),
+            "gamma": gamma,
             **{f"case{c}": states.case_probability(c) for c in (1, 2, 3, 4)},
             **g,
         })
@@ -305,15 +299,15 @@ def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["gamma", "kappa", "varsigma_star_cached", "varsigma_star_baseline",
                "gain", "target_gain"]
     targets = {0.8: 0.133, 1.8: 0.573}
-    rows = []
-    for gamma in (0.8, 1.8):
-        for kappa in (0.5, 0.8, 0.95):
-            rows.append({
-                "gamma": gamma,
-                "kappa": kappa,
-                **throughput_gain(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)),
-                "target_gain": targets[gamma] if kappa == 0.8 else math.nan,
-            })
+    # the baseline has no cache-enabled users, so gamma does not reach it
+    base = {kappa: _metrics(cfg.with_updates(backhaul_kappa=kappa), baseline_model)
+            for kappa in (0.5, 0.8, 0.95)}
+    rows = [
+        {"gamma": gamma, "kappa": kappa,
+         **_gain(_metrics(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)), base[kappa]),
+         "target_gain": targets[gamma] if kappa == 0.8 else math.nan}
+        for gamma in (0.8, 1.8) for kappa in base
+    ]
     metrics = _metrics(cfg)
     meta = {
         "rulers": _rulers(metrics.rulers),

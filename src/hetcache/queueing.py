@@ -9,7 +9,8 @@ type: stability (rho_j < 1), the per-class and per-node occupancy,
 throughput and delay, the binding node type and the maximum request arrival
 rate varsigma / max_j rho_j.  An exact-jump CTMC simulator of the same
 generator provides the stochastic cross-check, and the no-caching baseline
-reuses the whole pipeline with a two-tier state matrix.
+reuses the whole pipeline with a two-tier state matrix; ``throughput_gain``
+compares the two models' ``QueueMetrics``.
 """
 
 from __future__ import annotations
@@ -129,18 +130,25 @@ class QueueMetrics:
     t_node: np.ndarray
     d_node: np.ndarray
     rulers: np.ndarray
-    stable: np.ndarray
     varsigma: float
 
     @property
+    def stable(self) -> np.ndarray:
+        return self.rulers < 1.0
+
+    @property
     def binding_node(self) -> str:
-        """The node type of the largest ruler, whose queue caps the arrival rate."""
-        return STATE_COLUMNS[_binding(self.rulers)]
+        """The node type of the largest ruler, whose queue caps the arrival
+        rate; none binds without traffic."""
+        if not self.rulers.any():
+            raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
+        return STATE_COLUMNS[int(self.rulers.argmax())]
 
     @property
     def varsigma_star(self) -> float:
-        """The maximum sustainable arrival rate varsigma / max_j rho_j."""
-        return _varsigma_star(self.varsigma, self.rulers)
+        """The maximum sustainable arrival rate varsigma / max_j rho_j, exact
+        because the rulers are linear in the arrival rate."""
+        return float(self.varsigma / self.rulers[STATE_COLUMNS.index(self.binding_node)])
 
 
 def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
@@ -157,19 +165,6 @@ def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.
         raise ValueError(message)
     per_class = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
     return per_class.sum(axis=0)
-
-
-def _binding(rulers: np.ndarray) -> int:
-    """Column index of the largest ruler; none binds without traffic."""
-    if not rulers.any():
-        raise ValueError("no traffic anywhere; maximum arrival rate is unbounded")
-    return int(rulers.argmax())
-
-
-def _varsigma_star(varsigma: float, rulers: np.ndarray) -> float:
-    """The rulers are linear in the arrival rate, so the supremum of stable
-    rates is the closed-form ratio varsigma / max_j ruler_j."""
-    return float(varsigma / rulers[_binding(rulers)])
 
 
 def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> QueueMetrics:
@@ -196,16 +191,17 @@ def queue_metrics(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) 
     n_node = np.where(up, sigma_node / np.where(up, t_node, 1.0), np.where(loaded, math.inf, 0.0))
     d_node = np.where(up, n_node / np.where(up, zeta_node, 1.0),
                       np.where(loaded, math.inf, math.nan))
-    return QueueMetrics(n_class, t_class, d_class, n_node, t_node, d_node,
-                        rulers, stable, cfg.varsigma)
+    return QueueMetrics(n_class, t_class, d_class, n_node, t_node, d_node, rulers, cfg.varsigma)
+
+
+def _model(cfg: NetworkConfig, states: StateMatrix) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
+    """Class loads and service rates of ``states`` under ``cfg``."""
+    return states, class_loads(cfg, states), rate_matrix(cfg, case_rate_table(cfg), states)
 
 
 def network_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
     """State matrix, class loads and service rates of the cache-enabled network."""
-    states = state_matrix(cfg)
-    loads = class_loads(cfg, states)
-    rates = rate_matrix(cfg, case_rate_table(cfg), states)
-    return states, loads, rates
+    return _model(cfg, state_matrix(cfg))
 
 
 def baseline_state_matrix(cfg: NetworkConfig) -> StateMatrix:
@@ -220,28 +216,26 @@ def baseline_state_matrix(cfg: NetworkConfig) -> StateMatrix:
 def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, RateMatrix]:
     """Loads and rates of the no-caching baseline.
 
-    Rates are the case-rate table at alpha = 0 (only case 1 is left: no D2D
-    interference, same relay/BS field), masked to the baseline's states;
-    class loads reuse the general splitter, which degenerates correctly
-    because the D2D and local columns are empty.
+    The cache-enabled pipeline at alpha = 0 (only case 1 is left: no D2D
+    interference, same relay/BS field) on the baseline's states; the D2D
+    and local columns are empty, so nothing of it reads gamma.
     """
-    cfg0 = cfg.with_updates(alpha=0.0)
-    states = baseline_state_matrix(cfg)
-    loads = class_loads(cfg0, states)
-    rates = rate_matrix(cfg, case_rate_table(cfg0), states)
-    return states, loads, rates
+    return _model(cfg.with_updates(alpha=0.0), baseline_state_matrix(cfg))
+
+
+def _gain(cached: QueueMetrics, base: QueueMetrics) -> dict[str, float]:
+    """Both critical rates and the relative gain of the first over the second."""
+    return {
+        "varsigma_star_cached": cached.varsigma_star,
+        "varsigma_star_baseline": base.varsigma_star,
+        "gain": cached.varsigma_star / base.varsigma_star - 1.0,
+    }
 
 
 def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
     no-caching baseline, with both critical rates."""
-    cached, base = (_varsigma_star(cfg.varsigma, _rulers(cfg, *model(cfg)[1:]))
-                    for model in (network_model, baseline_model))
-    return {
-        "varsigma_star_cached": cached,
-        "varsigma_star_baseline": base,
-        "gain": cached / base - 1.0,
-    }
+    return _gain(*(queue_metrics(cfg, *model(cfg)[1:]) for model in (network_model, baseline_model)))
 
 
 @dataclass(frozen=True)

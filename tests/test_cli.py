@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hetcache import network_model, queue_metrics, results, run_monte_carlo, throughput_gain
+from hetcache import (
+    network_model,
+    queue_metrics,
+    queueing,
+    results,
+    run_monte_carlo,
+    throughput_gain,
+)
 from hetcache.cli import main
 from hetcache.config import fig6_config
 from hetcache.presets import COMMANDS, PRESET_NAMES, PRESETS, run_preset
@@ -183,6 +190,8 @@ _RERUNS = [
     ["simulate", "--topologies", "2", "--window", "1500"],
     ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "0.3", "--num", "3",
      "--quantity", "varsigma_star"],
+    # the default quantity; "--var" goes last so the test id stays distinct
+    ["sweep", "--start", "0.1", "--stop", "0.3", "--num", "3", "--var", "alpha"],
     ["queue", "--config", "off-grid"],
 ]
 
@@ -219,14 +228,27 @@ def test_cli_rerun_from_envelope_is_byte_identical(tmp_path, argv):
 
 def test_cli_simulate_has_positive_std_errors(tmp_path):
     main(["simulate", "--topologies", "4",
-          "--window", "1500", "--tau-db", "-10", "--out", str(tmp_path), "--seed", "3"])
+          "--window", "1500", "--tau-db", "-10", "-3", "3", "--out", str(tmp_path), "--seed", "3"])
     env = json.loads((tmp_path / "simulate.json").read_text())
     rates = [r for r in env["rows"] if r["quantity"] == "rate_nats"]
     assert any(r["std_error"] > 0.0 for r in rates)
+    # -3 and 3 dB do not survive 10 log10(10^(x/10)); the column holds the flag's values
+    with open(tmp_path / "simulate.csv", newline="") as fh:
+        taus = [r["tau_db"] for r in csv.DictReader(fh) if r["quantity"] == "outage"]
+    assert taus == ["-10.0", "-3.0", "3.0"] * 3
     # analytic outputs carry no sampling error column at all
     main(["outage", "--out", str(tmp_path)])
     out_env = json.loads((tmp_path / "outage.json").read_text())
     assert "std_error" not in out_env["columns"]
+
+
+def test_cli_simulate_rejects_repeated_tau_db(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--topologies", "2", "--window", "1500", "--tau-db", "-5", "-5",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "outage thresholds must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
 
 
 def test_cli_simulate_meta_counts_rows_per_case_and_tier(tmp_path, cfg):
@@ -380,6 +402,34 @@ def test_preset_fig2_monotone_case1(cfg):
     r = run_preset("fig2", cfg, seed=0)
     case1 = [row["case1"] for row in r.rows]
     assert all(b > a for a, b in zip(case1, case1[1:]))
+
+
+def test_preset_fig2_writes_the_gamma_each_row_ran_at(cfg):
+    assert [row["gamma"] for row in run_preset("fig2", cfg).rows] == [k / 10 for k in range(2, 21)]
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count cached and baseline model builds through the state matrix each
+    builder makes once."""
+    counts = {"cached": 0, "baseline": 0}
+    for key, name in (("cached", "state_matrix"), ("baseline", "baseline_state_matrix")):
+        def counted(cfg, _build=getattr(queueing, name), _key=key):
+            counts[_key] += 1
+            return _build(cfg)
+        monkeypatch.setattr(queueing, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("run, builds", [
+    (lambda: run_preset("steady"), {"cached": 7, "baseline": 3}),
+    (lambda: COMMANDS["baseline-compare"].run(fig6_config(), 0), {"cached": 1, "baseline": 1}),
+], ids=["steady-preset", "baseline-compare"])
+def test_queueing_outputs_build_each_model_once(monkeypatch, run, builds):
+    # the steady preset: one cached model per (gamma, kappa) row plus the meta,
+    # one baseline per kappa
+    counts = _count_builds(monkeypatch)
+    run()
+    assert counts == builds
 
 
 def test_preset_steady_meta():

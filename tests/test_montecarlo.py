@@ -542,6 +542,9 @@ def test_run_monte_carlo_counts_rows_per_case_and_tier(cfg, monkeypatch):
 def test_run_monte_carlo_validation_and_retries(cfg):
     with pytest.raises(ValueError):
         run_monte_carlo(cfg, n_topologies=0)
+    # a repeat would feed its outage twice into one (case, threshold) estimate
+    with pytest.raises(ValueError, match="distinct"):
+        run_monte_carlo(cfg, n_topologies=1, window=1500.0, tau_grid=(0.1, 1.0, 0.1))
     starved = cfg.with_updates(lambda2=1e-14, lambda3=1e-15)
     with pytest.raises(RuntimeError):
         run_monte_carlo(starved, n_topologies=1, window=1000.0)

@@ -526,3 +526,18 @@ def test_baseline_model_rates_all_backhauled(cfg):
     assert rates.a[0, 2] > 0.0
     # relay service carries the backhaul penalty relative to the BS rate shape
     assert rates.a[1, 1] < rates.a[0, 2]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.8, 0.95])
+def test_baseline_model_is_gamma_independent(kappa):
+    # without cache-enabled users there is no D2D tier and no user cache, so
+    # the popularity skew reaches nothing of the baseline
+    cfg = fig6_config().with_updates(backhaul_kappa=kappa)
+    ref_states, ref_loads, ref_rates = baseline_model(cfg.with_updates(gamma=0.0))
+    for gamma in (0.8, 1.8):
+        states, loads, rates = baseline_model(cfg.with_updates(gamma=gamma))
+        assert np.array_equal(states.d, ref_states.d)
+        for name in ("n", "zeta", "sigma"):
+            assert np.array_equal(getattr(loads, name), getattr(ref_loads, name)), name
+        assert loads.node_densities == ref_loads.node_densities
+        assert np.array_equal(rates.a, ref_rates.a)
