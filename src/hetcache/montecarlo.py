@@ -221,6 +221,7 @@ def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[s
 
 
 _CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
+_PAIRS = [(c, t) for c, tiers in _CASE_TIERS.items() for t in tiers]
 
 
 def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: int) -> np.ndarray:
@@ -413,19 +414,23 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     ``"torus"``; the three stay in the signature for existing callers.
     Replication seeds are spawned from the master seed; identical inputs
     give bit-identical results.
+
+    ``tau_grid`` holds distinct linear outage thresholds, each >= 0.  An
+    empty relay or BS tier is resampled, up to 20 times before a ``ValueError``.
     """
     if boundary != "torus":
         raise ValueError(f"the window is a torus; boundary {boundary!r} is not supported")
     if n_topologies < 1:
         raise ValueError("need at least one topology replication")
-    if len(set(tau_grid)) != len(tau_grid):  # one accumulator per (case, threshold)
+    if not all(t >= 0.0 for t in tau_grid):
+        raise ValueError(f"outage thresholds {tau_grid} must be non-negative")
+    if len(set(tau_grid)) != len(tau_grid):  # one estimate per (case, threshold)
         raise ValueError("outage thresholds must be distinct")
     children = np.random.SeedSequence(seed).spawn(n_topologies)
-    rate_acc: dict[int, list[float]] = {c: [] for c in _CASE_TIERS}
-    out_acc: dict[tuple[int, float], list[float]] = {
-        (c, t): [] for c in _CASE_TIERS for t in tau_grid}
-    assoc_acc: dict[str, list[float]] = {}
-    row_acc = {(c, t): 0 for c, tiers in _CASE_TIERS.items() for t in tiers}
+    # per estimate, keyed (summary field, its key there), one value per
+    # topology: NaN where the topology has no sample of it
+    acc: dict[tuple, list[float]] = {}
+    row_acc = dict.fromkeys(_PAIRS, 0)
 
     retry_budget = 20
     for child in children:
@@ -435,7 +440,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
             if len(real.relays) > 0 and len(real.bs) > 0:
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"relay/BS tier stayed empty after {retry_budget} resamples; "
                 "enlarge the window or raise the densities"
             )
@@ -457,39 +462,31 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         n_ref = len(uniform)
         counts = _association_counts(geo.winner[uniform_rows], geo.relay_over_bs[uniform_rows])
         for key, count in counts.items():
-            assoc_acc.setdefault(key, []).append(count / n_ref if n_ref else math.nan)
+            acc.setdefault(("association", key), []).append(count / n_ref if n_ref else math.nan)
 
         # every (case, serving tier)'s rows, drawn in this order, go through
         # one pass, case-major: each case's rows stay one contiguous run
-        picked, case_ids, tiers = [], [], []
-        for case_id, case_tiers in _CASE_TIERS.items():
-            for tier in case_tiers:
-                rows = _case_members(geo, real, case_id, tier)
-                if len(rows) > max_users:
-                    rows = rng.choice(rows, size=max_users, replace=False)
-                picked.append(rows)
-                case_ids.append(np.full(len(rows), case_id))
-                tiers.append(np.full(len(rows), tier))
-                row_acc[(case_id, tier)] += len(rows)
-        rows, case_ids, tiers = map(np.concatenate, (picked, case_ids, tiers))
+        picked = []
+        for pair in _PAIRS:
+            rows = _case_members(geo, real, *pair)
+            if len(rows) > max_users:
+                rows = rng.choice(rows, size=max_users, replace=False)
+            picked.append(rows)
+            row_acc[pair] += len(rows)
+        sizes = [len(rows) for rows in picked]
+        case_ids, tiers = (np.repeat(column, sizes) for column in zip(*_PAIRS))
+        rows = np.concatenate(picked)
         rate, outage = np.empty(len(rows)), np.empty((len(rows), len(tau_grid)))
         for block, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_ids, tiers):
             rate[block], outage[block] = _fading_average(w, signal, n, tau_grid)
 
         for case_id in _CASE_TIERS:
             members = case_ids == case_id
-            if not members.any():
-                rate_acc[case_id].append(math.nan)
-                for t in tau_grid:
-                    out_acc[(case_id, t)].append(math.nan)
-                continue
-            rate_acc[case_id].append(float(rate[members].mean()))
-            for t, column in zip(tau_grid, outage[members].T):
-                out_acc[(case_id, t)].append(float(column.mean()))
+            keys = [("rates", case_id), *(("outage", (case_id, t)) for t in tau_grid)]
+            for key, v in zip(keys, (rate[members], *outage[members].T)):
+                acc.setdefault(key, []).append(float(v.mean()) if len(v) else math.nan)
 
-    return MonteCarloSummary(
-        rates={c: _across_reps(v) for c, v in rate_acc.items()},
-        outage={k: _across_reps(v) for k, v in out_acc.items()},
-        association={k: _across_reps(v) for k, v in assoc_acc.items()},
-        reference_rows=row_acc,
-    )
+    fields = {"rates": {}, "outage": {}, "association": {}}
+    for (field, key), per_rep in acc.items():
+        fields[field][key] = _across_reps(per_rep)
+    return MonteCarloSummary(**fields, reference_rows=row_acc)

@@ -38,8 +38,8 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
         if taus.ndim:
             raise ValueError("SINR thresholds must be a float or a 1-D array")
         tau = float(taus)
-    if tau < 0.0:
-        raise ValueError("SINR threshold must be non-negative")
+    if not tau >= 0.0:
+        raise ValueError(f"SINR threshold {tau} must be non-negative")
     if case_id == 4:
         return 0.0
     value = 1.0 - float(_coverage(cfg, case_id, tier, _Kernels(np.array([float(tau)]), cfg.beta))[0])
@@ -50,8 +50,9 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
 
 def _sinr_cdf_array(cfg: NetworkConfig, case_id: int, tier: int, taus: np.ndarray) -> np.ndarray:
     """``sinr_cdf`` on a 1-D threshold array, under the float path's checks."""
-    if np.any(taus < 0.0):
-        raise ValueError("SINR threshold must be non-negative")
+    non_negative = taus >= 0.0
+    if not non_negative.all():
+        raise ValueError(f"SINR threshold {taus[~non_negative][0]} must be non-negative")
     if case_id == 4:
         return np.zeros(len(taus))
     values = 1.0 - _coverage(cfg, case_id, tier, _threshold_kernels(cfg.beta, taus.tobytes()))

@@ -116,6 +116,8 @@ def association(cfg: NetworkConfig, seed: int) -> Table:
 
 
 def d2d_density(cfg: NetworkConfig, seed: int, points: int) -> Table:
+    if points < 1:
+        raise ValueError("d2d-density needs at least one point")
     act0 = active_d2d_density(cfg)
     columns = ["alpha", "lambda1_active"]
     rows = []
@@ -142,6 +144,8 @@ def outage(cfg: NetworkConfig, seed: int, tau_db: list[float]) -> Table:
 
 def sinr_cdf_curves(cfg: NetworkConfig, seed: int, tau_min: float, tau_max: float,
                     tau_step: float) -> Table:
+    if not (tau_step > 0.0 and tau_min <= tau_max):
+        raise ValueError("SINR CDF grid needs a positive step and tau-min <= tau-max")
     taus_db = [float(t) for t in np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step)]
     return ["tau_db", "case", "cdf"], _cdf_rows(cfg, taus_db, "cdf"), {}
 

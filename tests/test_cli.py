@@ -193,7 +193,32 @@ _RERUNS = [
     # the default quantity; "--var" goes last so the test id stays distinct
     ["sweep", "--start", "0.1", "--stop", "0.3", "--num", "3", "--var", "alpha"],
     ["queue", "--config", "off-grid"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--config", "beta-3.5"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--config", "alpha-0"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--config", "alpha-0.25"],
+    ["rate", "--config", "noise-1e-12"],
+    ["rate", "--config", "noise-1"],
+    ["outage", "--config", "noise-1"],
 ]
+# the config files that _RERUNS names
+_CONFIGS = {
+    # powers with no exact dBm value: the config echo must keep the watts
+    "off-grid": {"p1": 0.3, "p2": 2.1, "p3": 19.0},
+    "beta-3.5": {"beta": 3.5},
+    # no cache-enabled user: cases 2 and 3 hold NaN from 0 samples
+    "alpha-0": {"alpha": 0.0},
+    # above alpha*, so the D2D tier is thinned, and all seven (case, serving
+    # tier) row sets of the oracle's pass fill
+    "alpha-0.25": {"alpha": 0.25},
+    "noise-1e-12": {"noise": 1e-12},
+    "noise-1": {"noise": 1.0},
+}
+
+
+def _rerun_id(argv: list[str]) -> str:
+    """The subcommand and its first flag, then the name of its config; the
+    one off-grid run keeps the bare ``queue---config``."""
+    return "-".join(argv[:2] + [a for a in argv if a in _CONFIGS and a != "off-grid"])
 
 
 def _rerun_argv(env: dict, config_path) -> list[str]:
@@ -210,13 +235,11 @@ def test_rerun_cases_cover_every_command():
     assert {argv[0] for argv in _RERUNS} == set(COMMANDS)
 
 
-@pytest.mark.parametrize("argv", _RERUNS, ids=lambda argv: "-".join(argv[:2]))
+@pytest.mark.parametrize("argv", _RERUNS, ids=_rerun_id)
 def test_cli_rerun_from_envelope_is_byte_identical(tmp_path, argv):
-    if "off-grid" in argv:
-        # powers with no exact dBm value: the config echo must keep the watts
-        off_grid = tmp_path / "off-grid.json"
-        off_grid.write_text(json.dumps({"p1": 0.3, "p2": 2.1, "p3": 19.0}))
-        argv = [str(off_grid) if a == "off-grid" else a for a in argv]
+    for name in set(argv) & set(_CONFIGS):
+        (tmp_path / f"{name}.json").write_text(json.dumps(_CONFIGS[name]))
+    argv = [str(tmp_path / f"{a}.json") if a in _CONFIGS else a for a in argv]
     first, second = tmp_path / "first", tmp_path / "second"
     main(argv + ["--seed", "4", "--out", str(first)])
     env = json.loads((first / f"{argv[0]}.json").read_text())
@@ -251,6 +274,20 @@ def test_cli_simulate_rejects_repeated_tau_db(tmp_path, capsys):
     assert not (tmp_path / "simulate.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--window", "1500", "--tau-db", "nan"], "outage thresholds (nan,) must be non-negative"),
+    (["--window", "10"], "relay/BS tier stayed empty"),
+], ids=["nan-threshold", "starved-window"])
+def test_cli_simulate_rejects_bad_inputs(tmp_path, capsys, argv, message):
+    # a NaN threshold wrote NaN rows from 0 samples; a window too small for a
+    # relay and a BS ended in a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--topologies", "1", *argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 def test_cli_simulate_meta_counts_rows_per_case_and_tier(tmp_path, cfg):
     # next to the association fractions, the reference users measured per
     # (case, serving tier), summed over topologies
@@ -282,6 +319,34 @@ def test_sweep_rejects_bad_grid_without_exiting(cfg, num):
     with pytest.raises(ValueError, match="strictly increasing"):
         COMMANDS["sweep"].run(cfg, 0, var="gamma", start=1.0, stop=0.5, num=num,
                               quantity="rate_case1", tau_db=-10.0)
+
+
+_EMPTY_GRIDS = [
+    ("sinr-cdf", dict(tau_min=-5.0, tau_max=5.0, tau_step=0.0)),
+    ("sinr-cdf", dict(tau_min=-5.0, tau_max=5.0, tau_step=-1.0)),
+    ("sinr-cdf", dict(tau_min=5.0, tau_max=-5.0, tau_step=1.0)),
+    ("d2d-density", dict(points=0)),
+]
+
+
+_EMPTY_GRID_IDS = ["tau-step-0", "tau-step-negative", "tau-min-above-max", "points-0"]
+
+
+@pytest.mark.parametrize("command, params", _EMPTY_GRIDS, ids=_EMPTY_GRID_IDS)
+def test_cli_rejects_empty_grid(tmp_path, capsys, command, params):
+    # a zero step ended in a ZeroDivisionError, the rest wrote a header-only CSV
+    flags = [x for k, v in params.items() for x in ("--" + k.replace("_", "-"), str(v))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, params", _EMPTY_GRIDS, ids=_EMPTY_GRID_IDS)
+def test_empty_grid_is_a_value_error_without_exiting(cfg, command, params):
+    with pytest.raises(ValueError):
+        COMMANDS[command].run(cfg, 0, **params)
 
 
 @pytest.mark.parametrize("var", ["bogus", "seed", "n_contents", "nu", "bias"])
@@ -348,7 +413,7 @@ def test_cli_schema_invalid_config_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raw", ['{"m1": 5.0}', '{"beta": NaN}'])
+@pytest.mark.parametrize("raw", ['{"m1": 5.0}', '{"beta": NaN}', '{"bias": 2.0}'])
 def test_cli_config_that_no_network_accepts_is_usage_error(tmp_path, capsys, raw):
     # a float cache size or a NaN exponent is rejected before any analysis runs
     cfg_path = tmp_path / "cfg.json"

@@ -539,6 +539,28 @@ def test_run_monte_carlo_counts_rows_per_case_and_tier(cfg, monkeypatch):
         assert total == (case_ids == case_id).sum()
 
 
+def test_run_monte_carlo_counts_topologies_that_measure_each_case(cfg, monkeypatch):
+    # at alpha = 0.02 in a small window some case is measured in only some
+    # topologies: its estimates average over those topologies alone
+    producer = montecarlo._weight_blocks
+    passed = []
+
+    def counted_blocks(real, c, geo, rows, case_ids, tiers):
+        passed.append(np.array(case_ids, copy=True))
+        return producer(real, c, geo, rows, case_ids, tiers)
+
+    monkeypatch.setattr(montecarlo, "_weight_blocks", counted_blocks)
+    n_topologies = 6
+    s = run_monte_carlo(cfg.with_updates(alpha=0.02), n_topologies=n_topologies, seed=3,
+                        window=800.0, max_users=40, max_reference_users=20, tau_grid=(0.1,))
+    assert len(passed) == n_topologies
+    measured = {c: sum(bool((ids == c).any()) for ids in passed) for c in _CASE_TIERS}
+    for case_id, n in measured.items():
+        assert s.rates[case_id].n_samples == n, case_id
+        assert s.outage[(case_id, 0.1)].n_samples == n, case_id
+    assert any(0 < n < n_topologies for n in measured.values()), measured
+
+
 def test_run_monte_carlo_validation_and_retries(cfg):
     with pytest.raises(ValueError):
         run_monte_carlo(cfg, n_topologies=0)
@@ -546,8 +568,16 @@ def test_run_monte_carlo_validation_and_retries(cfg):
     with pytest.raises(ValueError, match="distinct"):
         run_monte_carlo(cfg, n_topologies=1, window=1500.0, tau_grid=(0.1, 1.0, 0.1))
     starved = cfg.with_updates(lambda2=1e-14, lambda3=1e-15)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         run_monte_carlo(starved, n_topologies=1, window=1000.0)
+
+
+@pytest.mark.parametrize("tau", [-0.5, math.nan])
+def test_run_monte_carlo_rejects_a_threshold_below_zero_or_nan(cfg, tau):
+    # an outage threshold below 0 gave a negative "probability", and NaN an
+    # empty estimate in every case
+    with pytest.raises(ValueError, match="must be non-negative"):
+        run_monte_carlo(cfg, n_topologies=2, window=1500.0, tau_grid=(0.1, tau))
 
 
 def test_run_monte_carlo_rejects_other_boundaries(cfg):

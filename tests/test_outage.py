@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -71,6 +73,14 @@ def test_threshold_array_domain(cfg):
     zeros = sinr_cdf(cfg, 4, 0, np.array([0.1, 1.0, 10.0]))
     assert isinstance(zeros, np.ndarray) and zeros.tolist() == [0.0, 0.0, 0.0]
     assert sinr_cdf(cfg, 1, 3, []).shape == (0,)
+
+
+@pytest.mark.parametrize("tau", [-0.5, math.nan])
+def test_threshold_below_zero_or_nan_is_named(cfg, tau):
+    # NaN used to reach the [0, 1] check as "outage probability nan"
+    for thresholds in (tau, [0.1, tau]):
+        with pytest.raises(ValueError, match=f"SINR threshold {tau} must be non-negative"):
+            sinr_cdf(cfg, 1, 3, thresholds)
 
 
 def test_float_threshold_gives_python_float(cfg):
