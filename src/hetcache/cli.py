@@ -60,9 +60,12 @@ def main(argv=None) -> int:
         columns, rows, meta = exp.run(cfg, seed, **params)
     except ValueError as exc:
         parser.error(str(exc))
-    csv_path, json_path = emit_results(
-        rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, params=params, meta=meta,
-    )
+    try:
+        csv_path, json_path = emit_results(
+            rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, params=params, meta=meta,
+        )
+    except OSError as exc:  # an --out path that is a file, or not writable
+        parser.error(f"cannot write results to --out {out}: {exc}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

@@ -17,6 +17,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
+from .specfun import check_path_loss_exponent
+
 # Reference area for densities quoted as "n nodes per 500 m disk".
 DISK_500M_AREA = math.pi * 500.0**2
 
@@ -99,8 +101,7 @@ class NetworkConfig:
         for name in ("p1", "p2", "p3"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.beta < 2.0:
-            raise ValueError("path-loss exponent beta must be >= 2")
+        check_path_loss_exponent(self.beta)
         if self.noise < 0.0:
             raise ValueError("noise power must be non-negative")
         if self.bandwidth_w <= 0.0:
@@ -140,9 +141,7 @@ class NetworkConfig:
     def to_flat_dict(self) -> dict:
         """Flat key-value view for result envelopes (powers also in dBm)."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["p1_dbm"] = watts_to_dbm(self.p1)
-        out["p2_dbm"] = watts_to_dbm(self.p2)
-        out["p3_dbm"] = watts_to_dbm(self.p3)
+        out.update({k: watts_to_dbm(getattr(self, w)) for k, w in _DBM_KEYS.items()})
         return out
 
 
@@ -187,9 +186,12 @@ def config_from_dict(raw: dict) -> NetworkConfig:
 
 
 def load_config(path: str) -> NetworkConfig:
-    """Load and validate a JSON config file."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """Load and validate a JSON config file; a path to no JSON file is a ``ValueError`` too."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"invalid config file {path}: {exc}") from exc
     return config_from_dict(raw)
 
 

@@ -18,6 +18,8 @@ threshold array depend only on beta, so they are tabulated once per
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import NetworkConfig
@@ -30,33 +32,21 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
     radio link, so its outage is exactly zero at every tier.
 
     A float ``tau`` gives a float; a 1-D array (or sequence) of thresholds
-    gives an array of outages, one per threshold."""
-    if not isinstance(tau, (int, float)):
-        taus = np.asarray(tau, dtype=float)
-        if taus.ndim == 1:
-            return _sinr_cdf_array(cfg, case_id, tier, taus)
-        if taus.ndim:
-            raise ValueError("SINR thresholds must be a float or a 1-D array")
-        tau = float(taus)
-    if not tau >= 0.0:
-        raise ValueError(f"SINR threshold {tau} must be non-negative")
+    gives an array of outages, one per threshold, in one coverage pass.
+    Every threshold must be finite and non-negative."""
+    scalar = isinstance(tau, (int, float)) or np.ndim(tau) == 0
+    taus = np.array([float(tau)]) if scalar else np.asarray(tau, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("SINR thresholds must be a float or a 1-D array")
+    bad = [t for t in taus.tolist() if not 0.0 <= t < math.inf]
+    if bad:
+        raise ValueError(f"SINR threshold {bad[0]} must be non-negative and finite")
     if case_id == 4:
-        return 0.0
-    value = 1.0 - float(_coverage(cfg, case_id, tier, _Kernels(np.array([float(tau)]), cfg.beta))[0])
-    if not -1e-12 <= value <= 1.0 + 1e-12:
-        raise ValueError(f"outage probability {value} outside [0, 1]")
-    return value
-
-
-def _sinr_cdf_array(cfg: NetworkConfig, case_id: int, tier: int, taus: np.ndarray) -> np.ndarray:
-    """``sinr_cdf`` on a 1-D threshold array, under the float path's checks."""
-    non_negative = taus >= 0.0
-    if not non_negative.all():
-        raise ValueError(f"SINR threshold {taus[~non_negative][0]} must be non-negative")
-    if case_id == 4:
-        return np.zeros(len(taus))
-    values = 1.0 - _coverage(cfg, case_id, tier, _threshold_kernels(cfg.beta, taus.tobytes()))
-    valid = (values >= -1e-12) & (values <= 1.0 + 1e-12)
-    if not valid.all():
-        raise ValueError(f"outage probability {values[~valid][0]} outside [0, 1]")
-    return values
+        return 0.0 if scalar else np.zeros(len(taus))
+    # an array's kernels are kept for the next config; one threshold's are not
+    kernels = _Kernels(taus, cfg.beta) if scalar else _threshold_kernels(cfg.beta, taus.tobytes())
+    values = 1.0 - _coverage(cfg, case_id, tier, kernels)
+    bad = [v for v in values.tolist() if not -1e-12 <= v <= 1.0 + 1e-12]
+    if bad:
+        raise ValueError(f"outage probability {bad[0]} outside [0, 1]")
+    return float(values[0]) if scalar else values

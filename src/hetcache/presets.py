@@ -58,14 +58,25 @@ def _rulers(values) -> dict[str, float]:
     return {n: float(r) for n, r in zip(STATE_COLUMNS, values)}
 
 
+def _steady_state(cfg: NetworkConfig, model=network_model):
+    """Class loads, service rates and steady-state metrics of a queueing
+    model (``network_model`` or ``baseline_model``) under ``cfg``."""
+    _, loads, rates = model(cfg)
+    return loads, rates, queue_metrics(cfg, loads, rates)
+
+
 def _metrics(cfg: NetworkConfig, model=network_model):
-    return queue_metrics(cfg, *model(cfg)[1:])
+    return _steady_state(cfg, model)[2]
+
+
+def _critical_rate(metrics) -> dict:
+    """The maximum arrival rate and the node type whose queue caps it."""
+    return {"varsigma_star": metrics.varsigma_star, "binding_node": metrics.binding_node}
 
 
 def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
     """One row per loaded (class, node) of a queueing model, plus its rulers."""
-    _, loads, rates = model
-    metrics = queue_metrics(cfg, loads, rates)
+    loads, rates, metrics = _steady_state(cfg, model)
     rows = [
         {
             "class_row": i + 1, "node": node,
@@ -151,7 +162,7 @@ def sinr_cdf_curves(cfg: NetworkConfig, seed: int, tau_min: float, tau_max: floa
 
 
 def queue(cfg: NetworkConfig, seed: int) -> Table:
-    rows, rulers = _queue_rows(cfg, network_model(cfg))
+    rows, rulers = _queue_rows(cfg, network_model)
     columns = ["class_row", "node", "arrival_rate", "service_rate",
                "mean_requests", "throughput_per_request", "delay"]
     return columns, rows, {"rulers": _rulers(rulers)}
@@ -159,10 +170,8 @@ def queue(cfg: NetworkConfig, seed: int) -> Table:
 
 def steady(cfg: NetworkConfig, seed: int) -> Table:
     metrics = _metrics(cfg)
-    columns = ["node", "ruler"]
     rows = [{"node": n, "ruler": r} for n, r in _rulers(metrics.rulers).items()]
-    meta = {"varsigma_star": metrics.varsigma_star, "binding_node": metrics.binding_node}
-    return columns, rows, meta
+    return ["node", "ruler"], rows, _critical_rate(metrics)
 
 
 def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
@@ -275,7 +284,7 @@ def fig6(cfg: NetworkConfig, seed: int) -> Table:
     columns = ["model", "class_row", "node", "throughput_per_request", "mean_requests", "delay"]
     rows = [
         {"model": model_name, **{c: row[c] for c in columns[1:]}}
-        for model_name, model in (("cached", network_model(cfg)), ("baseline", baseline_model(cfg)))
+        for model_name, model in (("cached", network_model), ("baseline", baseline_model))
         for row in _queue_rows(cfg, model)[0]
     ]
     return columns, rows, {"config": cfg.to_flat_dict()}
@@ -283,8 +292,7 @@ def fig6(cfg: NetworkConfig, seed: int) -> Table:
 
 def fig7(cfg: NetworkConfig, seed: int) -> Table:
     horizon = 1000.0
-    _, loads, rates = network_model(cfg)
-    metrics = queue_metrics(cfg, loads, rates)
+    loads, rates, metrics = _steady_state(cfg)
     analytic = float(metrics.n_class[:, 0].sum())
     trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon, seed=seed)
     columns = ["slot_time", "occupancy", "analytic_mean"]
@@ -313,12 +321,7 @@ def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
         for gamma in (0.8, 1.8) for kappa in base
     ]
     metrics = _metrics(cfg)
-    meta = {
-        "rulers": _rulers(metrics.rulers),
-        "binding_node": metrics.binding_node,
-        "varsigma_star": metrics.varsigma_star,
-    }
-    return columns, rows, meta
+    return columns, rows, {"rulers": _rulers(metrics.rulers), **_critical_rate(metrics)}
 
 
 _TAU_DB = ("--tau-db", dict(type=float, nargs="+", default=[-10.0, -5.0]))

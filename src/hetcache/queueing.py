@@ -31,8 +31,22 @@ from .association import (
 from .config import NetworkConfig
 from .rates import case_rate_table
 
-N_CLASSES = 8
-N_NODE_TYPES = 4
+N_CLASSES = len(STATE_ROWS)
+N_NODE_TYPES = len(STATE_COLUMNS)
+
+
+def _freeze_class_arrays(record, *names: str) -> None:
+    """Store each named field of ``record`` as a read-only (class x node type)
+    float array of non-negative entries; an error names ``<class>.<field>``."""
+    for name in names:
+        arr = np.asarray(getattr(record, name), dtype=float)
+        field = f"{type(record).__name__}.{name}"
+        if arr.shape != (N_CLASSES, N_NODE_TYPES):
+            raise ValueError(f"{field} must be {N_CLASSES}x{N_NODE_TYPES}, got shape {arr.shape}")
+        if (arr < 0.0).any():
+            raise ValueError(f"{field} entries must be non-negative")
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 @dataclass(frozen=True)
@@ -43,13 +57,7 @@ class RateMatrix:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (N_CLASSES, N_NODE_TYPES):
-            raise ValueError("rate matrix must be 8x4")
-        if (a < 0.0).any():
-            raise ValueError("service rates must be non-negative")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        _freeze_class_arrays(self, "a")
 
 
 def rate_matrix(cfg: NetworkConfig, case_rates: np.ndarray, states: StateMatrix) -> RateMatrix:
@@ -77,14 +85,7 @@ class QueueClassLoad:
     node_densities: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        for name in ("n", "zeta", "sigma"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (N_CLASSES, N_NODE_TYPES):
-                raise ValueError(f"{name} must be 8x4")
-            if (arr < 0.0).any():
-                raise ValueError(f"{name} entries must be non-negative")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_class_arrays(self, "n", "zeta", "sigma")
 
 
 def class_loads(cfg: NetworkConfig, states: StateMatrix) -> QueueClassLoad:

@@ -30,11 +30,21 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return float(special.hyp2f1(a, b, c, z))
 
 
-def _check_beta(beta: float) -> None:
+def check_path_loss_exponent(beta: float) -> None:
+    """Raise ``ValueError`` unless beta > 2: at beta <= 2 the interference
+    of a Poisson field diverges, so no kernel, rate or outage is finite."""
     if beta <= 2.0:
-        raise ValueError(
-            f"path-loss exponent beta = {beta} makes the interference integral diverge (need beta > 2)"
-        )
+        raise ValueError(f"path-loss exponent beta = {beta}: interference diverges unless beta > 2")
+
+
+def _kernel_argument(v, beta: float) -> np.ndarray:
+    """``v`` as a float array, after the checks every kernel makes: beta > 2
+    and v >= 0."""
+    check_path_loss_exponent(beta)
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0):
+        raise ValueError("kernel argument must be non-negative")
+    return v
 
 
 def kernel_z1(v, beta: float):
@@ -45,10 +55,7 @@ def kernel_z1(v, beta: float):
 
     ``v`` is a float or an array; an array gives an array.
     """
-    _check_beta(beta)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
-        raise ValueError("kernel argument must be non-negative")
+    v = _kernel_argument(v, beta)
     z = 2.0 * v / (beta - 2.0) * special.hyp2f1(1.0, 1.0 - 2.0 / beta, 2.0 - 2.0 / beta, -v)
     return z if z.ndim else float(z)
 
@@ -60,11 +67,8 @@ def kernel_z2(v, beta: float):
 
     ``v`` is a float or an array; an array gives an array.
     """
-    _check_beta(beta)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
-        raise ValueError("kernel argument must be non-negative")
-    z = v ** (2.0 / beta) * (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)
+    v = _kernel_argument(v, beta)
+    z = v ** (2.0 / beta) * kernel_z2_scale(beta)
     return z if z.ndim else float(z)
 
 
@@ -79,10 +83,7 @@ def kernel_x2z3(v, x: np.ndarray, beta: float) -> np.ndarray:
     ``v`` and ``x`` broadcast: a column of thresholds against a row of x
     gives the (threshold x distance) grid.  The kernel is 0 where v = 0.
     """
-    _check_beta(beta)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
-        raise ValueError("kernel argument must be non-negative")
+    v = _kernel_argument(v, beta)
     e = 2.0 / beta
     pos = np.where(v > 0.0, v, 1.0)
     eps = x * x * pos ** -e
@@ -93,5 +94,5 @@ def kernel_x2z3(v, x: np.ndarray, beta: float) -> np.ndarray:
 def kernel_z2_scale(beta: float) -> float:
     """Large-argument slope of Z1 and the prefactor of Z2:
     (2 pi / beta) / sin(2 pi / beta)."""
-    _check_beta(beta)
+    check_path_loss_exponent(beta)
     return (2.0 * math.pi / beta) / math.sin(2.0 * math.pi / beta)

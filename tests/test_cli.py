@@ -413,9 +413,32 @@ def test_cli_schema_invalid_config_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raw", ['{"m1": 5.0}', '{"beta": NaN}', '{"bias": 2.0}'])
+@pytest.mark.parametrize("config,out", [
+    ("missing.json", "out"),   # no such file
+    ("adir", "out"),           # a directory
+    ("notes.txt", "out"),      # not JSON
+    (None, "afile"),           # --out names an existing file
+])
+def test_cli_bad_config_or_out_path_is_usage_error(tmp_path, capsys, config, out):
+    # a path that holds no config, or cannot hold the results, exits 2 naming it
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "notes.txt").write_text("not json\n")
+    (tmp_path / "afile").write_text("")
+    argv = ["rate", "--out", str(tmp_path / out)]
+    if config:
+        argv += ["--config", str(tmp_path / config)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / (config or out)) in err
+    assert ("invalid config file" in err) == bool(config)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("raw", ['{"m1": 5.0}', '{"beta": NaN}', '{"bias": 2.0}', '{"beta": 2.0}'])
 def test_cli_config_that_no_network_accepts_is_usage_error(tmp_path, capsys, raw):
-    # a float cache size or a NaN exponent is rejected before any analysis runs
+    # a float cache size, a NaN exponent or beta = 2 is rejected before any analysis runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw)
     out = tmp_path / "out"

@@ -90,7 +90,7 @@ _INVALID_MAPPINGS = [
     {"lambda0": 0.0}, {"lambda2": -1e-6}, {"lambda3": 0.0},
     {"alpha": -0.1}, {"alpha": 1.5},
     {"p1": 0.0}, {"p2": -1.0}, {"p3": 0.0},
-    {"beta": 1.9}, {"noise": -1e-12}, {"bandwidth_w": 0.0},
+    {"beta": 1.9}, {"beta": 2.0}, {"noise": -1e-12}, {"bandwidth_w": 0.0},
     {"n_contents": 1}, {"content_size_s": 0.0}, {"m1": 0}, {"m2": 1}, {"gamma": -0.1},
     {"varsigma": -0.1}, {"varrho_inv": 0.0},
     {"nu": 2.0}, {"bias": 0.5},   # both fixed at 1

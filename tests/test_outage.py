@@ -75,9 +75,9 @@ def test_threshold_array_domain(cfg):
     assert sinr_cdf(cfg, 1, 3, []).shape == (0,)
 
 
-@pytest.mark.parametrize("tau", [-0.5, math.nan])
+@pytest.mark.parametrize("tau", [-0.5, math.nan, math.inf])
 def test_threshold_below_zero_or_nan_is_named(cfg, tau):
-    # NaN used to reach the [0, 1] check as "outage probability nan"
+    # NaN and infinity used to reach the [0, 1] check as "outage probability nan"
     for thresholds in (tau, [0.1, tau]):
         with pytest.raises(ValueError, match=f"SINR threshold {tau} must be non-negative"):
             sinr_cdf(cfg, 1, 3, thresholds)

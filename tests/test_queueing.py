@@ -314,6 +314,20 @@ def test_ctmc_domain_errors(cfg):
         ctmc_simulate(cfg, loads, rates, 3, horizon=1.0, seed=0, warmup=2.0)
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda a: RateMatrix(a), "RateMatrix.a"),
+    (lambda a: QueueClassLoad(np.zeros((8, 4)), np.zeros((8, 4)), a, (1.0,) * 4), "QueueClassLoad.sigma"),
+], ids=["RateMatrix", "QueueClassLoad"])
+def test_model_arrays_reject_wrong_shape_or_negative_entry(build, field):
+    # one 8x4 check for every class-by-node array; the message names the field
+    with pytest.raises(ValueError, match=rf"{field} must be 8x4, got shape \(4, 8\)"):
+        build(np.zeros((4, 8)))
+    negative = np.zeros((8, 4))
+    negative[2, 1] = -1.0
+    with pytest.raises(ValueError, match=rf"{field} entries must be non-negative"):
+        build(negative)
+
+
 @pytest.mark.parametrize("slot", [0.0, -0.2, math.nan])
 def test_slot_average_rejects_bad_slot(cfg, slot):
     loads, rates = _single_class_model(cfg, zeta=0.5, mu=1.0)

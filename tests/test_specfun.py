@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -80,10 +81,14 @@ def test_kernel_large_v_slope():
 
 
 def test_beta_domain_errors():
-    with pytest.raises(ValueError):
-        kernel_z1(1.0, 2.0)
-    with pytest.raises(ValueError):
-        kernel_z1(-1.0, 4.0)
+    # one beta rule and one argument check for every kernel and the config
+    for kernel in (kernel_z1, kernel_z2, functools.partial(kernel_x2z3, x=_CASE3_X)):
+        with pytest.raises(ValueError, match=r"beta = 2\.0: interference diverges unless beta > 2"):
+            kernel(v=1.0, beta=2.0)
+        with pytest.raises(ValueError, match="kernel argument must be non-negative"):
+            kernel(v=-1.0, beta=4.0)
+    with pytest.raises(ValueError, match=r"beta = 2\.0: interference diverges unless beta > 2"):
+        NetworkConfig(beta=2.0)
 
 
 def test_quadrature_error_is_runtime_error():
