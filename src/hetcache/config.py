@@ -53,7 +53,10 @@ def _check_number(name: str, value, integer: bool = False) -> None:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a ratio in dB (e.g. an SINR threshold) to linear scale."""
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x_db!r} dB gives a ratio outside the float range") from None
 
 
 @dataclass(frozen=True)

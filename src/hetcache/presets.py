@@ -296,8 +296,9 @@ def fig7(cfg: NetworkConfig, seed: int) -> Table:
     analytic = float(metrics.n_class[:, 0].sum())
     trace = ctmc_simulate(cfg, loads, rates, node_type=1, horizon=horizon, seed=seed)
     columns = ["slot_time", "occupancy", "analytic_mean"]
-    rows = [{"slot_time": float(t), "occupancy": float(o), "analytic_mean": analytic}
-            for t, o in zip(*trace.slot_average(0.2))]
+    slot_times, occupancy = trace.slot_average(0.2)
+    rows = [{"slot_time": t, "occupancy": o, "analytic_mean": analytic}
+            for t, o in zip(slot_times.tolist(), occupancy.tolist())]
     meta = {
         "simulated_mean": float(trace.time_average.sum()),
         "analytic_mean": analytic,

@@ -4,9 +4,15 @@ CSV files are deterministic (LF endings, '.' decimal, repr-roundtrip floats)
 so reruns with the same seed are byte-identical.  The JSON envelope carries
 the config echo, the seed, the run's parameters (a command's flags), the
 version string and the wall clock, which is enough to reproduce the CSV
-exactly, and the rows again.  It is written as one line
-of JSON by json's C encoder; ``python -m json.tool <name>.json`` prints it
-indented.
+exactly, and the rows again, each as an object over the columns in column
+order.  It is written as one line of JSON; ``python -m json.tool <name>.json``
+prints it indented.
+
+Each cell is formatted once, into a CSV text and a JSON text, and both files
+are written from those texts.  A column of finite plain floats needs one
+text per cell, since json writes a float as its repr.  The envelope without
+its rows goes through json's C encoder, and the rows text is spliced in
+before the closing brace.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import datetime
 import functools
 import importlib.metadata
 import json
+import math
 import subprocess
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,20 +54,34 @@ def _cell(value) -> str:
     return str(value)
 
 
-# cell types the csv module writes as ``_cell`` does: a float as its repr
-_PLAIN_CELLS = frozenset({str, int, float})
+# json.dumps(value, default=float) without building an encoder per call
+_json_text = json.JSONEncoder(default=float).encode
 
 
-def _records(rows: list[dict], columns: list[str]):
-    """The rows as cell sequences in column order.  When every cell is a
-    plain str, int or float the csv module formats them itself, at C level;
-    any other cell (a numpy float, None, a bool) sends all rows through
-    ``_cell``."""
-    if columns and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _PLAIN_CELLS:
-        cells = map(itemgetter(*columns), rows)
-        # a one-column itemgetter returns the bare cell, not a 1-tuple
-        return zip(cells) if len(columns) == 1 else cells
-    return ([_cell(row[c]) for c in columns] for row in rows)
+def _column_texts(cells: list) -> tuple[list[str], list[str]]:
+    """The CSV texts and the JSON texts of one column's cells (NaN is
+    ``nan`` in one, ``NaN`` in the other)."""
+    # a sum over a NaN or an infinity is not finite (an overflowing sum of
+    # finite floats only takes the per-cell path)
+    if set(map(type, cells)) == {float} and math.isfinite(sum(cells)):
+        texts = list(map(float.__repr__, cells))
+        return texts, texts
+    return list(map(_cell, cells)), list(map(_json_text, cells))
+
+
+def _columns(rows: list[dict], columns: list[str]) -> list[list]:
+    """Each column's cells, after checking that every row is a dict over
+    exactly ``columns``."""
+    if not columns or len(set(columns)) != len(columns):
+        raise ValueError(f"columns {columns} must be distinct, and at least one")
+    try:
+        # rows of the right size, each holding every column, hold no other key
+        if set(map(len, rows)) <= {len(columns)}:
+            return [list(map(itemgetter(c), rows)) for c in columns]
+    except KeyError:
+        pass
+    bad = next(row for row in rows if row.keys() != set(columns))
+    raise ValueError(f"row keys {sorted(bad)} do not match columns {sorted(columns)}")
 
 
 def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
@@ -69,14 +89,13 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
                  params: dict | None = None, meta: dict | None = None) -> tuple[Path, Path]:
     """Write ``<name>.csv`` and ``<name>.json`` under ``out_dir``.
 
-    ``columns`` is the authoritative header (an empty row set still yields a
-    header-only CSV); every row must be a dict over exactly these keys.
+    ``columns`` is the authoritative header, one or more distinct names (an
+    empty row set still yields a header-only CSV); every row must be a dict
+    over exactly these keys.
     ``params`` are the keyword arguments the rows were computed with; they
     are only recorded.  Returns the two paths.
     """
-    for row in rows:
-        if set(row) != set(columns):
-            raise ValueError(f"row keys {sorted(row)} do not match columns {sorted(columns)}")
+    csv_columns, json_columns = zip(*map(_column_texts, _columns(rows, columns)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
@@ -85,7 +104,7 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(_records(rows, columns))
+        writer.writerows(zip(*csv_columns))
 
     envelope = {
         "name": name,
@@ -96,8 +115,11 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
         "params": params or {},
         "meta": meta or {},
         "columns": columns,
-        "rows": rows,
     }
-    # no indent, so that json runs its C encoder
-    json_path.write_text(json.dumps(envelope, default=float) + "\n")
+    # one object template per table, the row's JSON texts filling its slots
+    template = "{%s}" % ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
+    json_rows = ", ".join(map(template.__mod__, zip(*json_columns)))
+    # no indent, so that json runs its C encoder; "rows" is the last key
+    head = json.dumps(envelope, default=float)
+    json_path.write_text(f'{head[:-1]}, "rows": [{json_rows}]}}\n')
     return csv_path, json_path

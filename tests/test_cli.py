@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +57,50 @@ def test_emit_results_cell_format(tmp_path):
     assert csv_path.read_text() == "x,y\n0.10000000149011612,None\n"
 
 
+def test_emit_results_bytes_match_one_encoder_pass(tmp_path):
+    # each cell is formatted once, yet both files hold the bytes that
+    # csv.writer over ``_cell`` and one json.dumps of the whole envelope give
+    kinds = [0.1, math.nan, math.inf, -math.inf, -0.0, np.float64(0.30000000000000004),
+             np.float32(0.1), np.int64(7), 3, True, None, 'a, "b"\nc']
+    columns = ["plain %s", 'mixed "kinds"', "100%"]
+    rows = [{"plain %s": i / 3 - 1.0, 'mixed "kinds"': kind, "100%": str(i)}
+            for i, kind in enumerate(kinds)]
+    # a row in another key order than ``columns``
+    rows.append({"100%": "last", 'mixed "kinds"': 2.5, "plain %s": -0.0})
+    csv_path, json_path = emit_results(rows, columns, tmp_path, "kinds", config={"a": 1.0},
+                                       seed=3, params={"p": [1, 2]}, meta={"m": math.nan})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([results._cell(row[c]) for c in columns] for row in rows)
+    assert csv_path.read_bytes().decode() == buf.getvalue()
+    text = json_path.read_text()
+    env = json.loads(text)
+    expect = {"name": "kinds", "version": env["version"], "created": env["created"],
+              "seed": 3, "config": {"a": 1.0}, "params": {"p": [1, 2]}, "meta": {"m": math.nan},
+              "columns": columns, "rows": [{c: row[c] for c in columns} for row in rows]}
+    assert text == json.dumps(expect, default=float) + "\n"
+    # the envelope's rows follow ``columns``, as the CSV does
+    assert list(rows[-1]) != columns and list(env["rows"][-1]) == columns
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": 1.0},                        # a missing key
+    {"a": 1.0, "b": 2.0, "c": 3.0},    # an extra key
+    {"a": 1.0, "c": 2.0},              # a renamed key, same count
+], ids=["missing", "extra", "renamed"])
+def test_emit_results_rejects_a_row_off_the_columns(tmp_path, bad):
+    with pytest.raises(ValueError, match=re.escape(f"row keys {sorted(bad)} do not match")):
+        emit_results([{"a": 0.0, "b": 0.0}, bad], ["a", "b"], tmp_path / "out", "bad")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("columns", [[], ["a", "a"]], ids=["none", "repeated"])
+def test_emit_results_rejects_empty_or_repeated_columns(tmp_path, columns):
+    with pytest.raises(ValueError, match="must be distinct, and at least one"):
+        emit_results([], columns, tmp_path, "bad")
+
+
 def test_emit_results_one_column(tmp_path):
     csv_path, json_path = emit_results([{"tau": 0.5}, {"tau": "bs"}], ["tau"], tmp_path, "one")
     assert csv_path.read_text() == "tau\n0.5\nbs\n"
@@ -66,9 +112,10 @@ def test_emit_results_one_column(tmp_path):
 
 
 def test_emit_results_empty_rows(tmp_path, cfg):
-    csv_path, _ = emit_results([], ["a", "b"], tmp_path, "empty",
-                               config=cfg.to_flat_dict(), seed=0, meta={})
+    csv_path, json_path = emit_results([], ["a", "b"], tmp_path, "empty",
+                                       config=cfg.to_flat_dict(), seed=0, meta={})
     assert csv_path.read_text() == "a,b\n"
+    assert json.loads(json_path.read_text())["rows"] == []
 
 
 def test_emit_results_rejects_bad_rows(tmp_path, cfg):
@@ -286,6 +333,30 @@ def test_cli_simulate_rejects_bad_inputs(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["outage", "--tau-db", "4000"], "4000.0"),
+    (["sweep", "--var", "alpha", "--start", "0.1", "--stop", "0.2", "--num", "2",
+      "--quantity", "outage_case1", "--tau-db", "4000"], "4000.0"),
+    (["simulate", "--topologies", "1", "--window", "1500", "--tau-db", "1e308"], "1e+308"),
+], ids=["outage", "sweep", "simulate"])
+def test_cli_db_value_past_the_float_range_is_usage_error(tmp_path, capsys, argv, value):
+    # 10 ** (x / 10) overflows past ~3083 dB; that was an OverflowError traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{value} dB gives a ratio outside the float range" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_simulate_accepts_an_infinite_threshold(tmp_path):
+    # 10 ** inf is inf, not an overflow: every draw falls short of it
+    assert main(["simulate", "--topologies", "1", "--window", "1500", "--tau-db", "inf",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate.csv", newline="") as fh:
+        outage = [r["value"] for r in csv.DictReader(fh) if r["quantity"] == "outage"]
+    assert outage and all(v == "1.0" for v in outage)
 
 
 def test_cli_simulate_meta_counts_rows_per_case_and_tier(tmp_path, cfg):

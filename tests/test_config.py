@@ -14,6 +14,9 @@ def test_unit_conversions_roundtrip():
     assert dbm_to_watts(23.0) == pytest.approx(0.19952623, rel=1e-8)
     assert watts_to_dbm(dbm_to_watts(13.0)) == pytest.approx(13.0, abs=1e-12)
     assert db_to_linear(-10.0) == pytest.approx(0.1)
+    assert db_to_linear(math.inf) == math.inf
+    with pytest.raises(ValueError, match="4000.0 dB gives a ratio outside the float range"):
+        db_to_linear(4000.0)
     with pytest.raises(ValueError):
         watts_to_dbm(0.0)
 
