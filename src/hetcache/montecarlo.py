@@ -137,8 +137,8 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     cache-enabled user transmits; above it an independent thinning keeps the
     analyzed active density.
     """
-    if window <= 0.0:
-        raise ValueError("window side must be positive")
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window side must be positive and finite, got {window}")
     rng = np.random.default_rng(seed)
     area = window * window
 

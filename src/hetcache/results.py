@@ -10,9 +10,13 @@ prints it indented.
 
 Each cell is formatted once, into a CSV text and a JSON text, and both files
 are written from those texts.  A column of finite plain floats needs one
-text per cell, since json writes a float as its repr.  The envelope without
-its rows goes through json's C encoder, and the rows text is spliced in
-before the closing brace.
+text per cell, since json writes a float as its repr, and a constant such
+column (one non-zero value in every row) is formatted once for all its
+cells.  When every column is of finite plain floats, no cell needs csv's
+quoting, and the CSV lines come from one ``%`` template over the texts;
+any other table is written by ``csv.writer``.  The envelope without its
+rows goes through json's C encoder, and the rows text is spliced in before
+the closing brace.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import importlib.metadata
 import json
 import math
 import subprocess
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +68,11 @@ def _column_texts(cells: list) -> tuple[list[str], list[str]]:
     # a sum over a NaN or an infinity is not finite (an overflowing sum of
     # finite floats only takes the per-cell path)
     if set(map(type, cells)) == {float} and math.isfinite(sum(cells)):
-        texts = list(map(float.__repr__, cells))
+        # equal non-zero floats have one repr; 0.0 == -0.0 but their reprs differ
+        if cells[0] and cells.count(cells[0]) == len(cells):
+            texts = [float.__repr__(cells[0])] * len(cells)
+        else:
+            texts = list(map(float.__repr__, cells))
         return texts, texts
     return list(map(_cell, cells)), list(map(_json_text, cells))
 
@@ -104,7 +112,14 @@ def emit_results(rows: list[dict], columns: list[str], out_dir, name: str, *,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*csv_columns))
+        # a column whose CSV and JSON texts are one list holds finite floats
+        # only, and a float's repr (digits, '.', '-', '+', 'e') is never
+        # quoted, so an all-float table's lines come from one template
+        if all(map(is_, csv_columns, json_columns)):
+            line = ",".join(["%s"] * len(columns)) + "\n"
+            fh.write("".join(map(line.__mod__, zip(*csv_columns))))
+        else:
+            writer.writerows(zip(*csv_columns))
 
     envelope = {
         "name": name,

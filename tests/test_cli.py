@@ -57,18 +57,13 @@ def test_emit_results_cell_format(tmp_path):
     assert csv_path.read_text() == "x,y\n0.10000000149011612,None\n"
 
 
-def test_emit_results_bytes_match_one_encoder_pass(tmp_path):
-    # each cell is formatted once, yet both files hold the bytes that
-    # csv.writer over ``_cell`` and one json.dumps of the whole envelope give
-    kinds = [0.1, math.nan, math.inf, -math.inf, -0.0, np.float64(0.30000000000000004),
-             np.float32(0.1), np.int64(7), 3, True, None, 'a, "b"\nc']
-    columns = ["plain %s", 'mixed "kinds"', "100%"]
-    rows = [{"plain %s": i / 3 - 1.0, 'mixed "kinds"': kind, "100%": str(i)}
-            for i, kind in enumerate(kinds)]
-    # a row in another key order than ``columns``
-    rows.append({"100%": "last", 'mixed "kinds"': 2.5, "plain %s": -0.0})
-    csv_path, json_path = emit_results(rows, columns, tmp_path, "kinds", config={"a": 1.0},
-                                       seed=3, params={"p": [1, 2]}, meta={"m": math.nan})
+def _emit_and_check_bytes(tmp_path, rows, columns, name="t", *, config=None, seed=None,
+                          params=None, meta=None) -> dict:
+    """Emit a table and check that both files hold the bytes that csv.writer
+    over ``_cell`` and one json.dumps of the whole envelope give; returns the
+    envelope."""
+    csv_path, json_path = emit_results(rows, columns, tmp_path, name, config=config,
+                                       seed=seed, params=params, meta=meta)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -76,12 +71,95 @@ def test_emit_results_bytes_match_one_encoder_pass(tmp_path):
     assert csv_path.read_bytes().decode() == buf.getvalue()
     text = json_path.read_text()
     env = json.loads(text)
-    expect = {"name": "kinds", "version": env["version"], "created": env["created"],
-              "seed": 3, "config": {"a": 1.0}, "params": {"p": [1, 2]}, "meta": {"m": math.nan},
+    expect = {"name": name, "version": env["version"], "created": env["created"],
+              "seed": seed, "config": config, "params": params or {}, "meta": meta or {},
               "columns": columns, "rows": [{c: row[c] for c in columns} for row in rows]}
     assert text == json.dumps(expect, default=float) + "\n"
+    return env
+
+
+def test_emit_results_bytes_match_one_encoder_pass(tmp_path):
+    # each cell is formatted once, yet both files hold the bytes of one
+    # csv.writer pass and one json.dumps pass
+    kinds = [0.1, math.nan, math.inf, -math.inf, -0.0, np.float64(0.30000000000000004),
+             np.float32(0.1), np.int64(7), 3, True, None, 'a, "b"\nc']
+    columns = ["plain %s", 'mixed "kinds"', "100%"]
+    rows = [{"plain %s": i / 3 - 1.0, 'mixed "kinds"': kind, "100%": str(i)}
+            for i, kind in enumerate(kinds)]
+    # a row in another key order than ``columns``
+    rows.append({"100%": "last", 'mixed "kinds"': 2.5, "plain %s": -0.0})
+    env = _emit_and_check_bytes(tmp_path, rows, columns, "kinds", config={"a": 1.0}, seed=3,
+                                params={"p": [1, 2]}, meta={"m": math.nan})
     # the envelope's rows follow ``columns``, as the CSV does
     assert list(rows[-1]) != columns and list(env["rows"][-1]) == columns
+
+
+@pytest.mark.parametrize("column", [
+    [2.5] * 4,
+    [-1.0000000000000002e-07] * 4,
+    [0.0] * 4,
+    [-0.0] * 4,
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0, 0.0, 0.0],
+], ids=["positive", "negative", "zeros", "negative-zeros", "zero-mix", "negative-zero-first"])
+def test_emit_results_constant_column_bytes(tmp_path, column):
+    # a constant non-zero column is formatted once; 0.0 == -0.0, so zeros
+    # keep one repr per cell.  Alone, beside a float column (the CSV's line
+    # template) and beside a str column (csv.writer)
+    _emit_and_check_bytes(tmp_path, [{"c": v} for v in column], ["c"], "alone")
+    rows = [{"t": i / 7, "c": v} for i, v in enumerate(column)]
+    _emit_and_check_bytes(tmp_path, rows, ["t", "c"], "floats")
+    rows = [{"c": v, "s": f"row {i}"} for i, v in enumerate(column)]
+    _emit_and_check_bytes(tmp_path, rows, ["c", "s"], "mixed")
+
+
+def test_emit_results_float_extremes_bytes(tmp_path):
+    # the subnormal minimum, the float maximum and the reprs that switch to
+    # or from exponent form, in a one-column table and beside a negated copy
+    values = [5e-324, 1.7976931348623157e308, 1e16, 1e-05, 0.1, -2.5e-10]
+    _emit_and_check_bytes(tmp_path, [{"x": v} for v in values], ["x"], "one")
+    rows = [{"x": v, "-x": -v} for v in values]
+    _emit_and_check_bytes(tmp_path, rows, ["x", "-x"], "two")
+    # a constant column whose sum overflows is written cell by cell
+    _emit_and_check_bytes(tmp_path, [{"x": 1.7976931348623157e308}] * 3, ["x"], "max")
+    csv_path, _ = emit_results([{"x": v} for v in values], ["x"], tmp_path, "text")
+    assert csv_path.read_text().split("\n")[1:-1] == [
+        "5e-324", "1.7976931348623157e+308", "1e+16", "1e-05", "0.1", "-2.5e-10"]
+
+
+def test_emit_results_quotes_str_cells_beside_float_columns(tmp_path):
+    # a table with one str cell goes through csv.writer, so ',', '"' and a
+    # newline are still quoted; its constant float column still has one repr
+    cells = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    rows = [{"x": i / 3, "k": 0.25, "s": text} for i, text in enumerate(cells)]
+    _emit_and_check_bytes(tmp_path, rows, ["x", "k", "s"], "quoted")
+    with open(tmp_path / "quoted.csv", newline="") as fh:
+        assert [line[2] for line in csv.reader(fh)][1:] == cells
+
+
+def test_emit_results_csv_writer_only_for_tables_with_a_non_float_cell(tmp_path, monkeypatch):
+    # the CSV body of an all-float table comes from the line template; one
+    # non-float cell anywhere (NaN, inf, an int, None, a numpy float, a str)
+    # puts the table's body back on csv.writer
+    bodies = []
+
+    class Writer:
+        def __init__(self, fh, **kwargs):
+            self._writer = csv_writer(fh, **kwargs)
+            self.writerow = self._writer.writerow
+
+        def writerows(self, rows):
+            bodies.append(1)
+            self._writer.writerows(rows)
+
+    csv_writer = csv.writer
+    monkeypatch.setattr(results.csv, "writer", Writer)
+    floats = [{"a": 0.5, "b": -1.5}, {"a": 2.0, "b": 1e-300}]
+    emit_results(floats, ["a", "b"], tmp_path, "floats")
+    assert bodies == []
+    for odd in (math.nan, math.inf, 3, None, np.float64(0.5), "x"):
+        emit_results([*floats, {"a": 1.0, "b": odd}], ["a", "b"], tmp_path, "odd")
+    assert len(bodies) == 6
 
 
 @pytest.mark.parametrize("bad", [
@@ -324,10 +402,13 @@ def test_cli_simulate_rejects_repeated_tau_db(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--window", "1500", "--tau-db", "nan"], "outage thresholds (nan,) must be non-negative"),
     (["--window", "10"], "relay/BS tier stayed empty"),
-], ids=["nan-threshold", "starved-window"])
+    (["--window", "inf"], "window side must be positive and finite, got inf"),
+    (["--window", "nan"], "window side must be positive and finite, got nan"),
+], ids=["nan-threshold", "starved-window", "infinite-window", "nan-window"])
 def test_cli_simulate_rejects_bad_inputs(tmp_path, capsys, argv, message):
     # a NaN threshold wrote NaN rows from 0 samples; a window too small for a
-    # relay and a BS ended in a traceback
+    # relay and a BS ended in a traceback; an infinite or NaN window reached
+    # numpy's Poisson draw, whose message named neither the flag nor the value
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--topologies", "1", *argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -447,6 +528,14 @@ def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
                 assert cell == want
             else:
                 assert float(cell) == want or math.isnan(want) and math.isnan(float(cell))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_files_hold_the_bytes_of_one_encoder_pass(tmp_path, name):
+    # every paper table keeps the bytes csv.writer and json.dumps give it,
+    # whichever path its CSV body takes
+    r = run_preset(name, seed=3)
+    _emit_and_check_bytes(tmp_path, r.rows, r.columns, name, seed=3, meta=r.meta)
 
 
 def test_fig3b_is_the_fig3a_sweep_on_the_low_power_set():
