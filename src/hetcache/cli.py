@@ -5,12 +5,15 @@ one record of ``presets.PRESETS``: the record gives the subcommand's help,
 flags and accepted presets, the config it runs on without ``--config``, and
 the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
-everything internal is watts/linear/nats.  Every run writes a CSV table and
-a JSON envelope with the config that was run, the seed and the
-subcommand's flags (``params``, empty for a preset), sufficient to
-reproduce the CSV byte-identically: ``<command>.csv``/``.json``, or
-``<command>-<preset>.csv``/``.json`` for a ``--preset`` run, so no two runs
-share a file name.
+everything internal is watts/linear/nats.  Only the runs that draw random
+numbers take ``--seed``: ``simulate``, and through it the ``fig7`` preset.
+A preset reads those of its subcommand's flags that it declares; any other
+must stay at its default.  Every run writes a CSV table and a JSON envelope
+with the config that was run and the flags it read (``params``, with the
+seed where one was read, which ``seed`` repeats and is null otherwise); the
+config and the params rerun the CSV byte-identically.  The files are
+``<command>.csv``/``.json``, or ``<command>-<preset>.csv``/``.json`` for a
+``--preset`` run, so no two runs share a file name.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, exp in COMMANDS.items():
         p = sub.add_parser(name, help=exp.help)
         p.add_argument("--config", help="JSON config file (flat keys; *_dbm accepted)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="results", help="output directory")
         if exp.presets:
             p.add_argument("--preset", choices=exp.presets)
@@ -41,28 +43,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     params = vars(parser.parse_args(argv))
     command, preset = params.pop("command"), params.pop("preset", None)
-    config, seed, out = params.pop("config"), params.pop("seed"), params.pop("out")
+    config, out = params.pop("config"), params.pop("out")
     if preset:
-        # a preset runs its own fixed grid, so a flag of the subcommand would be ignored
+        exp = PRESETS[preset]
+        # a preset runs its own fixed grid, so a flag of the subcommand that
+        # it does not declare would be ignored
         given = [flag for flag, kwargs in COMMANDS[command].flags
-                 if params[flag.lstrip("-").replace("-", "_")] != kwargs.get("default")]
+                 if (flag, kwargs) not in exp.flags
+                 and params[_dest(flag)] != kwargs.get("default")]
         if given:
             parser.error(f"--preset {preset} runs a fixed grid; drop {', '.join(given)}")
-        name, exp, params = f"{command}-{preset}", PRESETS[preset], {}
+        name = f"{command}-{preset}"
+        params = {_dest(flag): params[_dest(flag)] for flag, _ in exp.flags}
     else:
         name, exp = command, COMMANDS[command]
     try:
         cfg = load_config(config) if config else exp.config()
-        columns, rows, meta = exp.run(cfg, seed, **params)
+        columns, rows, meta = exp.run(cfg, **params)
     except ValueError as exc:
         parser.error(str(exc))
     try:
         csv_path, json_path = emit_results(
-            rows, columns, out, name, config=cfg.to_flat_dict(), seed=seed, params=params, meta=meta,
+            rows, columns, out, name, config=cfg.to_flat_dict(), seed=params.get("seed"),
+            params=params, meta=meta,
         )
     except OSError as exc:  # an --out path that is a file, or not writable
         parser.error(f"cannot write results to --out {out}: {exc}")

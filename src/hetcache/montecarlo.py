@@ -112,6 +112,11 @@ class EmpiricalEstimate:
             raise ValueError("standard error and sample count must be non-negative")
 
 
+def _check_window(window: float) -> None:
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window side must be positive and finite, got {window}")
+
+
 @dataclass(frozen=True)
 class SpatialRealization:
     """One sampled topology: positions per tier, caching and activity flags."""
@@ -124,8 +129,7 @@ class SpatialRealization:
     active_flags: np.ndarray   # bool per user; active => cache-enabled
 
     def __post_init__(self) -> None:
-        if self.window <= 0.0:
-            raise ValueError("window side must be positive")
+        _check_window(self.window)
         if (self.active_flags & ~self.cache_flags).any():
             raise ValueError("active D2D transmitters must be cache-enabled")
 
@@ -137,8 +141,7 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     cache-enabled user transmits; above it an independent thinning keeps the
     analyzed active density.
     """
-    if not 0.0 < window < math.inf:
-        raise ValueError(f"window side must be positive and finite, got {window}")
+    _check_window(window)  # before a draw over its area
     rng = np.random.default_rng(seed)
     area = window * window
 

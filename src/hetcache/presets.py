@@ -1,17 +1,22 @@
 """The experiment registry: one record per subcommand and per figure preset.
 
 An ``Experiment`` holds the function that computes an experiment's columns,
-rows and metadata from a config and a seed, its help text, its default
-config, its own command-line flags and, for a subcommand, the presets it
-accepts.  ``cli`` generates its parser from ``COMMANDS``, and ``run_preset``
-runs a record of ``PRESETS``; ``steady`` names one of each, with different
-outputs, hence two tables (``steady`` and ``steady-steady`` on the command
-line).  ``fig3b`` defaults to the low-power D2D set
+rows and metadata from a config and its flags' values, its help text, its
+default config, its own command-line flags and, for a subcommand, the
+presets it accepts.  ``cli`` generates its parser from ``COMMANDS``, and
+``run_preset`` runs a record of ``PRESETS``; ``steady`` names one of each,
+with different outputs, hence two tables (``steady`` and ``steady-steady``
+on the command line).  ``fig3b`` defaults to the low-power D2D set
 (P1 = 13 dBm) and the queueing presets to ``fig6_config()``.
+
+Only the two simulators draw random numbers, so ``--seed`` is a flag of
+``simulate`` (the Monte Carlo oracle) and of its ``fig7`` preset (the CTMC
+trace) alone; every other experiment is deterministic and takes no seed.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -36,8 +41,9 @@ Table = tuple[list[str], list[dict], dict]
 
 @dataclass(frozen=True)
 class Experiment:
-    """``run(cfg, seed, **params) -> (columns, rows, meta)``; ``flags`` are
-    argparse ``(flag, kwargs)`` pairs whose destinations are the ``params``."""
+    """``run(cfg, **params) -> (columns, rows, meta)``; ``flags`` are argparse
+    ``(flag, kwargs)`` pairs whose destinations are exactly the ``params``.
+    A preset's flags are the flags of its subcommand that it reads."""
 
     run: Callable[..., Table]
     help: str
@@ -114,7 +120,7 @@ def _cdf_columns(cfg: NetworkConfig, cases, taus_db) -> dict[int, list[float]]:
     return {case_id: sinr_cdf(cfg, case_id, 3, taus).tolist() for case_id in cases}
 
 
-def association(cfg: NetworkConfig, seed: int) -> Table:
+def association(cfg: NetworkConfig) -> Table:
     states = state_matrix(cfg)
     columns = ["case", "backhaul", "node", "probability"]
     rows = [
@@ -126,7 +132,7 @@ def association(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {}
 
 
-def d2d_density(cfg: NetworkConfig, seed: int, points: int) -> Table:
+def d2d_density(cfg: NetworkConfig, points: int) -> Table:
     if points < 1:
         raise ValueError("d2d-density needs at least one point")
     act0 = active_d2d_density(cfg)
@@ -139,7 +145,7 @@ def d2d_density(cfg: NetworkConfig, seed: int, points: int) -> Table:
     return columns, rows, meta
 
 
-def rate(cfg: NetworkConfig, seed: int) -> Table:
+def rate(cfg: NetworkConfig) -> Table:
     table = case_rate_table(cfg)
     columns = ["case", "node", "rate_nats"]
     rows = [
@@ -149,32 +155,33 @@ def rate(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {"local_rate": cfg.local_rate_ul}
 
 
-def outage(cfg: NetworkConfig, seed: int, tau_db: list[float]) -> Table:
+def outage(cfg: NetworkConfig, tau_db: list[float]) -> Table:
     return ["tau_db", "case", "outage"], _cdf_rows(cfg, tau_db, "outage"), {}
 
 
-def sinr_cdf_curves(cfg: NetworkConfig, seed: int, tau_min: float, tau_max: float,
-                    tau_step: float) -> Table:
-    if not (tau_step > 0.0 and tau_min <= tau_max):
-        raise ValueError("SINR CDF grid needs a positive step and tau-min <= tau-max")
+def sinr_cdf_curves(cfg: NetworkConfig, tau_min: float, tau_max: float, tau_step: float) -> Table:
+    if not (-math.inf < tau_min <= tau_max < math.inf and 0.0 < tau_step < math.inf):
+        raise ValueError("SINR CDF grid needs finite --tau-min <= --tau-max and a positive, "
+                         f"finite --tau-step; got --tau-min {tau_min}, --tau-max {tau_max}, "
+                         f"--tau-step {tau_step}")
     taus_db = [float(t) for t in np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step)]
     return ["tau_db", "case", "cdf"], _cdf_rows(cfg, taus_db, "cdf"), {}
 
 
-def queue(cfg: NetworkConfig, seed: int) -> Table:
+def queue(cfg: NetworkConfig) -> Table:
     rows, rulers = _queue_rows(cfg, network_model)
     columns = ["class_row", "node", "arrival_rate", "service_rate",
                "mean_requests", "throughput_per_request", "delay"]
     return columns, rows, {"rulers": _rulers(rulers)}
 
 
-def steady(cfg: NetworkConfig, seed: int) -> Table:
+def steady(cfg: NetworkConfig) -> Table:
     metrics = _metrics(cfg)
     rows = [{"node": n, "ruler": r} for n, r in _rulers(metrics.rulers).items()]
     return ["node", "ruler"], rows, _critical_rate(metrics)
 
 
-def baseline_compare(cfg: NetworkConfig, seed: int) -> Table:
+def baseline_compare(cfg: NetworkConfig) -> Table:
     columns = ["model", "node", "ruler", "varsigma_star"]
     cached, base = _metrics(cfg), _metrics(cfg, baseline_model)
     rows = [{"model": model_name, "node": n, "ruler": r, "varsigma_star": metrics.varsigma_star}
@@ -210,18 +217,20 @@ _SWEEP_QUANTITIES = {
 }
 
 
-def sweep(cfg: NetworkConfig, seed: int, var: str, start: float, stop: float, num: int,
+def sweep(cfg: NetworkConfig, var: str, start: float, stop: float, num: int,
           quantity: str, tau_db: float) -> Table:
-    grid = np.linspace(start, stop, num)
+    finite = math.isfinite(start) and math.isfinite(stop)
+    grid = np.linspace(start, stop, num) if finite and num >= 1 else []
     if len(grid) == 0 or (len(grid) > 1 and grid[1] <= grid[0]):
-        raise ValueError("sweep grid must be non-empty and strictly increasing")
+        raise ValueError("sweep grid must be finite, non-empty and strictly increasing; got "
+                         f"--start {start}, --stop {stop}, --num {num}")
     measure = _SWEEP_QUANTITIES[quantity]
     rows = [{var: float(v), quantity: float(measure(cfg.with_updates(**{var: float(v)}), tau_db))}
             for v in grid]
     return [var, quantity], rows, {"variable": var, "quantity": quantity}
 
 
-def fig2(cfg: NetworkConfig, seed: int) -> Table:
+def fig2(cfg: NetworkConfig) -> Table:
     columns = ["gamma", "case1", "case2", "case3", "case4", "g1", "g2", "g3"]
     rows = []
     g = {f"g{i}": first_association_probability(cfg, i) for i in (1, 2, 3)}
@@ -236,7 +245,7 @@ def fig2(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {}
 
 
-def rate_sweep(cfg: NetworkConfig, seed: int) -> Table:
+def rate_sweep(cfg: NetworkConfig) -> Table:
     act0 = active_d2d_density(cfg)
     columns = ["alpha", "rate_case1", "rate_case2", "rate_case3", "lambda1_active"]
     rows = []
@@ -252,7 +261,7 @@ def rate_sweep(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, meta
 
 
-def fig4(cfg: NetworkConfig, seed: int) -> Table:
+def fig4(cfg: NetworkConfig) -> Table:
     columns = ["alpha", "tau_db", "outage_case1", "outage_case2", "outage_case3"]
     taus_db = (-10.0, -5.0)
     alphas = [float(a) for a in np.linspace(0.02, 0.6, 30)]
@@ -266,7 +275,7 @@ def fig4(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {}
 
 
-def fig5(cfg: NetworkConfig, seed: int) -> Table:
+def fig5(cfg: NetworkConfig) -> Table:
     columns = ["tau_db", "alpha", "cdf_case1", "cdf_case2", "cdf_case3"]
     taus_db = [float(t) for t in np.arange(-20.0, 20.5, 1.0)]
     rows = []
@@ -280,7 +289,7 @@ def fig5(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {}
 
 
-def fig6(cfg: NetworkConfig, seed: int) -> Table:
+def fig6(cfg: NetworkConfig) -> Table:
     columns = ["model", "class_row", "node", "throughput_per_request", "mean_requests", "delay"]
     rows = [
         {"model": model_name, **{c: row[c] for c in columns[1:]}}
@@ -308,7 +317,7 @@ def fig7(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, meta
 
 
-def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
+def steady_gains(cfg: NetworkConfig) -> Table:
     columns = ["gamma", "kappa", "varsigma_star_cached", "varsigma_star_baseline",
                "gain", "target_gain"]
     targets = {0.8: 0.133, 1.8: 0.573}
@@ -325,6 +334,15 @@ def steady_gains(cfg: NetworkConfig, seed: int) -> Table:
     return columns, rows, {"rulers": _rulers(metrics.rulers), **_critical_rate(metrics)}
 
 
+def non_negative_int(text: str) -> int:
+    """The ``--seed`` type: numpy's generators take a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+_SEED = ("--seed", dict(type=non_negative_int, default=0))
 _TAU_DB = ("--tau-db", dict(type=float, nargs="+", default=[-10.0, -5.0]))
 # nu and bias are fixed at 1, so neither can be swept
 _SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig)
@@ -347,6 +365,7 @@ COMMANDS: dict[str, Experiment] = {
     "baseline-compare": Experiment(baseline_compare, "cached network versus no-caching baseline"),
     "simulate": Experiment(simulate, "Monte Carlo spatial simulation / CTMC trace",
                            presets=("fig7",), flags=(
+        _SEED,
         ("--topologies", dict(type=int, default=200)),
         ("--window", dict(type=float, default=2000.0)),
         _TAU_DB,
@@ -369,7 +388,8 @@ PRESETS: dict[str, Experiment] = {
     "fig4": Experiment(fig4, "outage versus alpha at tau in {-10, -5} dB for cases 1..3"),
     "fig5": Experiment(fig5, "SINR CDF curves over a dB grid at alpha = 0.05 and 0.10"),
     "fig6": Experiment(fig6, "per-class queue metrics, cached versus baseline", fig6_config),
-    "fig7": Experiment(fig7, "CTMC occupancy trace of the D2D-transmitter queue", fig6_config),
+    "fig7": Experiment(fig7, "CTMC occupancy trace of the D2D-transmitter queue", fig6_config,
+                       flags=(_SEED,)),
     "steady": Experiment(steady_gains, "critical-rate gains over the baseline", fig6_config),
 }
 
@@ -377,8 +397,12 @@ PRESET_NAMES = tuple(PRESETS)
 
 
 def run_preset(name: str, cfg: NetworkConfig | None = None, seed: int = 0) -> PresetResult:
-    """Run a preset on ``cfg``, or on the preset's default config when None."""
+    """Run a preset on ``cfg``, or on the preset's default config when None.
+
+    ``seed`` reaches only a preset that declares ``--seed`` (``fig7``); every
+    other preset draws nothing, and ignores it."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     exp = PRESETS[name]
-    return PresetResult(name, *exp.run(cfg if cfg is not None else exp.config(), seed))
+    params = {"seed": seed} if _SEED in exp.flags else {}
+    return PresetResult(name, *exp.run(cfg if cfg is not None else exp.config(), **params))

@@ -15,7 +15,7 @@ from hetcache import (
     run_monte_carlo,
     throughput_gain,
 )
-from hetcache.cli import main
+from hetcache.cli import build_parser, main
 from hetcache.config import fig6_config
 from hetcache.presets import COMMANDS, PRESET_NAMES, PRESETS, run_preset
 from hetcache.results import emit_results
@@ -312,15 +312,16 @@ _RERUNS = [
     ["queue"],
     ["steady"],
     ["baseline-compare"],
-    ["simulate", "--topologies", "2", "--window", "1500"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--seed", "4"],
     ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "0.3", "--num", "3",
      "--quantity", "varsigma_star"],
     # the default quantity; "--var" goes last so the test id stays distinct
     ["sweep", "--start", "0.1", "--stop", "0.3", "--num", "3", "--var", "alpha"],
     ["queue", "--config", "off-grid"],
-    ["simulate", "--topologies", "2", "--window", "1500", "--config", "beta-3.5"],
-    ["simulate", "--topologies", "2", "--window", "1500", "--config", "alpha-0"],
-    ["simulate", "--topologies", "2", "--window", "1500", "--config", "alpha-0.25"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--seed", "4", "--config", "beta-3.5"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--seed", "4", "--config", "alpha-0"],
+    ["simulate", "--topologies", "2", "--window", "1500", "--seed", "4",
+     "--config", "alpha-0.25"],
     ["rate", "--config", "noise-1e-12"],
     ["rate", "--config", "noise-1"],
     ["outage", "--config", "noise-1"],
@@ -347,9 +348,10 @@ def _rerun_id(argv: list[str]) -> str:
 
 
 def _rerun_argv(env: dict, config_path) -> list[str]:
-    """A command line that runs an envelope's config, seed and params again."""
+    """A command line that runs an envelope's config and params again; the
+    params hold the seed of a run that reads one."""
     config_path.write_text(json.dumps(env["config"]))
-    argv = [env["name"], "--config", str(config_path), "--seed", str(env["seed"])]
+    argv = [env["name"], "--config", str(config_path)]
     for dest, value in env["params"].items():
         argv.append("--" + dest.replace("_", "-"))
         argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
@@ -360,15 +362,40 @@ def test_rerun_cases_cover_every_command():
     assert {argv[0] for argv in _RERUNS} == set(COMMANDS)
 
 
+# the flags a run needs, and a short Monte Carlo run; every other flag at its default
+_SHORT_RUNS = {"simulate": ["--topologies", "2", "--window", "1500"],
+               "sweep": ["--var", "alpha", "--start", "0.1", "--stop", "0.3", "--num", "3"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_seed_is_a_flag_of_the_runs_that_draw(tmp_path, capsys, command):
+    # simulate alone draws, so it alone takes --seed; the envelope's seed is
+    # the one read, and null where none is
+    draws = command == "simulate"
+    assert ("--seed" in dict(COMMANDS[command].flags)) == draws
+    argv = [command, *_SHORT_RUNS.get(command, [])]
+    main([*argv, "--out", str(tmp_path)])
+    env = json.loads((tmp_path / f"{command}.json").read_text())
+    assert env["seed"] == env["params"].get("seed") == (0 if draws else None)
+    if draws:
+        assert build_parser().parse_args([*argv, "--seed", "1"]).seed == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(tmp_path / "seeded")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", _RERUNS, ids=_rerun_id)
 def test_cli_rerun_from_envelope_is_byte_identical(tmp_path, argv):
     for name in set(argv) & set(_CONFIGS):
         (tmp_path / f"{name}.json").write_text(json.dumps(_CONFIGS[name]))
     argv = [str(tmp_path / f"{a}.json") if a in _CONFIGS else a for a in argv]
     first, second = tmp_path / "first", tmp_path / "second"
-    main(argv + ["--seed", "4", "--out", str(first)])
+    main(argv + ["--out", str(first)])
     env = json.loads((first / f"{argv[0]}.json").read_text())
     assert "params" not in env["meta"]
+    assert env["seed"] == (4 if argv[0] == "simulate" else None)
     main(_rerun_argv(env, tmp_path / "echo.json") + ["--out", str(second)])
     name = f"{argv[0]}.csv"
     assert (second / name).read_bytes() == (first / name).read_bytes()
@@ -404,11 +431,13 @@ def test_cli_simulate_rejects_repeated_tau_db(tmp_path, capsys):
     (["--window", "10"], "relay/BS tier stayed empty"),
     (["--window", "inf"], "window side must be positive and finite, got inf"),
     (["--window", "nan"], "window side must be positive and finite, got nan"),
-], ids=["nan-threshold", "starved-window", "infinite-window", "nan-window"])
+    (["--seed", "-1"], "argument --seed: must be a non-negative integer, got -1"),
+], ids=["nan-threshold", "starved-window", "infinite-window", "nan-window", "negative-seed"])
 def test_cli_simulate_rejects_bad_inputs(tmp_path, capsys, argv, message):
     # a NaN threshold wrote NaN rows from 0 samples; a window too small for a
     # relay and a BS ended in a traceback; an infinite or NaN window reached
-    # numpy's Poisson draw, whose message named neither the flag nor the value
+    # numpy's Poisson draw, and a negative seed numpy's generator, whose
+    # messages named neither the flag nor the value
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--topologies", "1", *argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -465,11 +494,16 @@ def test_cli_sweep_rejects_bad_grid(tmp_path):
               "--num", "3", "--out", str(tmp_path)])
 
 
-@pytest.mark.parametrize("num", [0, 3])
-def test_sweep_rejects_bad_grid_without_exiting(cfg, num):
-    # an empty or decreasing grid is a ValueError for a library caller
-    with pytest.raises(ValueError, match="strictly increasing"):
-        COMMANDS["sweep"].run(cfg, 0, var="gamma", start=1.0, stop=0.5, num=num,
+@pytest.mark.parametrize("start, stop, num", [
+    (1.0, 0.5, 0), (1.0, 0.5, 3), (0.1, 0.3, -2), (0.1, math.inf, 3), (math.nan, 0.3, 3),
+], ids=["0", "3", "num-negative", "stop-inf", "start-nan"])
+def test_sweep_rejects_bad_grid_without_exiting(cfg, start, stop, num):
+    # an empty, decreasing or non-finite grid is a ValueError for a library
+    # caller; a negative count reached numpy's linspace, an infinite end the
+    # config check, and neither message named the flag
+    with pytest.raises(ValueError, match=re.escape(
+            f"strictly increasing; got --start {start}, --stop {stop}, --num {num}")):
+        COMMANDS["sweep"].run(cfg, var="gamma", start=start, stop=stop, num=num,
                               quantity="rate_case1", tau_db=-10.0)
 
 
@@ -478,10 +512,15 @@ _EMPTY_GRIDS = [
     ("sinr-cdf", dict(tau_min=-5.0, tau_max=5.0, tau_step=-1.0)),
     ("sinr-cdf", dict(tau_min=5.0, tau_max=-5.0, tau_step=1.0)),
     ("d2d-density", dict(points=0)),
+    ("sinr-cdf", dict(tau_min=-5.0, tau_max=math.inf, tau_step=1.0)),
+    ("sinr-cdf", dict(tau_min=-5.0, tau_max=5.0, tau_step=math.inf)),
+    ("sinr-cdf", dict(tau_min=math.nan, tau_max=5.0, tau_step=1.0)),
+    ("sinr-cdf", dict(tau_min=-5.0, tau_max=5.0, tau_step=math.nan)),
 ]
 
 
-_EMPTY_GRID_IDS = ["tau-step-0", "tau-step-negative", "tau-min-above-max", "points-0"]
+_EMPTY_GRID_IDS = ["tau-step-0", "tau-step-negative", "tau-min-above-max", "points-0",
+                   "tau-max-inf", "tau-step-inf", "tau-min-nan", "tau-step-nan"]
 
 
 @pytest.mark.parametrize("command, params", _EMPTY_GRIDS, ids=_EMPTY_GRID_IDS)
@@ -497,8 +536,13 @@ def test_cli_rejects_empty_grid(tmp_path, capsys, command, params):
 
 @pytest.mark.parametrize("command, params", _EMPTY_GRIDS, ids=_EMPTY_GRID_IDS)
 def test_empty_grid_is_a_value_error_without_exiting(cfg, command, params):
-    with pytest.raises(ValueError):
-        COMMANDS[command].run(cfg, 0, **params)
+    # an infinite bound or step reached numpy's arange, whose message named
+    # no flag; the SINR CDF grid's message names every flag and its value
+    with pytest.raises(ValueError) as exc:
+        COMMANDS[command].run(cfg, **params)
+    if command == "sinr-cdf":
+        assert str(exc.value).endswith(", ".join(
+            f"--{k.replace('_', '-')} {v}" for k, v in params.items()))
 
 
 @pytest.mark.parametrize("var", ["bogus", "seed", "n_contents", "nu", "bias"])
@@ -512,11 +556,15 @@ def test_cli_sweep_rejects_bad_variable(tmp_path, capsys, var):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_cli_preset_echoes_its_config_and_rows(tmp_path, name):
+    # fig7 alone draws, so it alone takes, and echoes, a seed
     command = next(c for c, exp in COMMANDS.items() if name in exp.presets)
-    main([command, "--preset", name, "--seed", "3", "--out", str(tmp_path)])
+    seed = ["--seed", "3"] if name == "fig7" else []
+    assert ("--seed" in dict(PRESETS[name].flags)) == bool(seed)
+    main([command, "--preset", name, *seed, "--out", str(tmp_path)])
     env = json.loads((tmp_path / f"{command}-{name}.json").read_text())
     assert env["config"] == PRESETS[name].config().to_flat_dict()
-    assert env["params"] == {}
+    assert env["params"] == ({"seed": 3} if seed else {})
+    assert env["seed"] == env["params"].get("seed")
     library = run_preset(name, seed=3)
     with open(tmp_path / f"{command}-{name}.csv", newline="") as fh:
         header, *lines = csv.reader(fh)
@@ -613,6 +661,7 @@ def test_cli_config_that_no_network_accepts_is_usage_error(tmp_path, capsys, raw
     ["outage", "--preset", "fig4", "--tau-db", "-3"],
     ["sinr-cdf", "--preset", "fig5", "--tau-step", "2"],
     ["simulate", "--preset", "fig7", "--topologies", "5"],
+    ["rate", "--preset", "fig3a", "--seed", "1"],
 ])
 def test_cli_preset_rejects_subcommand_flags(tmp_path, capsys, argv):
     # a preset runs its own grid, so a subcommand flag would be silently ignored
@@ -670,7 +719,7 @@ def _count_builds(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("run, builds", [
     (lambda: run_preset("steady"), {"cached": 7, "baseline": 3}),
-    (lambda: COMMANDS["baseline-compare"].run(fig6_config(), 0), {"cached": 1, "baseline": 1}),
+    (lambda: COMMANDS["baseline-compare"].run(fig6_config()), {"cached": 1, "baseline": 1}),
 ], ids=["steady-preset", "baseline-compare"])
 def test_queueing_outputs_build_each_model_once(monkeypatch, run, builds):
     # the steady preset: one cached model per (gamma, kappa) row plus the meta,
@@ -694,7 +743,7 @@ def test_preset_steady_meta():
 
 
 def test_baseline_compare_meta_is_throughput_gain(cfg):
-    _, rows, meta = COMMANDS["baseline-compare"].run(cfg, 0)
+    _, rows, meta = COMMANDS["baseline-compare"].run(cfg)
     assert meta == throughput_gain(cfg)
     star = {r["model"]: r["varsigma_star"] for r in rows}
     assert star == {"cached": meta["varsigma_star_cached"],

@@ -70,6 +70,17 @@ def test_realization_validation(cfg):
                            np.array([False]), np.array([True]))
 
 
+@pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+def test_window_rule_is_one_check(cfg, window):
+    # the realization and its sampler accept the same windows, with one message
+    pts, flags = np.zeros((1, 2)), np.array([False])
+    message = f"window side must be positive and finite, got {window}"
+    with pytest.raises(ValueError, match=message):
+        SpatialRealization(window, pts, pts, pts, flags, flags)
+    with pytest.raises(ValueError, match=message):
+        sample_topology(cfg, window, 0)
+
+
 def test_nearest_cache_user_distance_ks(cfg):
     # tier-1 targets are the other cache-enabled users, density alpha*lambda0
     samples = []
