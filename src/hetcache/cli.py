@@ -5,10 +5,11 @@ one record of ``presets.PRESETS``: the record gives the subcommand's help,
 flags and accepted presets, the config it runs on without ``--config``, and
 the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
-everything internal is watts/linear/nats.  Only the runs that draw random
-numbers take ``--seed``: ``simulate``, and through it the ``fig7`` preset.
-A preset reads those of its subcommand's flags that it declares; any other
-must stay at its default.  Every run writes a CSV table and a JSON envelope
+everything internal is watts/linear/nats.  A value outside its flag's
+domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
+``ValueError`` of the run exits 2 with its message.  A preset reads those
+of its subcommand's flags that it declares; any other must stay at its
+default.  Every run writes a CSV table and a JSON envelope
 with the config that was run and the flags it read (``params``, with the
 seed where one was read, which ``seed`` repeats and is null otherwise); the
 config and the params rerun the CSV byte-identically.  The files are

@@ -53,6 +53,8 @@ def _check_number(name: str, value, integer: bool = False) -> None:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a ratio in dB (e.g. an SINR threshold) to linear scale."""
+    if math.isnan(x_db):
+        raise ValueError("nan dB is not a number")
     try:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
@@ -101,26 +103,18 @@ class NetworkConfig:
             raise ValueError("densities must satisfy lambda0 > lambda2 > lambda3 > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        for name in ("p1", "p2", "p3"):
+        for name in ("p1", "p2", "p3", "bandwidth_w", "content_size_s", "local_rate_ul",
+                     "varrho_inv"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("noise", "gamma", "varsigma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         check_path_loss_exponent(self.beta)
-        if self.noise < 0.0:
-            raise ValueError("noise power must be non-negative")
-        if self.bandwidth_w <= 0.0:
-            raise ValueError("bandwidth must be positive")
         if not (1 <= self.m1 < self.m2 < self.n_contents):
             raise ValueError("caching sizes must satisfy 1 <= m1 < m2 < n_contents")
-        if self.gamma < 0.0:
-            raise ValueError("Zipf skew gamma must be >= 0")
-        if self.content_size_s <= 0.0:
-            raise ValueError("content size must be positive")
         if not 0.0 < self.backhaul_kappa < 1.0:
             raise ValueError("backhaul_kappa must lie strictly in (0, 1)")
-        if self.local_rate_ul <= 0.0:
-            raise ValueError("local read-out rate must be positive")
-        if self.varsigma < 0.0 or self.varrho_inv <= 0.0:
-            raise ValueError("traffic parameters out of range")
         if self.nu != 1.0 or self.bias != 1.0:
             raise ValueError("nu and bias are both fixed at 1; the analysis reads neither")
 

@@ -112,9 +112,10 @@ class EmpiricalEstimate:
             raise ValueError("standard error and sample count must be non-negative")
 
 
-def _check_window(window: float) -> None:
-    if not 0.0 < window < math.inf:
-        raise ValueError(f"window side must be positive and finite, got {window}")
+def _check_window(window: float, density: float = 1.0) -> None:
+    if not 0.0 < window < math.inf or density * window * window == math.inf:
+        raise ValueError("window side must be positive, with a finite area and node count; "
+                         f"got {window}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     cache-enabled user transmits; above it an independent thinning keeps the
     analyzed active density.
     """
-    _check_window(window)  # before a draw over its area
+    _check_window(window, cfg.lambda0)  # before a draw over its area; lambda0 is the densest
     rng = np.random.default_rng(seed)
     area = window * window
 

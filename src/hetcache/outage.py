@@ -45,8 +45,10 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
         return 0.0 if scalar else np.zeros(len(taus))
     # an array's kernels are kept for the next config; one threshold's are not
     kernels = _Kernels(taus, cfg.beta) if scalar else _threshold_kernels(cfg.beta, taus.tobytes())
-    values = 1.0 - _coverage(cfg, case_id, tier, kernels)
-    bad = [v for v in values.tolist() if not -1e-12 <= v <= 1.0 + 1e-12]
+    values = (1.0 - _coverage(cfg, case_id, tier, kernels)).tolist()
+    bad = [v for v in values if not -1e-12 <= v <= 1.0 + 1e-12]
     if bad:
         raise ValueError(f"outage probability {bad[0]} outside [0, 1]")
-    return float(values[0]) if scalar else values
+    # the fixed rules take the coverage at tau ~ 0 to 1 + O(1e-15)
+    values = [min(max(v, 0.0), 1.0) for v in values]
+    return values[0] if scalar else np.array(values)

@@ -9,9 +9,12 @@ with different outputs, hence two tables (``steady`` and ``steady-steady``
 on the command line).  ``fig3b`` defaults to the low-power D2D set
 (P1 = 13 dBm) and the queueing presets to ``fig6_config()``.
 
-Only the two simulators draw random numbers, so ``--seed`` is a flag of
-``simulate`` (the Monte Carlo oracle) and of its ``fig7`` preset (the CTMC
-trace) alone; every other experiment is deterministic and takes no seed.
+Each numeric flag's domain is its argparse ``type``, made by ``flag_type``,
+which calls the library's own check where there is one; argparse then names
+the flag of a bad value.  An experiment checks only what ties two of its
+flags together.  Only the two simulators draw random numbers, so ``--seed``
+is a flag of ``simulate`` (the Monte Carlo oracle) and of its ``fig7``
+preset (the CTMC trace) alone; every other experiment takes no seed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .association import (
     state_matrix,
 )
 from .config import NetworkConfig, db_to_linear, dbm_to_watts, fig6_config
-from .montecarlo import run_monte_carlo
+from .montecarlo import _check_window, run_monte_carlo
 from .outage import sinr_cdf
 from .queueing import _gain, baseline_model, ctmc_simulate, network_model, queue_metrics
 from .rates import case_rate_table, rate_case1, rate_case2, rate_case3
@@ -133,8 +136,6 @@ def association(cfg: NetworkConfig) -> Table:
 
 
 def d2d_density(cfg: NetworkConfig, points: int) -> Table:
-    if points < 1:
-        raise ValueError("d2d-density needs at least one point")
     act0 = active_d2d_density(cfg)
     columns = ["alpha", "lambda1_active"]
     rows = []
@@ -156,15 +157,20 @@ def rate(cfg: NetworkConfig) -> Table:
 
 
 def outage(cfg: NetworkConfig, tau_db: list[float]) -> Table:
+    if len(set(tau_db)) != len(tau_db):  # one row per (threshold, case)
+        raise ValueError("outage thresholds must be distinct")
     return ["tau_db", "case", "outage"], _cdf_rows(cfg, tau_db, "outage"), {}
 
 
 def sinr_cdf_curves(cfg: NetworkConfig, tau_min: float, tau_max: float, tau_step: float) -> Table:
-    if not (-math.inf < tau_min <= tau_max < math.inf and 0.0 < tau_step < math.inf):
-        raise ValueError("SINR CDF grid needs finite --tau-min <= --tau-max and a positive, "
-                         f"finite --tau-step; got --tau-min {tau_min}, --tau-max {tau_max}, "
-                         f"--tau-step {tau_step}")
-    taus_db = [float(t) for t in np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step)]
+    try:  # numpy refuses a zero step, and a grid of more points than an array holds
+        grid = np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step) if tau_min <= tau_max else ()
+    except (ValueError, ZeroDivisionError):
+        grid = ()
+    if len(grid) == 0:
+        raise ValueError("SINR CDF grid needs --tau-min <= --tau-max and a size numpy can hold; "
+                         f"got --tau-min {tau_min}, --tau-max {tau_max}, --tau-step {tau_step}")
+    taus_db = [float(t) for t in grid]
     return ["tau_db", "case", "cdf"], _cdf_rows(cfg, taus_db, "cdf"), {}
 
 
@@ -219,10 +225,9 @@ _SWEEP_QUANTITIES = {
 
 def sweep(cfg: NetworkConfig, var: str, start: float, stop: float, num: int,
           quantity: str, tau_db: float) -> Table:
-    finite = math.isfinite(start) and math.isfinite(stop)
-    grid = np.linspace(start, stop, num) if finite and num >= 1 else []
-    if len(grid) == 0 or (len(grid) > 1 and grid[1] <= grid[0]):
-        raise ValueError("sweep grid must be finite, non-empty and strictly increasing; got "
+    grid = np.linspace(start, stop, num)
+    if len(grid) > 1 and grid[1] <= grid[0]:
+        raise ValueError("sweep grid must be strictly increasing; got "
                          f"--start {start}, --stop {stop}, --num {num}")
     measure = _SWEEP_QUANTITIES[quantity]
     rows = [{var: float(v), quantity: float(measure(cfg.with_updates(**{var: float(v)}), tau_db))}
@@ -334,16 +339,25 @@ def steady_gains(cfg: NetworkConfig) -> Table:
     return columns, rows, {"rulers": _rulers(metrics.rulers), **_critical_rate(metrics)}
 
 
-def non_negative_int(text: str) -> int:
-    """The ``--seed`` type: numpy's generators take a non-negative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def flag_type(parse: Callable[[str], object], rule: Callable[[object], bool], domain: str):
+    """An argparse ``type``: parse the flag's text and keep a value where ``rule`` holds, else
+    fail with "must be <domain>" or the ``ValueError`` of a library check that ``rule`` calls."""
+    def convert(text: str):
+        try:
+            if rule(value := parse(text)):
+                return value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+    return convert
 
 
-_SEED = ("--seed", dict(type=non_negative_int, default=0))
-_TAU_DB = ("--tau-db", dict(type=float, nargs="+", default=[-10.0, -5.0]))
+_COUNT = flag_type(int, lambda n: n >= 1, "an integer >= 1")
+_FINITE = flag_type(float, math.isfinite, "a finite number")
+# a threshold in dB: sinr_cdf takes a finite ratio only, the Monte Carlo oracle also inf
+_FINITE_DB = flag_type(float, lambda x: db_to_linear(x) < math.inf, "a dB value of finite ratio")
+_TAU_DB = dict(nargs="+", default=[-10.0, -5.0])
+_SEED = ("--seed", dict(type=flag_type(int, lambda n: n >= 0, "a non-negative integer"), default=0))
 # nu and bias are fixed at 1, so neither can be swept
 _SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig)
                     if isinstance(f.default, float) and f.name not in ("nu", "bias"))
@@ -351,14 +365,15 @@ _SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig)
 COMMANDS: dict[str, Experiment] = {
     "association": Experiment(association, "user-state probabilities", presets=("fig2",)),
     "d2d-density": Experiment(d2d_density, "active D2D density versus alpha",
-                              flags=(("--points", dict(type=int, default=50)),)),
+                              flags=(("--points", dict(type=_COUNT, default=50)),)),
     "rate": Experiment(rate, "analytic case rates", presets=("fig3a", "fig3b")),
-    "outage": Experiment(outage, "analytic outage probabilities", flags=(_TAU_DB,),
-                         presets=("fig4",)),
+    "outage": Experiment(outage, "analytic outage probabilities", presets=("fig4",),
+                         flags=(("--tau-db", dict(_TAU_DB, type=_FINITE_DB)),)),
     "sinr-cdf": Experiment(sinr_cdf_curves, "SINR CDF curves", presets=("fig5",), flags=(
-        ("--tau-min", dict(type=float, default=-20.0)),
-        ("--tau-max", dict(type=float, default=20.0)),
-        ("--tau-step", dict(type=float, default=1.0)),
+        ("--tau-min", dict(type=_FINITE, default=-20.0)),
+        ("--tau-max", dict(type=_FINITE, default=20.0)),
+        ("--tau-step", dict(default=1.0, type=flag_type(
+            float, lambda x: 0.0 < x < math.inf, "a positive, finite number"))),
     )),
     "queue": Experiment(queue, "queueing metrics per class and node", presets=("fig6",)),
     "steady": Experiment(steady, "steady rulers and critical arrival rate", presets=("steady",)),
@@ -366,17 +381,19 @@ COMMANDS: dict[str, Experiment] = {
     "simulate": Experiment(simulate, "Monte Carlo spatial simulation / CTMC trace",
                            presets=("fig7",), flags=(
         _SEED,
-        ("--topologies", dict(type=int, default=200)),
-        ("--window", dict(type=float, default=2000.0)),
-        _TAU_DB,
+        ("--topologies", dict(type=_COUNT, default=200)),
+        ("--window", dict(default=2000.0, type=flag_type(
+            float, lambda w: _check_window(w) is None, "a window side"))),
+        ("--tau-db", dict(_TAU_DB, type=flag_type(
+            float, lambda x: db_to_linear(x) >= 0.0, "a dB value"))),
     )),
     "sweep": Experiment(sweep, "sweep one config variable", flags=(
         ("--var", dict(required=True, choices=_SWEEP_VARS)),
-        ("--start", dict(type=float, required=True)),
-        ("--stop", dict(type=float, required=True)),
-        ("--num", dict(type=int, default=20)),
+        ("--start", dict(type=_FINITE, required=True)),
+        ("--stop", dict(type=_FINITE, required=True)),
+        ("--num", dict(type=_COUNT, default=20)),
         ("--quantity", dict(choices=tuple(_SWEEP_QUANTITIES), default="rate_case1")),
-        ("--tau-db", dict(type=float, default=-10.0)),
+        ("--tau-db", dict(type=_FINITE_DB, default=-10.0)),
     )),
 }
 

@@ -15,6 +15,8 @@ def test_unit_conversions_roundtrip():
     assert watts_to_dbm(dbm_to_watts(13.0)) == pytest.approx(13.0, abs=1e-12)
     assert db_to_linear(-10.0) == pytest.approx(0.1)
     assert db_to_linear(math.inf) == math.inf
+    with pytest.raises(ValueError, match="nan dB is not a number"):
+        db_to_linear(math.nan)
     with pytest.raises(ValueError, match="4000.0 dB gives a ratio outside the float range"):
         db_to_linear(4000.0)
     with pytest.raises(ValueError):
@@ -40,9 +42,13 @@ def test_default_densities(cfg):
     dict(backhaul_kappa=0.0),
     dict(noise=-1e-9),
     dict(p1=0.0),
+    dict(varsigma=-1.0),
+    dict(varrho_inv=0.0),
 ])
 def test_invalid_configs_rejected(bad):
-    with pytest.raises(ValueError):
+    # the message names the field (one traffic message once covered both
+    # varsigma and varrho_inv)
+    with pytest.raises(ValueError, match=next(iter(bad))):
         NetworkConfig(**bad)
 
 
@@ -113,9 +119,9 @@ _INVALID_MAPPINGS = [
 def test_config_from_dict_rejects_invalid_mappings(raw):
     with pytest.raises(ValueError, match="^invalid config: ") as exc:
         config_from_dict(json.loads(json.dumps(raw)))
-    # a message about one dBm key names that key, not the watts value it maps to
+    # a message about one key names that key; a dBm key, not the watts value it maps to
     keys = list(raw) if isinstance(raw, dict) else []
-    if len(keys) == 1 and keys[0].endswith("_dbm"):
+    if len(keys) == 1:
         assert keys[0] in str(exc.value)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,17 +65,22 @@ def test_zero_density_tier_is_empty(cfg):
 def test_realization_validation(cfg):
     with pytest.raises(ValueError):
         sample_topology(cfg, 0.0, 0)
+    # a finite area of 1e308 m^2 holds 1e309 users at 10 per m^2
+    dense = cfg.with_updates(lambda0=10.0, lambda2=5.0, lambda3=1.0)
+    with pytest.raises(ValueError, match=re.escape("node count; got 1e+154")):
+        sample_topology(dense, 1e154, 0)
     pts = np.zeros((1, 2))
     with pytest.raises(ValueError):
         SpatialRealization(100.0, pts, pts, pts,
                            np.array([False]), np.array([True]))
 
 
-@pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e308])
 def test_window_rule_is_one_check(cfg, window):
-    # the realization and its sampler accept the same windows, with one message
+    # the realization and its sampler accept the same windows, with one
+    # message; a 1e308 window's area overflowed to numpy's "lam value too large"
     pts, flags = np.zeros((1, 2)), np.array([False])
-    message = f"window side must be positive and finite, got {window}"
+    message = re.escape(f"with a finite area and node count; got {window}")
     with pytest.raises(ValueError, match=message):
         SpatialRealization(window, pts, pts, pts, flags, flags)
     with pytest.raises(ValueError, match=message):

@@ -83,6 +83,17 @@ def test_threshold_below_zero_or_nan_is_named(cfg, tau):
             sinr_cdf(cfg, 1, 3, thresholds)
 
 
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 5.5])
+def test_case3_outage_near_zero_threshold_stays_in_unit_interval(beta):
+    # the fixed rule integrates the coverage at tau = 0 to 1 + O(1e-15), which
+    # read as an outage of down to -3.3e-15
+    for alpha in (0.02, 0.05, 0.1, 0.25, 0.5, 0.99):
+        cfg = NetworkConfig(alpha=alpha, beta=beta)
+        values = sinr_cdf(cfg, 3, 3, [0.0, 1e-30, 1e-20])
+        assert values[0] == sinr_cdf(cfg, 3, 3, 0.0) == 0.0
+        assert all(0.0 <= v <= 1.0 for v in values)
+
+
 def test_float_threshold_gives_python_float(cfg):
     for tau in (0.1, np.float64(0.1), 1, np.array(0.1)):
         for case_id in (1, 2, 3, 4):
