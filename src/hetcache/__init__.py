@@ -6,7 +6,8 @@ outage, processor-sharing queueing metrics, and a spatial simulation oracle.
 Every model input comes from one ``NetworkConfig``: the state matrix and
 the active D2D density read the Zipf content popularity from its ``gamma``
 and ``n_contents``.  Rates (``rate_case1..3``) and outage (``sinr_cdf``, the
-one outage entry point) derive from one coverage probability per radio case.
+one outage entry point) derive from one coverage probability per radio case,
+all in ``rates``.
 Quadrature tolerances are fixed inside ``quadrature``; no public function
 takes one.  ``queue_metrics`` is the one steady-state analysis of the
 processor-sharing queues: its steady rulers give stability, occupancy,
@@ -31,7 +32,6 @@ from .montecarlo import (
     run_monte_carlo,
     sample_topology,
 )
-from .outage import sinr_cdf
 from .queueing import (
     CtmcTrace,
     QueueClassLoad,
@@ -46,7 +46,7 @@ from .queueing import (
     throughput_gain,
 )
 from .quadrature import QuadratureError, integrate_interval
-from .rates import RateResult, case_rate_table, rate_case1, rate_case2, rate_case3
+from .rates import RateResult, case_rate_table, rate_case1, rate_case2, rate_case3, sinr_cdf
 from .specfun import gauss_2f1, kernel_z1, kernel_z2
 
 __version__ = "0.1.0"

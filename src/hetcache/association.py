@@ -171,10 +171,8 @@ def active_d2d_density(cfg: NetworkConfig) -> D2DActivity:
     alpha_star = max(0.0, (f1m1 - h) / (1.0 + f1m1))
     alpha_hat = math.sqrt(h * h + h) - h
     alpha = cfg.alpha
-    if alpha < alpha_star:
+    if alpha < alpha_star or alpha == 0.0:
         lam_active = alpha * cfg.lambda0
-    elif alpha == 0.0:
-        lam_active = 0.0
     else:
         g31 = first_association_probability(cfg, 1)
         lam_active = (1.0 - alpha) * cfg.lambda0 * g31 * f1m1

@@ -7,7 +7,8 @@ the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
 everything internal is watts/linear/nats.  A value outside its flag's
 domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
-``ValueError`` of the run exits 2 with its message.  A preset reads those
+``ValueError`` of the run exits 2 with its message; both print the
+subcommand's usage.  A preset reads those
 of its subcommand's flags that it declares; any other must stay at its
 default.  Every run writes a CSV table and a JSON envelope
 with the config that was run and the flags it read (``params``, with the
@@ -35,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, exp in COMMANDS.items():
         p = sub.add_parser(name, help=exp.help)
+        p.set_defaults(error=p.error)  # a usage error of the run names its subcommand
         p.add_argument("--config", help="JSON config file (flat keys; *_dbm accepted)")
         p.add_argument("--out", default="results", help="output directory")
         if exp.presets:
@@ -49,9 +51,8 @@ def _dest(flag: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    params = vars(parser.parse_args(argv))
-    command, preset = params.pop("command"), params.pop("preset", None)
+    params = vars(build_parser().parse_args(argv))
+    command, preset, error = params.pop("command"), params.pop("preset", None), params.pop("error")
     config, out = params.pop("config"), params.pop("out")
     if preset:
         exp = PRESETS[preset]
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
                  if (flag, kwargs) not in exp.flags
                  and params[_dest(flag)] != kwargs.get("default")]
         if given:
-            parser.error(f"--preset {preset} runs a fixed grid; drop {', '.join(given)}")
+            error(f"--preset {preset} runs a fixed grid; drop {', '.join(given)}")
         name = f"{command}-{preset}"
         params = {_dest(flag): params[_dest(flag)] for flag, _ in exp.flags}
     else:
@@ -70,14 +71,14 @@ def main(argv=None) -> int:
         cfg = load_config(config) if config else exp.config()
         columns, rows, meta = exp.run(cfg, **params)
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc))
     try:
         csv_path, json_path = emit_results(
             rows, columns, out, name, config=cfg.to_flat_dict(), seed=params.get("seed"),
             params=params, meta=meta,
         )
     except OSError as exc:  # an --out path that is a file, or not writable
-        parser.error(f"cannot write results to --out {out}: {exc}")
+        error(f"cannot write results to --out {out}: {exc}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

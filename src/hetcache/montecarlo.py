@@ -96,6 +96,8 @@ _RATE_U = np.stack([np.concatenate(parts) for parts in (
 _TAIL_W = np.tile(_TAIL_W * np.exp(_TAIL_X), 2)
 # rows per block of the fused weights and fading pass
 _ROW_BLOCK = 32
+# the largest mean numpy's Poisson draw takes: int64 max less 10 of its square roots
+_MAX_MEAN_COUNT = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,10 @@ class EmpiricalEstimate:
             raise ValueError("standard error and sample count must be non-negative")
 
 
-def _check_window(window: float, density: float = 1.0) -> None:
-    if not 0.0 < window < math.inf or density * window * window == math.inf:
+def check_window(window: float, density: float = 1.0) -> None:
+    """Reject a window side that is not positive and finite, or whose mean
+    node count at ``density`` (per m^2) is more than a Poisson draw takes."""
+    if not 0.0 < window < math.inf or not density * (window * window) <= _MAX_MEAN_COUNT:
         raise ValueError("window side must be positive, with a finite area and node count; "
                          f"got {window}")
 
@@ -130,7 +134,7 @@ class SpatialRealization:
     active_flags: np.ndarray   # bool per user; active => cache-enabled
 
     def __post_init__(self) -> None:
-        _check_window(self.window)
+        check_window(self.window)
         if (self.active_flags & ~self.cache_flags).any():
             raise ValueError("active D2D transmitters must be cache-enabled")
 
@@ -138,11 +142,11 @@ class SpatialRealization:
 def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialRealization:
     """Poisson node counts, uniform positions, Bernoulli(alpha) cache flags.
 
-    Active D2D transmitters: below the full-activity threshold every
-    cache-enabled user transmits; above it an independent thinning keeps the
-    analyzed active density.
+    Active D2D transmitters: every cache-enabled user, thinned independently
+    to the analyzed active density where that is below alpha lambda0 (above
+    the full-activity threshold).
     """
-    _check_window(window, cfg.lambda0)  # before a draw over its area; lambda0 is the densest
+    check_window(window, cfg.lambda0)  # before a draw over its area; lambda0 is the densest
     rng = np.random.default_rng(seed)
     area = window * window
 
@@ -154,12 +158,10 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     relays = draw(cfg.lambda2)
     bs = draw(cfg.lambda3)
     cache_flags = rng.random(len(users)) < cfg.alpha
-    act = active_d2d_density(cfg)
-    if cfg.alpha == 0.0 or cfg.alpha < act.alpha_star:
-        active_flags = cache_flags.copy()
-    else:
-        keep = act.lambda1_active / (cfg.alpha * cfg.lambda0)
-        active_flags = cache_flags & (rng.random(len(users)) < keep)
+    active_flags = cache_flags.copy()
+    lambda1_active = active_d2d_density(cfg).lambda1_active
+    if lambda1_active < cfg.lambda1:
+        active_flags &= rng.random(len(users)) < lambda1_active / cfg.lambda1
     return SpatialRealization(window, users, relays, bs, cache_flags, active_flags)
 
 

@@ -34,10 +34,9 @@ from .association import (
     state_matrix,
 )
 from .config import NetworkConfig, db_to_linear, dbm_to_watts, fig6_config
-from .montecarlo import _check_window, run_monte_carlo
-from .outage import sinr_cdf
-from .queueing import _gain, baseline_model, ctmc_simulate, network_model, queue_metrics
-from .rates import case_rate_table, rate_case1, rate_case2, rate_case3
+from .montecarlo import check_window, run_monte_carlo
+from .queueing import baseline_model, ctmc_simulate, network_model, queue_metrics
+from .rates import case_rate_table, radio_cases, rate_case1, rate_case2, rate_case3, sinr_cdf
 
 Table = tuple[list[str], list[dict], dict]
 
@@ -103,11 +102,9 @@ def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
 
 
 def _cdf_rows(cfg: NetworkConfig, taus_db, column: str) -> list[dict]:
-    """SINR CDF of cases 1..3 at BS serving, one row per (tau, case); cases
-    2 and 3 need cache-enabled users, and case 3 is defined without noise
-    only (the rule of ``case_rate_table``)."""
-    cases = (1, 2, 3) if cfg.noise == 0.0 else (1, 2)
-    cdf = _cdf_columns(cfg, [c for c in cases if c == 1 or cfg.alpha != 0.0], taus_db)
+    """SINR CDF at BS serving of each case in ``radio_cases``, one row per
+    (tau, case)."""
+    cdf = _cdf_columns(cfg, radio_cases(cfg), taus_db)
     return [
         {"tau_db": tau_db, "case": case_id, column: values[i]}
         for i, tau_db in enumerate(taus_db)
@@ -193,7 +190,7 @@ def baseline_compare(cfg: NetworkConfig) -> Table:
     rows = [{"model": model_name, "node": n, "ruler": r, "varsigma_star": metrics.varsigma_star}
             for model_name, metrics in (("cached", cached), ("baseline", base))
             for n, r in _rulers(metrics.rulers).items()]
-    return columns, rows, _gain(cached, base)
+    return columns, rows, cached.gain_over(base)
 
 
 def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
@@ -331,7 +328,7 @@ def steady_gains(cfg: NetworkConfig) -> Table:
             for kappa in (0.5, 0.8, 0.95)}
     rows = [
         {"gamma": gamma, "kappa": kappa,
-         **_gain(_metrics(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)), base[kappa]),
+         **_metrics(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)).gain_over(base[kappa]),
          "target_gain": targets[gamma] if kappa == 0.8 else math.nan}
         for gamma in (0.8, 1.8) for kappa in base
     ]
@@ -383,7 +380,7 @@ COMMANDS: dict[str, Experiment] = {
         _SEED,
         ("--topologies", dict(type=_COUNT, default=200)),
         ("--window", dict(default=2000.0, type=flag_type(
-            float, lambda w: _check_window(w) is None, "a window side"))),
+            float, lambda w: check_window(w) is None, "a window side"))),
         ("--tau-db", dict(_TAU_DB, type=flag_type(
             float, lambda x: db_to_linear(x) >= 0.0, "a dB value"))),
     )),

@@ -29,7 +29,7 @@ from .association import (
     state_matrix,
 )
 from .config import NetworkConfig
-from .rates import case_rate_table
+from .rates import case_rate_table, radio_cases
 
 N_CLASSES = len(STATE_ROWS)
 N_NODE_TYPES = len(STATE_COLUMNS)
@@ -151,6 +151,14 @@ class QueueMetrics:
         because the rulers are linear in the arrival rate."""
         return float(self.varsigma / self.rulers[STATE_COLUMNS.index(self.binding_node)])
 
+    def gain_over(self, base: QueueMetrics) -> dict[str, float]:
+        """Both critical rates and the relative gain of this model over ``base``."""
+        return {
+            "varsigma_star_cached": self.varsigma_star,
+            "varsigma_star_baseline": base.varsigma_star,
+            "gain": self.varsigma_star / base.varsigma_star - 1.0,
+        }
+
 
 def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.ndarray:
     """Steady ruler per node type: the sum over classes of demand over
@@ -161,7 +169,7 @@ def _rulers(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix) -> np.
         classes = [(*STATE_ROWS[i], STATE_COLUMNS[j]) for i, j in starved]
         message = ("classes (case, backhaul, node) with traffic but zero service rate: "
                    + ", ".join("(" + ", ".join(c) + ")" for c in classes))
-        if cfg.noise != 0.0 and any(c[0] == "case3" for c in classes):
+        if 3 not in radio_cases(cfg) and any(c[0] == "case3" for c in classes):
             message += "; case 3 has no noise-inclusive rate"
         raise ValueError(message)
     per_class = np.where(sigma > 0.0, sigma / np.where(a > 0.0, a, 1.0), 0.0)
@@ -224,19 +232,11 @@ def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, Rat
     return _model(cfg.with_updates(alpha=0.0), baseline_state_matrix(cfg))
 
 
-def _gain(cached: QueueMetrics, base: QueueMetrics) -> dict[str, float]:
-    """Both critical rates and the relative gain of the first over the second."""
-    return {
-        "varsigma_star_cached": cached.varsigma_star,
-        "varsigma_star_baseline": base.varsigma_star,
-        "gain": cached.varsigma_star / base.varsigma_star - 1.0,
-    }
-
-
 def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
     no-caching baseline, with both critical rates."""
-    return _gain(*(queue_metrics(cfg, *model(cfg)[1:]) for model in (network_model, baseline_model)))
+    cached, base = (queue_metrics(cfg, *model(cfg)[1:]) for model in (network_model, baseline_model))
+    return cached.gain_over(base)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,15 @@ once per beta: a sweep over alpha then costs array arithmetic per rate.
 Sums run along an array axis (``np.sum``), never through BLAS, so a rate
 repeats exactly.
 
-An outage probability (``outage.sinr_cdf``) is one minus the coverage at
-its threshold.  All rates are in nats/s/Hz; the conversion to bits/s
-(eta * w) happens only when the queueing layer builds its service-rate
-matrix.
+An outage probability (``sinr_cdf``) is one minus the coverage at its
+threshold; case 4 (own cache) has none.  A threshold array takes one
+coverage pass, each value bit-identical to the float call, and its kernels
+are kept per (beta, thresholds) (``_threshold_kernels``) for the next
+config, as a sweep over alpha asks; a float's are dropped.  ``radio_cases``
+states which cases have a coverage under a config, ``_SERVING_TIERS`` at
+which tiers each is served.  All rates are in nats/s/Hz; the conversion to
+bits/s (eta * w) happens only when the queueing layer builds its
+service-rate matrix.
 """
 
 from __future__ import annotations
@@ -86,8 +91,8 @@ class InterferenceCoefficients:
 
 @functools.lru_cache(maxsize=64)
 def interference_coefficients(cfg: NetworkConfig) -> InterferenceCoefficients:
-    """Coefficients of ``cfg``, built once per config: a CDF sweep or a rate
-    asks for them at every threshold."""
+    """Coefficients of ``cfg``, built once per config: each coverage pass
+    asks for them, so every case and rule level of a config shares them."""
     w = association_weights(cfg)
     act = active_d2d_density(cfg)
     e = 2.0 / cfg.beta
@@ -106,6 +111,15 @@ def interference_coefficients(cfg: NetworkConfig) -> InterferenceCoefficients:
 
 # serving tiers each radio case admits
 _SERVING_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
+
+
+def radio_cases(cfg: NetworkConfig) -> tuple[int, ...]:
+    """The radio cases that have a coverage under ``cfg``: cases 2 and 3 need
+    cache-enabled users (alpha > 0), and case 3 is defined without noise only."""
+    if cfg.alpha == 0.0:
+        return (1,)
+    return (1, 2, 3) if cfg.noise == 0.0 else (1, 2)
+
 
 # case 3's 96-node Gauss-Legendre rule, mapped to the blocker distance x in (0, 1)
 _CASE3_X, _CASE3_W = np.polynomial.legendre.leggauss(96)
@@ -185,14 +199,12 @@ def _coverage(cfg: NetworkConfig, case_id: int, tier: int, k: _Kernels) -> np.nd
         raise ValueError("radio case index must be 1, 2 or 3")
     if tier not in _SERVING_TIERS[case_id]:
         raise ValueError(f"case-{case_id} serving tier must be one of {_SERVING_TIERS[case_id]}")
+    if case_id == 3 and 3 not in radio_cases(cfg):
+        raise ValueError("case 3 needs cache-enabled users (alpha > 0) and no noise")
     co = interference_coefficients(cfg)
     beta = cfg.beta
 
     if case_id == 3:
-        if cfg.noise != 0.0:
-            raise ValueError("case 3 is defined in the interference-limited regime only")
-        if cfg.alpha == 0.0:
-            raise ValueError("case 3 is empty without cache-enabled users (alpha = 0)")
         g = co.g31 / (1.0 - co.g31)
         x = _CASE3_X
         weights = 2.0 * (1.0 + g) * _CASE3_W * x
@@ -253,14 +265,40 @@ def rate_case3(cfg: NetworkConfig, tier_j: int) -> RateResult:
 def case_rate_table(cfg: NetworkConfig) -> np.ndarray:
     """4x4 table of case rates U[case-1, column] in nats/s/Hz, columns
     ordered (d2d, relay, bs, local).  Structurally impossible states are 0,
-    and so is case 3 with noise (its rate is defined without noise only).
-    Feeds the queueing service-rate matrix."""
-    # one rate per case fills every serving tier: P_i cancels between q and tau*sigma^2/P_i
+    and so is every case outside ``radio_cases`` (case 3 with noise, cases 2
+    and 3 at alpha = 0).  Feeds the queueing service-rate matrix."""
+    rate_of = {1: rate_case1, 2: rate_case2, 3: rate_case3}
     u = np.zeros((4, 4))
-    u[0, 0:3] = rate_case1(cfg, 3).value
-    if cfg.alpha > 0.0:
-        u[1, 1:3] = rate_case2(cfg, 3).value
-        if cfg.noise == 0.0:
-            u[2, 1:3] = rate_case3(cfg, 3).value
+    # one rate per case fills every serving tier: P_i cancels between q and tau*sigma^2/P_i
+    for case_id in radio_cases(cfg):
+        u[case_id - 1, np.subtract(_SERVING_TIERS[case_id], 1)] = rate_of[case_id](cfg, 3).value
     u[3, 3] = cfg.local_rate_ul
     return u
+
+
+def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
+    """CDF of the SINR at threshold ``tau`` for the given case and serving
+    tier, which is the outage probability P(SINR < tau).  Case 4 involves no
+    radio link, so its outage is exactly zero at every tier.
+
+    A float ``tau`` gives a float; a 1-D array (or sequence) of thresholds
+    gives an array of outages, one per threshold, in one coverage pass.
+    Every threshold must be finite and non-negative."""
+    scalar = isinstance(tau, (int, float)) or np.ndim(tau) == 0
+    taus = np.array([float(tau)]) if scalar else np.asarray(tau, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("SINR thresholds must be a float or a 1-D array")
+    bad = [t for t in taus.tolist() if not 0.0 <= t < math.inf]
+    if bad:
+        raise ValueError(f"SINR threshold {bad[0]} must be non-negative and finite")
+    if case_id == 4:
+        return 0.0 if scalar else np.zeros(len(taus))
+    # an array's kernels are kept for the next config; one threshold's are not
+    kernels = _Kernels(taus, cfg.beta) if scalar else _threshold_kernels(cfg.beta, taus.tobytes())
+    values = (1.0 - _coverage(cfg, case_id, tier, kernels)).tolist()
+    bad = [v for v in values if not -1e-12 <= v <= 1.0 + 1e-12]
+    if bad:
+        raise ValueError(f"outage probability {bad[0]} outside [0, 1]")
+    # the fixed rules take the coverage at tau ~ 0 to 1 + O(1e-15)
+    values = [min(max(v, 0.0), 1.0) for v in values]
+    return values[0] if scalar else np.array(values)

@@ -493,10 +493,12 @@ def test_cli_sweep(tmp_path):
     assert all(r["rate_case1"] > 0.0 for r in env["rows"])
 
 
-def test_cli_sweep_rejects_bad_grid(tmp_path):
+def test_cli_sweep_rejects_bad_grid(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--var", "gamma", "--start", "1.0", "--stop", "0.5",
               "--num", "3", "--out", str(tmp_path)])
+    # a usage error of the run is printed by its subcommand's parser
+    assert "hetcache sweep: error: sweep grid must be strictly increasing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start, stop, num", [(1.0, 0.5, 3)], ids=["3"])

@@ -1,7 +1,9 @@
 """``import hetcache`` loads numpy, ``scipy.special`` and the standard
 library only; the simulator's k-d tree and QUADPACK load on first use.  Each check runs in a fresh interpreter, since
-this test process has long since imported all of them."""
+this test process has long since imported all of them.  The modules import
+no private name of one another."""
 
+import ast
 import json
 import math
 import os
@@ -48,3 +50,22 @@ def test_on_demand_modules_load_on_first_use():
     assert out["rate"] > 0.0
     assert out["value"] == pytest.approx(math.e - 1.0, rel=1e-12)
     assert {"scipy.spatial", "scipy.integrate"} <= set(out["loaded"])
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each module owns its private names: a relative import of one fails here
+    found = []
+    for path in sorted((SRC / "hetcache").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: from {'.' * node.level}{node.module} import {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_outage_reexports_the_one_sinr_cdf():
+    # the benchmark's tracer patches every module's reference by identity
+    import hetcache.outage
+    import hetcache.rates
+
+    assert hetcache.outage.sinr_cdf is hetcache.rates.sinr_cdf

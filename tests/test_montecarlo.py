@@ -75,10 +75,12 @@ def test_realization_validation(cfg):
                            np.array([False]), np.array([True]))
 
 
-@pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e308])
+@pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e308, 1e154])
 def test_window_rule_is_one_check(cfg, window):
     # the realization and its sampler accept the same windows, with one
-    # message; a 1e308 window's area overflowed to numpy's "lam value too large"
+    # message, before any draw; a 1e308 window's area overflows, and a 1e154
+    # window's finite area holds more users than numpy's Poisson draw takes
+    # (it raised "lam value too large")
     pts, flags = np.zeros((1, 2)), np.array([False])
     message = re.escape(f"with a finite area and node count; got {window}")
     with pytest.raises(ValueError, match=message):

@@ -181,6 +181,10 @@ def test_case_rate_table_structure(cfg):
     # alpha = 0 drops cases 2 and 3
     t0 = case_rate_table(cfg.with_updates(alpha=0.0))
     assert (t0[1:3] == 0.0).all()
+    # noise drops case 3 only; case 2 keeps its relay and BS columns
+    noisy = case_rate_table(cfg.with_updates(noise=1e-12))
+    assert (noisy[2] == 0.0).all()
+    assert (noisy[1, 1:3] > 0.0).all() and noisy[1, 0] == noisy[1, 3] == 0.0
 
 
 def test_interference_coefficients_consistency(cfg):
