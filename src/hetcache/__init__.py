@@ -1,19 +1,24 @@
 """Analysis and Monte Carlo simulation of a cache-enabled heterogeneous
 wireless network (base stations, relays, cache-enabled users as D2D
 transmitters): association and user-state probabilities, ergodic rates,
-outage, processor-sharing queueing metrics, and a spatial simulation oracle.
+outage, processor-sharing queueing metrics, and two simulation oracles.
 
-Every model input comes from one ``NetworkConfig``: the state matrix and
-the active D2D density read the Zipf content popularity from its ``gamma``
-and ``n_contents``.  Rates (``rate_case1..3``) and outage (``sinr_cdf``, the
-one outage entry point) derive from one coverage probability per radio case,
-all in ``rates``.
-Quadrature tolerances are fixed inside ``quadrature``; no public function
-takes one.  ``queue_metrics`` is the one steady-state analysis of the
-processor-sharing queues: its steady rulers give stability, occupancy,
-throughput and delay, the binding node type and the maximum arrival rate
-``varsigma_star``.  The simulation oracle measures association, rates and
-outage in one pass, ``run_monte_carlo``.
+README states the model and how to run it.  Each layer's mechanisms are
+documented in its own module's docstring, and only there:
+
+- ``config``: the network's parameters, their units and checks, config files;
+- ``association``: association and user-state probabilities, Zipf
+  popularity, the active D2D density and the model's tables;
+- ``specfun``: the interference kernels;
+- ``rates``: the coverage of each radio case, the rates and the outage
+  (``sinr_cdf``) read from it, and the fixed rules that integrate them;
+- ``quadrature``: the tolerances and ``QuadratureError``;
+- ``queueing``: the processor-sharing queues, the no-caching baseline and the
+  CTMC oracle;
+- ``montecarlo``: the spatial oracle;
+- ``presets`` and ``cli``: the experiment registry, the figure presets and
+  the command line;
+- ``results``: the CSV table and JSON envelope that a run writes.
 """
 
 from .association import (

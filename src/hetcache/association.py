@@ -12,7 +12,10 @@ from the config.  The normalizer is a direct summation (catalogs up to ~1e6
 contents are assumed; no zeta-function approximation).
 
 Tier indices are 1-based throughout, matching the tier numbering of the
-network model (1 = D2D, 2 = relay, 3 = BS).
+network model (1 = D2D, 2 = relay, 3 = BS).  ``STATE_ROWS`` and
+``STATE_COLUMNS`` lay out the state matrix, and ``SERVING_TIERS`` holds the
+tiers that may serve each radio case: one model table, read by the analysis
+(``rates``) and by the oracle (``montecarlo``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ STATE_ROWS = (
     ("case4", "bh_free"), ("case4", "bh_needed"),
 )
 STATE_COLUMNS = ("d2d", "relay", "bs", "local")
+SERVING_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
 
 
 def association_weights(cfg: NetworkConfig) -> np.ndarray:

@@ -7,10 +7,11 @@ the function that computes its rows.  Units at the boundary follow radio
 conventions (dBm powers, dB thresholds in flags ending in ``-db``);
 everything internal is watts/linear/nats.  A value outside its flag's
 domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
-``ValueError`` of the run exits 2 with its message; both print the
-subcommand's usage.  A preset reads those
-of its subcommand's flags that it declares; any other must stay at its
-default.  Every run writes a CSV table and a JSON envelope
+``ValueError`` of the run exits 2 with its message, and so do a ``--config``
+file that does not load and an ``--out`` path that cannot be written; all
+print the subcommand's usage.  A preset runs its own fixed grid and reads
+only those of its subcommand's flags that it declares; any other must stay
+at its default, since the preset would ignore it.  Every run writes a CSV table and a JSON envelope
 with the config that was run and the flags it read (``params``, with the
 seed where one was read, which ``seed`` repeats and is null otherwise); the
 config and the params rerun the CSV byte-identically.  The files are
@@ -56,8 +57,6 @@ def main(argv=None) -> int:
     config, out = params.pop("config"), params.pop("out")
     if preset:
         exp = PRESETS[preset]
-        # a preset runs its own fixed grid, so a flag of the subcommand that
-        # it does not declare would be ignored
         given = [flag for flag, kwargs in COMMANDS[command].flags
                  if (flag, kwargs) not in exp.flags
                  and params[_dest(flag)] != kwargs.get("default")]

@@ -7,7 +7,9 @@ explicit ``_dbm`` / ``_db`` suffix) and are converted on load.
 
 ``NetworkConfig`` is the one check on a network: every field must be a
 finite real number (an integer for the catalog and cache sizes) within its
-range, whether the config is built in code or read from a file.
+range, whether the config is built in code or read from a file, and a file
+may hold no other key.  The path-loss exponent must exceed 2, and ``nu`` and
+``bias`` are fixed at 1: the analysis reads neither.
 """
 
 from __future__ import annotations

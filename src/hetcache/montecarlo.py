@@ -5,7 +5,8 @@ association rule, and measures association fractions, ergodic rates and
 outage under Rayleigh fading.  It is the independent cross-check for all
 closed-form layers, so it shares no kernel code with them: the topology is
 literal geometry plus sampling, and the fading is averaged per reference
-user given its topology.
+user given its topology.  It shares with them only the model's table of
+serving tiers per radio case (``association.SERVING_TIERS``).
 
 The window is a torus: every distance wraps, so each tier stays a
 stationary PPP with no edge, and every user is a reference user.  Nearest
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import active_d2d_density
+from .association import SERVING_TIERS, active_d2d_density
 from .config import NetworkConfig
 
 # The fading average takes log1p exactly for the _EXACT_TERMS strongest
@@ -226,13 +227,12 @@ def _association_counts(winner: np.ndarray, relay_over_bs: np.ndarray) -> dict[s
     }
 
 
-_CASE_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
-_PAIRS = [(c, t) for c, tiers in _CASE_TIERS.items() for t in tiers]
+_PAIRS = [(c, t) for c, tiers in SERVING_TIERS.items() for t in tiers]
 
 
 def _case_members(geo: _Geometry, real: SpatialRealization, case_id: int, tier: int) -> np.ndarray:
     """Row indices (into geo arrays) of reference users in the geometric
-    conditioning of (case, serving tier), a pair of ``_CASE_TIERS``.  Cases
+    conditioning of (case, serving tier), a pair of ``SERVING_TIERS``.  Cases
     1/3 condition on non-caching users, case 2 on cache-enabled ones; the
     content split is analytic."""
     caching = real.cache_flags[geo.ref]
@@ -486,7 +486,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         for block, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_ids, tiers):
             rate[block], outage[block] = _fading_average(w, signal, n, tau_grid)
 
-        for case_id in _CASE_TIERS:
+        for case_id in SERVING_TIERS:
             members = case_ids == case_id
             keys = [("rates", case_id), *(("outage", (case_id, t)) for t in tau_grid)]
             for key, v in zip(keys, (rate[members], *outage[members].T)):

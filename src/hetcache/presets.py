@@ -12,9 +12,14 @@ on the command line).  ``fig3b`` defaults to the low-power D2D set
 Each numeric flag's domain is its argparse ``type``, made by ``flag_type``,
 which calls the library's own check where there is one; argparse then names
 the flag of a bad value.  An experiment checks only what ties two of its
-flags together.  Only the two simulators draw random numbers, so ``--seed``
-is a flag of ``simulate`` (the Monte Carlo oracle) and of its ``fig7``
-preset (the CTMC trace) alone; every other experiment takes no seed.
+flags together: ``sinr-cdf``'s ``--tau-min`` above ``--tau-max`` or a grid
+numpy cannot hold, a ``sweep`` grid that is not strictly increasing or a
+bound that the swept field rejects, a repeated ``--tau-db`` of ``outage`` or
+``simulate``.  ``sweep --var`` takes every float field of ``NetworkConfig``
+but ``nu`` and ``bias``, which are fixed.  Only the two simulators draw
+random numbers, so ``--seed`` is a flag of ``simulate`` (the Monte Carlo
+oracle) and of its ``fig7`` preset (the CTMC trace) alone; every other
+experiment takes no seed.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .queueing import baseline_model, ctmc_simulate, network_model, queue_metric
 from .rates import case_rate_table, radio_cases, rate_case1, rate_case2, rate_case3, sinr_cdf
 
 Table = tuple[list[str], list[dict], dict]
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -94,7 +98,7 @@ def _queue_rows(cfg: NetworkConfig, model) -> tuple[list[dict], np.ndarray]:
             "throughput_per_request": float(metrics.t_class[i, j]),
             "delay": float(metrics.d_class[i, j]),
         }
-        for i in range(8)
+        for i in range(len(STATE_ROWS))
         for j, node in enumerate(STATE_COLUMNS)
         if loads.sigma[i, j] != 0.0
     ]
@@ -147,8 +151,8 @@ def rate(cfg: NetworkConfig) -> Table:
     table = case_rate_table(cfg)
     columns = ["case", "node", "rate_nats"]
     rows = [
-        {"case": m + 1, "node": STATE_COLUMNS[j], "rate_nats": float(table[m, j])}
-        for m in range(4) for j in range(4) if table[m, j] > 0.0
+        {"case": m + 1, "node": node, "rate_nats": float(row[j])}
+        for m, row in enumerate(table) for j, node in enumerate(STATE_COLUMNS) if row[j] > 0.0
     ]
     return columns, rows, {"local_rate": cfg.local_rate_ul}
 
@@ -195,6 +199,10 @@ def baseline_compare(cfg: NetworkConfig) -> Table:
 
 def simulate(cfg: NetworkConfig, seed: int, topologies: int, window: float,
              tau_db: list[float]) -> Table:
+    """The oracle's rate and outage estimates per case, ``tau_db`` as given.
+    ``meta`` holds the association fractions and, under ``reference_rows``,
+    the reference users measured per (case, serving tier), summed over the
+    topologies (keys ``case1_tier1`` ... ``case3_tier3``)."""
     taus = tuple(db_to_linear(t) for t in tau_db)
     summary = run_monte_carlo(cfg, n_topologies=topologies, seed=seed, window=window,
                               tau_grid=taus)
@@ -251,10 +259,10 @@ def rate_sweep(cfg: NetworkConfig) -> Table:
     act0 = active_d2d_density(cfg)
     columns = ["alpha", "rate_case1", "rate_case2", "rate_case3", "lambda1_active"]
     rows = []
-    for alpha in np.linspace(0.02, 0.6, 30):
-        c = cfg.with_updates(alpha=float(alpha))
+    for alpha in _FIG_ALPHAS:
+        c = cfg.with_updates(alpha=alpha)
         rows.append({
-            "alpha": float(alpha),
+            "alpha": alpha,
             **{f"rate_case{k}": f(c, 3).value
                for k, f in enumerate((rate_case1, rate_case2, rate_case3), 1)},
             "lambda1_active": active_d2d_density(c).lambda1_active,
@@ -265,14 +273,13 @@ def rate_sweep(cfg: NetworkConfig) -> Table:
 
 def fig4(cfg: NetworkConfig) -> Table:
     columns = ["alpha", "tau_db", "outage_case1", "outage_case2", "outage_case3"]
-    taus_db = (-10.0, -5.0)
-    alphas = [float(a) for a in np.linspace(0.02, 0.6, 30)]
-    cdf = [_cdf_columns(cfg.with_updates(alpha=alpha), (1, 2, 3), taus_db) for alpha in alphas]
+    cdf = [_cdf_columns(cfg.with_updates(alpha=alpha), (1, 2, 3), _PAPER_TAUS_DB)
+           for alpha in _FIG_ALPHAS]
     rows = [
         {"alpha": alpha, "tau_db": tau_db,
          **{f"outage_case{k}": values[i] for k, values in by_case.items()}}
-        for i, tau_db in enumerate(taus_db)
-        for alpha, by_case in zip(alphas, cdf)
+        for i, tau_db in enumerate(_PAPER_TAUS_DB)
+        for alpha, by_case in zip(_FIG_ALPHAS, cdf)
     ]
     return columns, rows, {}
 
@@ -338,10 +345,15 @@ def steady_gains(cfg: NetworkConfig) -> Table:
 
 def flag_type(parse: Callable[[str], object], rule: Callable[[object], bool], domain: str):
     """An argparse ``type``: parse the flag's text and keep a value where ``rule`` holds, else
-    fail with "must be <domain>" or the ``ValueError`` of a library check that ``rule`` calls."""
+    fail with "must be <domain>, got <text>", also for a text that ``parse`` rejects, or with
+    the ``ValueError`` of a library check that ``rule`` calls."""
     def convert(text: str):
         try:
-            if rule(value := parse(text)):
+            value = parse(text)
+        except ValueError:  # a text that does not parse lies outside the domain too
+            value = None
+        try:
+            if value is not None and rule(value):
                 return value
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
@@ -353,9 +365,11 @@ _COUNT = flag_type(int, lambda n: n >= 1, "an integer >= 1")
 _FINITE = flag_type(float, math.isfinite, "a finite number")
 # a threshold in dB: sinr_cdf takes a finite ratio only, the Monte Carlo oracle also inf
 _FINITE_DB = flag_type(float, lambda x: db_to_linear(x) < math.inf, "a dB value of finite ratio")
-_TAU_DB = dict(nargs="+", default=[-10.0, -5.0])
+# the caching fractions of the Fig. 3 and Fig. 4 axis, and the paper's two SINR thresholds
+_FIG_ALPHAS = tuple(float(a) for a in np.linspace(0.02, 0.6, 30))
+_PAPER_TAUS_DB = (-10.0, -5.0)
+_TAU_DB = dict(nargs="+", default=list(_PAPER_TAUS_DB))
 _SEED = ("--seed", dict(type=flag_type(int, lambda n: n >= 0, "a non-negative integer"), default=0))
-# nu and bias are fixed at 1, so neither can be swept
 _SWEEP_VARS = tuple(f.name for f in fields(NetworkConfig)
                     if isinstance(f.default, float) and f.name not in ("nu", "bias"))
 

@@ -148,7 +148,8 @@ class QueueMetrics:
     @property
     def varsigma_star(self) -> float:
         """The maximum sustainable arrival rate varsigma / max_j rho_j, exact
-        because the rulers are linear in the arrival rate."""
+        because the rulers are linear in the arrival rate; the one place it
+        is computed."""
         return float(self.varsigma / self.rulers[STATE_COLUMNS.index(self.binding_node)])
 
     def gain_over(self, base: QueueMetrics) -> dict[str, float]:
@@ -234,7 +235,8 @@ def baseline_model(cfg: NetworkConfig) -> tuple[StateMatrix, QueueClassLoad, Rat
 
 def throughput_gain(cfg: NetworkConfig) -> dict[str, float]:
     """Relative gain of the cache-enabled maximum arrival rate over the
-    no-caching baseline, with both critical rates."""
+    no-caching baseline, with both critical rates; both models are built
+    from the one ``cfg``."""
     cached, base = (queue_metrics(cfg, *model(cfg)[1:]) for model in (network_model, baseline_model))
     return cached.gain_over(base)
 
@@ -245,7 +247,8 @@ class CtmcTrace:
 
     ``times``/``states`` hold the embedded jump chain (states row r valid on
     [times[r], times[r+1])); ``time_average`` is the per-class time-averaged
-    occupancy after the warmup.
+    occupancy after the warmup.  The trace is the sample path alone:
+    ``slot_average`` computes a per-slot occupancy from it when asked.
     """
 
     times: np.ndarray
@@ -274,8 +277,9 @@ def ctmc_simulate(cfg: NetworkConfig, loads: QueueClassLoad, rates: RateMatrix,
     resident requests, so class i departs at rate (varrho * A_i / S) *
     (x_i / x_total).  Gillespie exact-jump scheme; the holding time is drawn
     from the total outflow rate, the jump from the rate-proportional
-    categorical distribution.  Unit exponentials and uniforms come from the
-    generator in blocks of ``_DRAW_BLOCK``.
+    categorical distribution.  The resident count and the departure weights
+    are kept up to date per jump.  Unit exponentials and uniforms come from
+    the generator in blocks of ``_DRAW_BLOCK``.
     """
     if not 1 <= node_type <= N_NODE_TYPES:
         raise ValueError("node type must be 1..4")

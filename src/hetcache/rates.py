@@ -44,10 +44,10 @@ threshold; case 4 (own cache) has none.  A threshold array takes one
 coverage pass, each value bit-identical to the float call, and its kernels
 are kept per (beta, thresholds) (``_threshold_kernels``) for the next
 config, as a sweep over alpha asks; a float's are dropped.  ``radio_cases``
-states which cases have a coverage under a config, ``_SERVING_TIERS`` at
-which tiers each is served.  All rates are in nats/s/Hz; the conversion to
-bits/s (eta * w) happens only when the queueing layer builds its
-service-rate matrix.
+states which cases have a coverage under a config, and
+``association.SERVING_TIERS`` at which tiers each is served.  All rates are
+in nats/s/Hz; the conversion to bits/s (eta * w) happens only when the
+queueing layer builds its service-rate matrix.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import (
+    SERVING_TIERS,
     active_d2d_density,
     association_weights,
     first_association_probability,
@@ -107,10 +108,6 @@ def interference_coefficients(cfg: NetworkConfig) -> InterferenceCoefficients:
         c1=(w1_active + s_relay_bs) / s_total,
         c2=w1_active / s_relay_bs,
     )
-
-
-# serving tiers each radio case admits
-_SERVING_TIERS = {1: (1, 2, 3), 2: (2, 3), 3: (2, 3)}
 
 
 def radio_cases(cfg: NetworkConfig) -> tuple[int, ...]:
@@ -195,10 +192,10 @@ def _coverage(cfg: NetworkConfig, case_id: int, tier: int, k: _Kernels) -> np.nd
     """Coverage P(SINR > tau) of a radio case served from ``tier``, at each
     threshold of ``k`` (kernels of ``cfg.beta``).  Validates the case, the
     tier and the regime before any threshold is evaluated."""
-    if case_id not in _SERVING_TIERS:
+    if case_id not in SERVING_TIERS:
         raise ValueError("radio case index must be 1, 2 or 3")
-    if tier not in _SERVING_TIERS[case_id]:
-        raise ValueError(f"case-{case_id} serving tier must be one of {_SERVING_TIERS[case_id]}")
+    if tier not in SERVING_TIERS[case_id]:
+        raise ValueError(f"case-{case_id} serving tier must be one of {SERVING_TIERS[case_id]}")
     if case_id == 3 and 3 not in radio_cases(cfg):
         raise ValueError("case 3 needs cache-enabled users (alpha > 0) and no noise")
     co = interference_coefficients(cfg)
@@ -271,7 +268,7 @@ def case_rate_table(cfg: NetworkConfig) -> np.ndarray:
     u = np.zeros((4, 4))
     # one rate per case fills every serving tier: P_i cancels between q and tau*sigma^2/P_i
     for case_id in radio_cases(cfg):
-        u[case_id - 1, np.subtract(_SERVING_TIERS[case_id], 1)] = rate_of[case_id](cfg, 3).value
+        u[case_id - 1, np.subtract(SERVING_TIERS[case_id], 1)] = rate_of[case_id](cfg, 3).value
     u[3, 3] = cfg.local_rate_ul
     return u
 

@@ -1,5 +1,12 @@
 """End-to-end acceptance gate: eight criteria, one pass/fail line each.
 
+The criteria: the activity thresholds; the closed-form kernel identities;
+analysis against simulation for rates and outage at three caching fractions
+(200 topologies each); structural rate properties; queueing correctness
+(M/M/1-PS reduction, Little's law, CTMC one-sided comparison); the binding
+BS-queue constraint; the caching throughput gain; and distribution-level
+checks of the spatial simulator.
+
 Each test prints a single ``[criterion N] ... PASS``/``FAIL`` line (visible
 with ``pytest -s`` or on failure) and asserts the same condition, so the
 verbose test report doubles as the checklist.

@@ -576,6 +576,12 @@ def test_cli_flag_domains(tmp_path, capsys, command, flag, value):
         assert exc.code == 2
         error = capsys.readouterr().err.strip().splitlines()[-1]
         assert flag in error or (flag in ("--start", "--stop") and "varsigma" in error), error
+        # a text that does not parse as the flag's number is outside its domain too
+        kind = int if isinstance(dict(COMMANDS[command].flags)[flag].get("default"), int) else float
+        try:
+            kind(value)
+        except ValueError:
+            assert "must be" in error, error
         assert not list(tmp_path.iterdir())
     else:
         assert (tmp_path / f"{command}.csv").exists()

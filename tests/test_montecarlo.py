@@ -13,9 +13,8 @@ from hetcache import (
     sample_topology,
 )
 from hetcache import montecarlo
-from hetcache.association import active_d2d_density
+from hetcache.association import SERVING_TIERS, active_d2d_density
 from hetcache.montecarlo import (
-    _CASE_TIERS,
     SpatialRealization,
     _association_counts,
     _case_members,
@@ -190,7 +189,7 @@ def test_fading_average_matches_adaptive_quadrature(cfg, alpha):
     ref = np.sort(np.random.default_rng(0).choice(len(real.users), 500, replace=False))
     geo = _geometry(real, c, ref)
     taus = (0.1, 10.0 ** -0.5)
-    for case_id, tiers in _CASE_TIERS.items():
+    for case_id, tiers in SERVING_TIERS.items():
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
@@ -239,7 +238,7 @@ def _criterion3_blocks(cfg):
         real = sample_topology(c, 6000.0, 11)
         ref = np.sort(np.random.default_rng(0).choice(len(real.users), 500, replace=False))
         geo = _geometry(real, c, ref)
-        for case_id, tiers in _CASE_TIERS.items():
+        for case_id, tiers in SERVING_TIERS.items():
             for tier in tiers:
                 rows = _case_members(geo, real, case_id, tier)
                 yield from _weight_blocks(real, c, geo, rows, case_id, tier)
@@ -291,7 +290,7 @@ def test_fading_average_matches_sampled_sinr(cfg):
     real = sample_topology(c, 1200.0, 4)
     geo = _geometry(real, c, np.arange(len(real.users)))
     taus, n_fading = (0.1, 1.0), 4000
-    for case_id, tiers in _CASE_TIERS.items():
+    for case_id, tiers in SERVING_TIERS.items():
         for tier in tiers:
             rows = _case_members(geo, real, case_id, tier)
             assert len(rows) > 0
@@ -374,7 +373,7 @@ def test_interference_weights_match_per_user_loop(small_topology, monkeypatch, b
     assert len(rows) % block_rows != 0
     monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block_rows)
     active = np.flatnonzero(real.active_flags)
-    for case_id, tiers in _CASE_TIERS.items():
+    for case_id, tiers in SERVING_TIERS.items():
         for tier in tiers:
             d2d_served = case_id == 1 and tier == 1
             blocks = [(block, w / signal[:, None], n) for block, w, signal, n
@@ -437,7 +436,7 @@ def test_one_pass_over_all_row_sets_matches_per_set_passes(small_topology, monke
     taus = (0.1, 1.0)
     monkeypatch.setattr(montecarlo, "_ROW_BLOCK", 7)
     sets = [(case_id, tier, _case_members(geo, real, case_id, tier))
-            for case_id, tiers in _CASE_TIERS.items() for tier in tiers]
+            for case_id, tiers in SERVING_TIERS.items() for tier in tiers]
     sizes = [len(rows) for *_, rows in sets]
     assert min(sizes) > 0 and any(size % 7 for size in sizes)
     rows = np.concatenate([rows for *_, rows in sets])
@@ -550,10 +549,10 @@ def test_run_monte_carlo_counts_rows_per_case_and_tier(cfg, monkeypatch):
     s = run_monte_carlo(cfg.with_updates(alpha=0.25), **kw)
     assert len(passed) == kw["n_topologies"]
     assert s.reference_rows == drawn
-    assert list(s.reference_rows) == [(c, t) for c, tiers in _CASE_TIERS.items() for t in tiers]
+    assert list(s.reference_rows) == [(c, t) for c, tiers in SERVING_TIERS.items() for t in tiers]
     assert all(count > 0 for count in s.reference_rows.values())
     case_ids = np.concatenate(passed)
-    for case_id, tiers in _CASE_TIERS.items():
+    for case_id, tiers in SERVING_TIERS.items():
         total = sum(s.reference_rows[(case_id, t)] for t in tiers)
         assert total == (case_ids == case_id).sum()
 
@@ -573,7 +572,7 @@ def test_run_monte_carlo_counts_topologies_that_measure_each_case(cfg, monkeypat
     s = run_monte_carlo(cfg.with_updates(alpha=0.02), n_topologies=n_topologies, seed=3,
                         window=800.0, max_users=40, max_reference_users=20, tau_grid=(0.1,))
     assert len(passed) == n_topologies
-    measured = {c: sum(bool((ids == c).any()) for ids in passed) for c in _CASE_TIERS}
+    measured = {c: sum(bool((ids == c).any()) for ids in passed) for c in SERVING_TIERS}
     for case_id, n in measured.items():
         assert s.rates[case_id].n_samples == n, case_id
         assert s.outage[(case_id, 0.1)].n_samples == n, case_id
