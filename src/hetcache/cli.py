@@ -11,12 +11,13 @@ domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
 file that does not load and an ``--out`` path that cannot be written; all
 print the subcommand's usage.  A preset runs its own fixed grid and reads
 only those of its subcommand's flags that it declares; any other must stay
-at its default, since the preset would ignore it.  Every run writes a CSV table and a JSON envelope
-with the config that was run and the flags it read (``params``, with the
-seed where one was read, which ``seed`` repeats and is null otherwise); the
-config and the params rerun the CSV byte-identically.  The files are
-``<command>.csv``/``.json``, or ``<command>-<preset>.csv``/``.json`` for a
-``--preset`` run, so no two runs share a file name.
+at its default, since the preset would ignore it.  Every run writes a CSV
+table and a JSON envelope with the config that was run and the flags it
+read (``params``, with the seed where one was read, which ``seed`` repeats
+and is null otherwise); the config and the params rerun the CSV
+byte-identically.  The files are ``<command>.csv``/``.json``, or
+``<command>-<preset>.csv``/``.json`` for a ``--preset`` run, so no two runs
+share a file name.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .rates import case_rate_table, radio_cases, rate_case1, rate_case2, rate_ca
 
 Table = tuple[list[str], list[dict], dict]
 
+
 @dataclass(frozen=True)
 class Experiment:
     """``run(cfg, **params) -> (columns, rows, meta)``; ``flags`` are argparse

@@ -4,12 +4,12 @@ No library integral is adaptive any more: rates and the noisy distance
 integral of cases 1/2 run on one fixed double-exponential rule and case 3
 on a fixed Gauss-Legendre rule (all in ``rates.py``).  This module holds
 their tolerances, relative 1e-8 and absolute 1e-12 (no public function
-takes a tolerance), and the error a rate
-raises when its rule does not converge, QuadratureError with the partial
-estimate attached.  ``integrate_interval``, public but called by no
-library module, is a thin QUADPACK (scipy.integrate.quad) wrapper at those
-tolerances with at most 200 subdivisions; semi-infinite ranges use
-QUADPACK's built-in variable transformation.  ``scipy.integrate`` loads on
+takes a tolerance), and the error a rate raises when its rule does not
+converge, QuadratureError with the partial estimate attached.
+``integrate_interval``, public but called by no library module, is a thin
+QUADPACK (scipy.integrate.quad) wrapper at those tolerances with at most
+200 subdivisions; semi-infinite ranges use QUADPACK's built-in variable
+transformation.  ``scipy.integrate`` loads on
 its first call, so ``import hetcache`` does not pay for it.
 """
 
