@@ -8,16 +8,16 @@ conventions (dBm powers, dB thresholds in flags ending in ``-db``);
 everything internal is watts/linear/nats.  A value outside its flag's
 domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
 ``ValueError`` of the run exits 2 with its message, and so do a ``--config``
-file that does not load and an ``--out`` path that cannot be written; all
-print the subcommand's usage.  A preset runs its own fixed grid and reads
-only those of its subcommand's flags that it declares; any other must stay
-at its default, since the preset would ignore it.  Every run writes a CSV
-table and a JSON envelope with the config that was run and the flags it
-read (``params``, with the seed where one was read, which ``seed`` repeats
-and is null otherwise); the config and the params rerun the CSV
-byte-identically.  The files are ``<command>.csv``/``.json``, or
-``<command>-<preset>.csv``/``.json`` for a ``--preset`` run, so no two runs
-share a file name.
+file that does not load, an ``--out`` path that cannot be written and a flag
+that the subcommand does not take; all print the subcommand's usage.  A
+preset runs its own fixed grid and reads only those of its subcommand's
+flags that it declares; any other must stay at its default, since the
+preset would ignore it.  Every run writes a CSV table and a JSON envelope
+with the config that was run and the flags it read (``params``, with the
+seed where one was read, which ``seed`` repeats and is null otherwise); the
+config and the params rerun the CSV byte-identically.  The files are
+``<command>.csv``/``.json``, or ``<command>-<preset>.csv``/``.json`` for a
+``--preset`` run, so no two runs share a file name.
 """
 
 from __future__ import annotations
@@ -53,7 +53,10 @@ def _dest(flag: str) -> str:
 
 
 def main(argv=None) -> int:
-    params = vars(build_parser().parse_args(argv))
+    namespace, unknown = build_parser().parse_known_args(argv)
+    params = vars(namespace)
+    if unknown:  # argparse leaves a subcommand's unknown flags to the top-level parser
+        params["error"](f"unrecognized arguments: {' '.join(unknown)}")
     command, preset, error = params.pop("command"), params.pop("preset", None), params.pop("error")
     config, out = params.pop("config"), params.pop("out")
     if preset:

@@ -97,8 +97,10 @@ _RATE_U = np.stack([np.concatenate(parts) for parts in (
 _TAIL_W = np.tile(_TAIL_W * np.exp(_TAIL_X), 2)
 # rows per block of the fused weights and fading pass
 _ROW_BLOCK = 32
-# the largest mean numpy's Poisson draw takes: int64 max less 10 of its square roots
-_MAX_MEAN_COUNT = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# the largest mean node count of a window: 2^27 positions take 2 GiB; at one node
+# per m^2 (the flag's and the realization's check) that is a side of 11585 m,
+# near twice criterion 3's 6000 m
+_MAX_MEAN_COUNT = float(2**27)
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,12 @@ class EmpiricalEstimate:
 
 def check_window(window: float, density: float = 1.0) -> None:
     """Reject a window side that is not positive and finite, or whose mean
-    node count at ``density`` (per m^2) is more than a Poisson draw takes."""
+    node count at ``density`` (per m^2) is more than the sampler's arrays
+    hold in memory (``_MAX_MEAN_COUNT``)."""
     if not 0.0 < window < math.inf or not density * (window * window) <= _MAX_MEAN_COUNT:
         raise ValueError("window side must be positive, with a finite area and node count; "
-                         f"got {window}")
+                         f"got {window} (at most {_MAX_MEAN_COUNT:.0f} nodes on average, "
+                         f"at {density:g} per m^2)")
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,9 @@ Sums run along an array axis (``np.sum``), never through BLAS, so a rate
 repeats exactly.
 
 An outage probability (``sinr_cdf``) is one minus the coverage at its
-threshold; case 4 (own cache) has none.  A threshold array takes one
-coverage pass, each value bit-identical to the float call, and its kernels
-are kept per (beta, thresholds) (``_threshold_kernels``) for the next
-config, as a sweep over alpha asks; a float's are dropped.  ``radio_cases``
-states which cases have a coverage under a config, and
+threshold; case 4 (own cache) has none.  A call's thresholds take one
+coverage pass on kernels kept per (beta, thresholds) (``_threshold_kernels``).
+``radio_cases`` states which cases have a coverage under a config, and
 ``association.SERVING_TIERS`` at which tiers each is served.  All rates are
 in nats/s/Hz; the conversion to bits/s (eta * w) happens only when the
 queueing layer builds its service-rate matrix.
@@ -125,6 +123,8 @@ _CASE3_X, _CASE3_W = (1.0 + _CASE3_X) / 2.0, _CASE3_W / 2.0
 # step halvings of the rate's rule (from 1/8) before its error is raised
 _RATE_REFINEMENTS = 3
 
+_THRESHOLD_CACHE = 64  # a 41-tau -20..20 dB grid asked tau by tau fits; at 16 every call missed
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -171,10 +171,10 @@ def _rate_kernels(beta: float, level: int) -> _Kernels:
     return _Kernels(_read_only(np.expm1(_rate_rule(level)[0])), beta)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_THRESHOLD_CACHE)
 def _threshold_kernels(beta: float, taus: bytes) -> _Kernels:
-    """Kernels at a threshold array, passed as its float64 bytes, tabulated
-    once per (beta, thresholds): a CDF sweep over configs shares them."""
+    """Kernels at a threshold array, passed as its float64 bytes, once per
+    (beta, thresholds); an entry holds at most len(taus) x 98 floats."""
     return _Kernels(np.frombuffer(taus), beta)
 
 
@@ -278,9 +278,9 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
     tier, which is the outage probability P(SINR < tau).  Case 4 involves no
     radio link, so its outage is exactly zero at every tier.
 
-    A float ``tau`` gives a float; a 1-D array (or sequence) of thresholds
-    gives an array of outages, one per threshold, in one coverage pass.
-    Every threshold must be finite and non-negative."""
+    A float ``tau`` gives a float, read off the same cached kernel table as
+    a one-element array; a 1-D array (or sequence) gives one outage per
+    threshold in one pass.  Every threshold must be finite and non-negative."""
     scalar = isinstance(tau, (int, float)) or np.ndim(tau) == 0
     taus = np.array([float(tau)]) if scalar else np.asarray(tau, dtype=float)
     if taus.ndim != 1:
@@ -290,8 +290,7 @@ def sinr_cdf(cfg: NetworkConfig, case_id: int, tier: int, tau):
         raise ValueError(f"SINR threshold {bad[0]} must be non-negative and finite")
     if case_id == 4:
         return 0.0 if scalar else np.zeros(len(taus))
-    # an array's kernels are kept for the next config; one threshold's are not
-    kernels = _Kernels(taus, cfg.beta) if scalar else _threshold_kernels(cfg.beta, taus.tobytes())
+    kernels = _threshold_kernels(cfg.beta, taus.tobytes())
     values = (1.0 - _coverage(cfg, case_id, tier, kernels)).tolist()
     bad = [v for v in values if not -1e-12 <= v <= 1.0 + 1e-12]
     if bad:

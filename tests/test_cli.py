@@ -383,7 +383,8 @@ def test_cli_seed_is_a_flag_of_the_runs_that_draw(tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--seed", "1", "--out", str(tmp_path / "seeded")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        message = f"hetcache {command}: error: unrecognized arguments: --seed 1"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", _RERUNS, ids=_rerun_id)

@@ -261,3 +261,9 @@ def test_threshold_kernels_built_once_per_beta_and_thresholds(monkeypatch):
     kernels = rates._threshold_kernels(4.0, np.array(taus).tobytes())
     for shared in (kernels.tau, kernels.z1, kernels.z2, kernels.x2z3):
         assert not shared.flags.writeable
+    # a float is a one-element array: repeated calls, and the other cases at
+    # its (beta, tau), read the Z1 that the first call built
+    built.clear()
+    for case_id in (1, 1, 2):
+        sinr_cdf(NetworkConfig(), case_id, 3, db_to_linear(-7.0))
+    assert built == [4.0]
