@@ -151,7 +151,9 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     to the analyzed active density where that is below alpha lambda0 (above
     the full-activity threshold).
     """
-    check_window(window, cfg.lambda0)  # before a draw over its area; lambda0 is the densest
+    # before a draw over its area: lambda0 is the densest tier, and the
+    # realization checks its window at one node per m^2
+    check_window(window, max(cfg.lambda0, 1.0))
     rng = np.random.default_rng(seed)
     area = window * window
 
