@@ -173,7 +173,7 @@ def _rate_kernels(beta: float, level: int) -> _Kernels:
 
 @functools.lru_cache(maxsize=_THRESHOLD_CACHE)
 def _threshold_kernels(beta: float, taus: bytes) -> _Kernels:
-    """Kernels at a threshold array, passed as its float64 bytes, once per
+    """Kernels at a threshold array (its float64 bytes), built once per
     (beta, thresholds); an entry holds at most len(taus) x 98 floats."""
     return _Kernels(np.frombuffer(taus), beta)
 
