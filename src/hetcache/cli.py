@@ -9,7 +9,9 @@ everything internal is watts/linear/nats.  A value outside its flag's
 domain (the flag's ``type``) exits 2 as ``argument --<flag>: ...``; a
 ``ValueError`` of the run exits 2 with its message, and so do a ``--config``
 file that does not load, an ``--out`` path that cannot be written and a flag
-that the subcommand does not take; all print the subcommand's usage.  A
+that the subcommand does not take; all print the subcommand's usage.
+``hetcache`` itself takes no flag but ``--help``, so any other given before
+the subcommand exits 2 with ``hetcache``'s usage.  A
 preset runs its own fixed grid and reads only those of its subcommand's
 flags that it declares; any other must stay at its default, since the
 preset would ignore it.  Every run writes a CSV table and a JSON envelope
@@ -53,8 +55,13 @@ def _dest(flag: str) -> str:
 
 
 def main(argv=None) -> int:
-    namespace, unknown = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    namespace, unknown = parser.parse_known_args(argv)
     params = vars(namespace)
+    before = argv[:argv.index(params["command"])]  # hetcache takes no flag but --help
+    if before:
+        parser.error(f"unrecognized arguments: {' '.join(before)}")
     if unknown:  # argparse leaves a subcommand's unknown flags to the top-level parser
         params["error"](f"unrecognized arguments: {' '.join(unknown)}")
     command, preset, error = params.pop("command"), params.pop("preset", None), params.pop("error")

@@ -97,9 +97,8 @@ _RATE_U = np.stack([np.concatenate(parts) for parts in (
 _TAIL_W = np.tile(_TAIL_W * np.exp(_TAIL_X), 2)
 # rows per block of the fused weights and fading pass
 _ROW_BLOCK = 32
-# the largest mean node count of a window: 2^27 positions take 2 GiB; at one node
-# per m^2 (the flag's and the realization's check) that is a side of 11585 m,
-# near twice criterion 3's 6000 m
+# the largest mean node count of a window: 2^27 positions take 2 GiB; at the
+# default config's 0.00039 nodes per m^2 that is a side of 586934 m
 _MAX_MEAN_COUNT = float(2**27)
 
 
@@ -117,11 +116,13 @@ class EmpiricalEstimate:
             raise ValueError("standard error and sample count must be non-negative")
 
 
-def check_window(window: float, density: float = 1.0) -> None:
-    """Reject a window side that is not positive and finite, or whose mean
-    node count at ``density`` (per m^2) is more than the sampler's arrays
-    hold in memory (``_MAX_MEAN_COUNT``)."""
-    if not 0.0 < window < math.inf or not density * (window * window) <= _MAX_MEAN_COUNT:
+def check_window(window: float, density: float = 0.0) -> None:
+    """Reject a window side that is not positive with a finite area, or whose
+    mean node count at ``density`` (per m^2) is more than the sampler's
+    arrays hold in memory (``_MAX_MEAN_COUNT``); at density 0 only the side
+    and its area are checked."""
+    area = window * window
+    if not (0.0 < window and area < math.inf and density * area <= _MAX_MEAN_COUNT):
         raise ValueError("window side must be positive, with a finite area and node count; "
                          f"got {window} (at most {_MAX_MEAN_COUNT:.0f} nodes on average, "
                          f"at {density:g} per m^2)")
@@ -151,9 +152,8 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     to the analyzed active density where that is below alpha lambda0 (above
     the full-activity threshold).
     """
-    # before a draw over its area: lambda0 is the densest tier, and the
-    # realization checks its window at one node per m^2
-    check_window(window, max(cfg.lambda0, 1.0))
+    # before a draw over its area, at the density of every node drawn
+    check_window(window, cfg.lambda0 + cfg.lambda2 + cfg.lambda3)
     rng = np.random.default_rng(seed)
     area = window * window
 

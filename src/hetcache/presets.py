@@ -13,13 +13,13 @@ Each numeric flag's domain is its argparse ``type``, made by ``flag_type``,
 which calls the library's own check where there is one; argparse then names
 the flag of a bad value.  An experiment checks only what ties two of its
 flags together: ``sinr-cdf``'s ``--tau-min`` above ``--tau-max`` or a grid
-numpy cannot hold, a ``sweep`` grid that is not strictly increasing or a
-bound that the swept field rejects, a repeated ``--tau-db`` of ``outage`` or
-``simulate``.  ``sweep --var`` takes every float field of ``NetworkConfig``
-but ``nu`` and ``bias``, which are fixed.  Only the two simulators draw
-random numbers, so ``--seed`` is a flag of ``simulate`` (the Monte Carlo
-oracle) and of its ``fig7`` preset (the CTMC trace) alone; every other
-experiment takes no seed.
+of more than ``_MAX_GRID_POINTS`` thresholds, a ``sweep`` grid that is not
+strictly increasing or a bound that the swept field rejects, a repeated
+``--tau-db`` of ``outage`` or ``simulate``.  ``sweep --var`` takes every
+float field of ``NetworkConfig`` but ``nu`` and ``bias``, which are fixed.
+Only the two simulators draw random numbers, so ``--seed`` is a flag of
+``simulate`` (the Monte Carlo oracle) and of its ``fig7`` preset (the CTMC
+trace) alone; every other experiment takes no seed.
 """
 
 from __future__ import annotations
@@ -164,14 +164,21 @@ def outage(cfg: NetworkConfig, tau_db: list[float]) -> Table:
     return ["tau_db", "case", "outage"], _cdf_rows(cfg, tau_db, "outage"), {}
 
 
+# each threshold adds ~3.2 KB to a run's peak (41 peak at 56 MiB, 20001 at 119 MiB),
+# so this many take ~0.3 GB; a --tau-step of 1e-9 asked numpy for 298 GiB
+_MAX_GRID_POINTS = 100_000
+
+
 def sinr_cdf_curves(cfg: NetworkConfig, tau_min: float, tau_max: float, tau_step: float) -> Table:
-    try:  # numpy refuses a zero step, and a grid of more points than an array holds
-        grid = np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step) if tau_min <= tau_max else ()
+    try:  # numpy refuses a zero or infinite step; a grid too large is never built
+        fits = tau_min <= tau_max and (tau_max - tau_min) / tau_step + 0.5 <= _MAX_GRID_POINTS
+        grid = np.arange(tau_min, tau_max + 0.5 * tau_step, tau_step) if fits else ()
     except (ValueError, ZeroDivisionError):
         grid = ()
     if len(grid) == 0:
-        raise ValueError("SINR CDF grid needs --tau-min <= --tau-max and a size numpy can hold; "
-                         f"got --tau-min {tau_min}, --tau-max {tau_max}, --tau-step {tau_step}")
+        raise ValueError("SINR CDF grid needs --tau-min <= --tau-max and at most "
+                         f"{_MAX_GRID_POINTS} points; got --tau-min {tau_min}, "
+                         f"--tau-max {tau_max}, --tau-step {tau_step}")
     taus_db = [float(t) for t in grid]
     return ["tau_db", "case", "cdf"], _cdf_rows(cfg, taus_db, "cdf"), {}
 
@@ -334,13 +341,16 @@ def steady_gains(cfg: NetworkConfig) -> Table:
     # the baseline has no cache-enabled users, so gamma does not reach it
     base = {kappa: _metrics(cfg.with_updates(backhaul_kappa=kappa), baseline_model)
             for kappa in (0.5, 0.8, 0.95)}
+    cached = {(gamma, kappa): _metrics(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa))
+              for gamma in (0.8, 1.8) for kappa in base}
     rows = [
-        {"gamma": gamma, "kappa": kappa,
-         **_metrics(cfg.with_updates(gamma=gamma, backhaul_kappa=kappa)).gain_over(base[kappa]),
+        {"gamma": gamma, "kappa": kappa, **metrics.gain_over(base[kappa]),
          "target_gain": targets[gamma] if kappa == 0.8 else math.nan}
-        for gamma in (0.8, 1.8) for kappa in base
+        for (gamma, kappa), metrics in cached.items()
     ]
-    metrics = _metrics(cfg)
+    # where cfg's own (gamma, kappa) is a row, the meta reads that row's model
+    own = (cfg.gamma, cfg.backhaul_kappa)
+    metrics = cached[own] if own in cached else _metrics(cfg)
     return columns, rows, {"rulers": _rulers(metrics.rulers), **_critical_rate(metrics)}
 
 

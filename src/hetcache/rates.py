@@ -34,14 +34,15 @@ even nodes form the rule of step 1/4, so the error estimate comes free:
 ``RateResult.error`` = |Q(1/8) - Q(1/4)|.  A rate whose estimate exceeds
 rel 1e-8 / abs 1e-12 is retried with the step halved, up to step 1/64, and
 then raises ``QuadratureError`` with the partial value.  The kernels at the
-rule's thresholds depend only on beta, so ``_rate_kernels`` tabulates them
-once per beta: a sweep over alpha then costs array arithmetic per rate.
+rule's thresholds depend only on beta, so they are tabulated once per beta:
+a sweep over alpha then costs array arithmetic per rate.
 Sums run along an array axis (``np.sum``), never through BLAS, so a rate
 repeats exactly.
 
 An outage probability (``sinr_cdf``) is one minus the coverage at its
 threshold; case 4 (own cache) has none.  A call's thresholds take one
-coverage pass on kernels kept per (beta, thresholds) (``_threshold_kernels``).
+coverage pass on kernels kept per (beta, thresholds) (``_threshold_kernels``),
+the one cache that also holds the kernels of each rate rule's thresholds.
 ``radio_cases`` states which cases have a coverage under a config, and
 ``association.SERVING_TIERS`` at which tiers each is served.  All rates are
 in nats/s/Hz; the conversion to bits/s (eta * w) happens only when the
@@ -123,7 +124,9 @@ _CASE3_X, _CASE3_W = (1.0 + _CASE3_X) / 2.0, _CASE3_W / 2.0
 # step halvings of the rate's rule (from 1/8) before its error is raised
 _RATE_REFINEMENTS = 3
 
-_THRESHOLD_CACHE = 64  # a 41-tau -20..20 dB grid asked tau by tau fits; at 16 every call missed
+# a 41-tau -20..20 dB grid asked tau by tau fits, beside one rate table per
+# (beta, level), ~76 KB at level 0; at 16 every call missed
+_THRESHOLD_CACHE = 64
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -154,21 +157,15 @@ class _Kernels:
 
 
 @functools.lru_cache(maxsize=_RATE_REFINEMENTS + 1)
-def _rate_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+def _rate_rule(level: int) -> tuple[np.ndarray, np.ndarray, bytes]:
     """Nodes t and weights of the rate's rule with step 2^-(3 + level), on
-    (0, inf); level 1 is also the noisy distance integral's rule.  Both are
-    read-only: every later call shares them."""
+    (0, inf), read-only since every later call shares them, and its thresholds
+    e^t - 1 as float64 bytes, their key in ``_threshold_kernels``; level 1 is
+    also the noisy distance integral's rule."""
     n = 8 << level
     k = np.arange(-6 * n, 6 * n + 1) / n
     t = np.exp(k - np.exp(-k))
-    return _read_only(t), _read_only(t * (1.0 + np.exp(-k)) / n)
-
-
-@functools.lru_cache(maxsize=16)
-def _rate_kernels(beta: float, level: int) -> _Kernels:
-    """Kernels at the thresholds e^t - 1 of a rate rule, tabulated once per
-    beta: they depend on no other parameter."""
-    return _Kernels(_read_only(np.expm1(_rate_rule(level)[0])), beta)
+    return _read_only(t), _read_only(t * (1.0 + np.exp(-k)) / n), np.expm1(t).tobytes()
 
 
 @functools.lru_cache(maxsize=_THRESHOLD_CACHE)
@@ -182,7 +179,7 @@ def _distance_integral(u: np.ndarray, beta: float) -> np.ndarray:
     """int_0^inf exp(-s - (u s)^(beta/2)) ds for each u >= 0, on the rate's
     step-1/16 rule after s = L y, L = 1/(1 + u): the integrand's knee then
     sits at y ~ 1 whatever u is."""
-    y, w = _rate_rule(1)
+    y, w, _ = _rate_rule(1)
     scale = 1.0 / (1.0 + u)
     s = scale[:, None] * y
     return scale * np.sum(w * np.exp(-s - (u[:, None] * s) ** (beta / 2.0)), axis=1)
@@ -229,7 +226,8 @@ def _rate(cfg: NetworkConfig, case_id: int, tier: int) -> RateResult:
     """E[ln(1 + SINR)] = int_0^inf P(SINR > e^t - 1) dt on the fixed
     double-exponential rule, with the step-doubling error estimate."""
     for level in range(_RATE_REFINEMENTS + 1):
-        terms = _rate_rule(level)[1] * _coverage(cfg, case_id, tier, _rate_kernels(cfg.beta, level))
+        _, weights, taus = _rate_rule(level)
+        terms = weights * _coverage(cfg, case_id, tier, _threshold_kernels(cfg.beta, taus))
         value = float(np.sum(terms))
         error = abs(value - 2.0 * float(np.sum(terms[::2])))
         if error <= max(EPSREL * value, EPSABS):

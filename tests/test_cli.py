@@ -9,6 +9,7 @@ import pytest
 
 from hetcache import (
     network_model,
+    presets,
     queue_metrics,
     queueing,
     results,
@@ -545,6 +546,19 @@ _LIBRARY_GRIDS = {i: params for i, (command, params) in zip(_EMPTY_GRID_IDS, _EM
 _LIBRARY_GRIDS["tau-max-past-numpy"] = dict(tau_min=-5.0, tau_max=1e308, tau_step=1.0)
 
 
+def test_cli_sinr_cdf_grid_past_its_bound_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a --tau-step of 1e-9 asked numpy for a 298 GiB grid and ended in a
+    # traceback; a grid past the bound is refused before it is built
+    monkeypatch.setattr(presets, "_MAX_GRID_POINTS", 10)
+    main(["sinr-cdf", "--tau-min", "0", "--tau-max", "9", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["sinr-cdf", "--tau-min", "0", "--tau-max", "10", "--out", str(tmp_path / "past")])
+    assert exc.value.code == 2
+    assert ("at most 10 points; got --tau-min 0.0, --tau-max 10.0, --tau-step 1.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "past").exists()
+
+
 @pytest.mark.parametrize("params", _LIBRARY_GRIDS.values(), ids=list(_LIBRARY_GRIDS))
 def test_empty_grid_is_a_value_error_without_exiting(cfg, params):
     # an infinite bound or step, or a grid past numpy's array size, reached
@@ -635,11 +649,16 @@ def test_fig3b_is_the_fig3a_sweep_on_the_low_power_set():
     assert run_preset("fig3b").rows == run_preset("fig3a", low_power).rows
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main([])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+    # a flag before the command is hetcache's own error, not the command's
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "rate"])
+    assert exc.value.code == 2
+    assert "hetcache: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_fading_flag(tmp_path):
@@ -761,12 +780,12 @@ def _count_builds(monkeypatch) -> dict[str, int]:
 
 
 @pytest.mark.parametrize("run, builds", [
-    (lambda: run_preset("steady"), {"cached": 7, "baseline": 3}),
+    (lambda: run_preset("steady"), {"cached": 6, "baseline": 3}),
     (lambda: COMMANDS["baseline-compare"].run(fig6_config()), {"cached": 1, "baseline": 1}),
 ], ids=["steady-preset", "baseline-compare"])
 def test_queueing_outputs_build_each_model_once(monkeypatch, run, builds):
-    # the steady preset: one cached model per (gamma, kappa) row plus the meta,
-    # one baseline per kappa
+    # the steady preset: one cached model per (gamma, kappa) row, which its
+    # config's meta reads, and one baseline per kappa
     counts = _count_builds(monkeypatch)
     run()
     assert counts == builds

@@ -76,16 +76,22 @@ def test_realization_validation(cfg):
 
 @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e308, 1e154, 3e9, 12000.0])
 def test_window_rule_is_one_check(cfg, window, monkeypatch):
-    # the realization and its sampler accept the same windows, with one
-    # message, before any draw; a 1e308 window's area overflows, a 1e154
-    # window's finite area holds more users than numpy's Poisson draw takes
-    # (it raised "lam value too large"), a 3e9 window's ~3.4e15 mean users
-    # would take petabytes of positions, and a 12000 m window is past the
-    # realization's 2^27 nodes at one per m^2 though not past cfg's density
+    # the realization checks a window's side and area, and its sampler also
+    # the mean node count at cfg's densities, with one message and before any
+    # draw: a 1e308 window's area overflows, a 1e154 window's finite area holds
+    # more users than numpy's Poisson draw takes (it raised "lam value too
+    # large"), and a 3e9 window's ~3.5e15 mean nodes would take petabytes of
+    # positions; a 12000 m window's ~56k nodes fit, though not at one per m^2
     pts, flags = np.zeros((1, 2)), np.array([False])
     message = re.escape(f"with a finite area and node count; got {window}")
-    with pytest.raises(ValueError, match=message):
+    if window in (1e154, 3e9, 12000.0):
         SpatialRealization(window, pts, pts, pts, flags, flags)
+    else:
+        with pytest.raises(ValueError, match=message):
+            SpatialRealization(window, pts, pts, pts, flags, flags)
+    if window == 12000.0:
+        assert sample_topology(cfg, window, 0).window == window
+        cfg = cfg.with_updates(lambda0=1.0)
 
     def no_draw(seed):
         raise AssertionError("sample_topology drew before checking its window")

@@ -15,6 +15,7 @@ from hetcache import (
     rate_case2,
     rate_case3,
     rates,
+    sinr_cdf,
 )
 from hetcache.presets import run_preset
 from hetcache.rates import _coverage, _Kernels, interference_coefficients
@@ -229,13 +230,13 @@ def test_rate_rule_against_adaptive_quadrature(beta, alpha, case_id):
 def test_rate_rule_refines_its_step_until_the_rules_agree(cfg, monkeypatch):
     # a bump of width 0.3 in t needs the step 1/64 (three halvings)
     levels = []
-    kernels = rates._rate_kernels
+    rule = rates._rate_rule
 
-    def counting(beta, level):
+    def counting(level):
         levels.append(level)
-        return kernels(beta, level)
+        return rule(level)
 
-    monkeypatch.setattr(rates, "_rate_kernels", counting)
+    monkeypatch.setattr(rates, "_rate_rule", counting)
     monkeypatch.setattr(rates, "_coverage", lambda c, case_id, tier, k:
                         np.exp(-((np.log1p(k.tau) - 3.0) / 0.3) ** 2))
     exact = 0.3 * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(10.0))
@@ -257,14 +258,14 @@ def test_rate_rule_raises_when_no_step_resolves_the_coverage(cfg, monkeypatch):
 def test_shared_rule_arrays_are_read_only():
     # the cached rule and its thresholds feed every later rate and noisy
     # coverage, so no caller may write into them
-    nodes, weights = rates._rate_rule(1)
-    for shared in (nodes, weights, rates._rate_kernels(4.0, 1).tau):
+    nodes, weights, taus = rates._rate_rule(1)
+    for shared in (nodes, weights, rates._threshold_kernels(4.0, taus).tau):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
 
 def test_rate_kernel_table_built_once_per_beta(monkeypatch):
-    rates._rate_kernels.cache_clear()
+    rates._threshold_kernels.cache_clear()
     grids = []
 
     def counting(v, x, beta):
@@ -273,8 +274,13 @@ def test_rate_kernel_table_built_once_per_beta(monkeypatch):
 
     monkeypatch.setattr(rates, "kernel_x2z3", counting)
     run_preset("fig3a")  # 30 alphas at beta = 4, each with a case-3 rate
-    assert rates._rate_kernels.cache_info().misses == 1
+    assert rates._threshold_kernels.cache_info().misses == 1
     assert grids == [4.0]
-    run_preset("fig3a", NetworkConfig(beta=3.0))
-    assert rates._rate_kernels.cache_info().misses == 2
+    cfg = NetworkConfig(beta=3.0)
+    run_preset("fig3a", cfg)
+    assert rates._threshold_kernels.cache_info().misses == 2
     assert grids == [4.0, 3.0]
+    # an outage at the rule's thresholds reads the table that the rates built
+    rate_case1(cfg, 3)
+    sinr_cdf(cfg, 1, 3, np.expm1(rates._rate_rule(0)[0]))
+    assert rates._threshold_kernels.cache_info().misses == 2

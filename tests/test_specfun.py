@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from hetcache import NetworkConfig, QuadratureError, gauss_2f1, kernel_z1, kernel_z2
-from hetcache.rates import _CASE3_X, _coverage, _Kernels, _rate_kernels
+from hetcache.rates import _CASE3_X, _coverage, _Kernels, _rate_rule, _threshold_kernels
 from hetcache.specfun import kernel_x2z3, kernel_z2_scale
 
 
@@ -129,7 +129,7 @@ def test_x2z3_array_kernel_finite_over_outer_rule_range(beta):
         coverage = _coverage(cfg, 3, 3, _Kernels(tau, beta))
         assert ((coverage >= 0.0) & (coverage <= 1.0)).all()
         # below tau ~ 1e-16 the 96-node rule integrates the limit 1 to within 3e-15
-        coverage = _coverage(cfg, 3, 3, _rate_kernels(beta, 0))
+        coverage = _coverage(cfg, 3, 3, _threshold_kernels(beta, _rate_rule(0)[2]))
         assert ((coverage >= 0.0) & (coverage <= 1.0 + 1e-14)).all()
 
 
