@@ -97,9 +97,14 @@ _RATE_U = np.stack([np.concatenate(parts) for parts in (
 _TAIL_W = np.tile(_TAIL_W * np.exp(_TAIL_X), 2)
 # rows per block of the fused weights and fading pass
 _ROW_BLOCK = 32
-# the largest mean node count of a window: 2^27 positions take 2 GiB; at the
-# default config's 0.00039 nodes per m^2 that is a side of 586934 m
-_MAX_MEAN_COUNT = float(2**27)
+# the largest mean node count of a window.  Every node drawn can be a column of
+# the weight pass (each user transmits where alpha is below the activity
+# threshold), and a column holds ~1.1 KB there: three _ROW_BLOCK-row float64
+# buffers and _fading_average's squares of the rest.  With every user
+# transmitting, simulate's peak RSS grew by 1144 B per mean node between 17000
+# and 24000 m windows, so 2^18 nodes keep it near 350 MiB; at the default
+# config's 0.00039 nodes per m^2 that is a side of 25939 m
+_MAX_MEAN_COUNT = float(2**18)
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,9 @@ class EmpiricalEstimate:
 
 def check_window(window: float, density: float = 0.0) -> None:
     """Reject a window side that is not positive with a finite area, or whose
-    mean node count at ``density`` (per m^2) is more than the sampler's
-    arrays hold in memory (``_MAX_MEAN_COUNT``); at density 0 only the side
-    and its area are checked."""
+    mean node count at ``density`` (per m^2) is more than a run holds in
+    memory (``_MAX_MEAN_COUNT``); at density 0 only the side and its area
+    are checked."""
     area = window * window
     if not (0.0 < window and area < math.inf and density * area <= _MAX_MEAN_COUNT):
         raise ValueError("window side must be positive, with a finite area and node count; "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hetcache import (
+    montecarlo,
     network_model,
     presets,
     queue_metrics,
@@ -538,6 +539,23 @@ def test_cli_rejects_empty_grid(tmp_path, capsys, command, params):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_simulate_window_past_its_bound_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a window's mean node count at the config's densities is bounded by what
+    # a run holds in memory; a window just past the bound is refused before
+    # any draw, and one at the bound runs
+    cfg = COMMANDS["simulate"].config()
+    bound = (cfg.lambda0 + cfg.lambda2 + cfg.lambda3) * 1500.0 * 1500.0
+    monkeypatch.setattr(montecarlo, "_MAX_MEAN_COUNT", bound)
+    argv = ["simulate", "--topologies", "1", "--window"]
+    assert main([*argv, "1500", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "1501", "--out", str(tmp_path / "past")])
+    assert exc.value.code == 2
+    assert (f"node count; got 1501.0 (at most {bound:.0f} nodes on average"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "past").exists()
 
 
 # a library caller's SINR CDF grids; d2d-density's point count is its flag's type
