@@ -24,6 +24,11 @@ one (threshold x node) array.  Both inner rules are checked by test
 against an oracle, not estimated at run time.  Case 3's is validated for
 tau >= 1e-6; below about 1e-8 it cannot resolve the kernel's knee at
 x ~ tau^(1/beta), and no preset goes below tau = 0.01 (-20 dB).
+Both (threshold x node) grids, the noisy one and case 3's, are evaluated
+in place in one or two buffers, in the plain expression's order and so to
+the same bits: at glibc's default mmap threshold (128 KiB) each fresh
+temporary of that size is mapped, faulted in and unmapped again on every
+call, which cost ~10% of a noisy pass.
 
 A rate is E[ln(1 + SINR)] = int_0^inf P(SINR > e^t - 1) dt
 (Andrews-Baccelli-Ganti, IEEE TCOM 2011), integrated on a fixed
@@ -181,8 +186,14 @@ def _distance_integral(u: np.ndarray, beta: float) -> np.ndarray:
     sits at y ~ 1 whatever u is."""
     y, w, _ = _rate_rule(1)
     scale = 1.0 / (1.0 + u)
-    s = scale[:, None] * y
-    return scale * np.sum(w * np.exp(-s - (u[:, None] * s) ** (beta / 2.0)), axis=1)
+    s = np.multiply.outer(scale, y)
+    a = u[:, None] * s
+    a **= beta / 2.0
+    a += s
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a *= w
+    return scale * np.sum(a, axis=1)
 
 
 def _coverage(cfg: NetworkConfig, case_id: int, tier: int, k: _Kernels) -> np.ndarray:
@@ -203,8 +214,13 @@ def _coverage(cfg: NetworkConfig, case_id: int, tier: int, k: _Kernels) -> np.nd
         x = _CASE3_X
         weights = 2.0 * (1.0 + g) * _CASE3_W * x
         # invert before squaring: den grows like tau^(2/beta), ~1e140 at the last rate node
-        inv = 1.0 / (1.0 + k.z1[:, None] + g * x * x + co.c2 * k.x2z3)
-        return np.sum(weights * inv * inv, axis=1)
+        inv = (1.0 + k.z1[:, None]) + g * x * x
+        t = co.c2 * k.x2z3
+        inv += t
+        np.divide(1.0, inv, out=inv)
+        np.multiply(weights, inv, out=t)
+        t *= inv
+        return np.sum(t, axis=1)
 
     if case_id == 1:
         weight = co.s_total

@@ -1,7 +1,8 @@
-"""``import hetcache`` loads numpy, ``scipy.special`` and the standard
-library only; the simulator's k-d tree and QUADPACK load on first use.  Each check runs in a fresh interpreter, since
-this test process has long since imported all of them.  The modules import
-no private name of one another."""
+"""``import hetcache`` loads numpy and the standard library only, and no
+scipy module: the simulator's k-d tree, QUADPACK and ``gauss_2f1``'s
+``scipy.special`` load on first use.  Each check runs in a fresh
+interpreter, since this test process has long since imported all of them.
+The modules import no private name of one another."""
 
 import ast
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ON_DEMAND = ("scipy.spatial", "scipy.integrate", "scipy.sparse")
+ON_DEMAND = ("scipy.special", "scipy.spatial", "scipy.integrate", "scipy.sparse")
 
 
 def _fresh(code: str) -> dict:
@@ -29,24 +30,33 @@ def _fresh(code: str) -> dict:
 
 
 def test_import_leaves_on_demand_modules_unloaded():
+    # not one scipy module: the on-demand ones above and scipy itself
     loaded = _fresh(
         "import json, sys\n"
         "import hetcache, hetcache.cli\n"
-        f"print(json.dumps([m for m in {ON_DEMAND!r} if m in sys.modules]))\n"
+        "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))\n"
     )
     assert loaded == []
 
 
 def test_on_demand_modules_load_on_first_use():
+    # gauss_2f1 runs first: the k-d tree's scipy.spatial imports scipy.special too
     out = _fresh(
         "import json, math, sys\n"
-        "from hetcache import NetworkConfig, integrate_interval, run_monte_carlo\n"
+        "from hetcache import NetworkConfig, gauss_2f1, integrate_interval, run_monte_carlo\n"
+        f"def loaded(): return [m for m in {ON_DEMAND!r} if m in sys.modules]\n"
+        "before = loaded()\n"
+        "f = gauss_2f1(1.0, 0.5, 1.5, -1.0)\n"
+        "after_2f1 = loaded()\n"
         "mc = run_monte_carlo(NetworkConfig(), n_topologies=1, window=1000.0,\n"
         "                     max_users=5, max_reference_users=5)\n"
         "value, _ = integrate_interval(math.exp, 0.0, 1.0)\n"
-        "print(json.dumps({'rate': mc.rates[1].value, 'value': value,\n"
-        f"                  'loaded': [m for m in {ON_DEMAND!r} if m in sys.modules]}}))\n"
+        "print(json.dumps({'f': f, 'rate': mc.rates[1].value, 'value': value, 'before': before,\n"
+        "                  'after_2f1': after_2f1, 'loaded': loaded()}))\n"
     )
+    assert out["before"] == []
+    assert out["f"] == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert out["after_2f1"] == ["scipy.special"]
     assert out["rate"] > 0.0
     assert out["value"] == pytest.approx(math.e - 1.0, rel=1e-12)
     assert {"scipy.spatial", "scipy.integrate"} <= set(out["loaded"])

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from hetcache import NetworkConfig, QuadratureError, gauss_2f1, kernel_z1, kernel_z2
 from hetcache.rates import _CASE3_X, _coverage, _Kernels, _rate_rule, _threshold_kernels
-from hetcache.specfun import kernel_x2z3, kernel_z2_scale
+from hetcache.specfun import _family_2f1, kernel_x2z3, kernel_z2_scale
 
 
 def mp_2f1(a, b, c, z):
@@ -39,6 +39,40 @@ def test_2f1_domain_errors():
     with pytest.raises(ValueError):
         gauss_2f1(1.0, 0.5, 1.5, 1.0)       # branch point
     assert gauss_2f1(1.0, 0.5, 1.5, 0.0) == 1.0
+
+
+# z in {0} U 10^[-300, 300] U [0.5, 3], and the Pfaff / z -> 1/z switch at z = 1
+_FAMILY_Z = np.concatenate(([0.0], np.logspace(-300, 300, 601), np.linspace(0.5, 3.0, 101),
+                            [1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-51]))
+
+
+@pytest.mark.parametrize("beta", [2.1, 2.5, 3.0, 3.5, 4.0, 5.5, 8.0])
+@pytest.mark.parametrize("family", ["z1", "x2z3"])
+def test_family_2f1_against_mpmath(beta, family):
+    # F_b(z) = 2F1(1, b; 1+b; -z) at Z1's b = 1 - 2/beta and x^2 Z3's b = 2/beta
+    b = 1.0 - 2.0 / beta if family == "z1" else 2.0 / beta
+    with mpmath.workdps(40):
+        mb = mpmath.mpf(b)
+        expected = [float(mpmath.hyp2f1(1, mb, 1 + mb, -mpmath.mpf(z))) for z in _FAMILY_Z]
+    np.testing.assert_allclose(_family_2f1(_FAMILY_Z, b), expected, rtol=5e-14, atol=0.0)
+
+
+def test_family_2f1_keeps_the_argument_shape():
+    empty = _family_2f1(np.array([]), 0.5)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    for z in (0.3, 7.0):
+        value = _family_2f1(z, 0.5)
+        assert isinstance(value, np.ndarray) and value.shape == ()
+        # 2F1(1, 1/2; 3/2; -z) = arctan(sqrt z) / sqrt z
+        assert float(value) == pytest.approx(math.atan(math.sqrt(z)) / math.sqrt(z), rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_arguments(bad):
+    for kernel in (kernel_z1, kernel_z2, functools.partial(kernel_x2z3, x=_CASE3_X)):
+        for v in (bad, np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="kernel argument must be non-negative and finite"):
+                kernel(v=v, beta=4.0)
 
 
 def test_kernel_z1_beta4_closed_form():
