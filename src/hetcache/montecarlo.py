@@ -11,9 +11,11 @@ serving tiers per radio case (``association.SERVING_TIERS``).
 The window is a torus: every distance wraps, so each tier stays a
 stationary PPP with no edge, and every user is a reference user.  Nearest
 nodes (the nearest other cache-enabled user, relay and BS) come from one
-periodic k-d tree query per tier (``scipy.spatial.cKDTree``;
-``scipy.spatial`` loads on the first query, so the analytic layers never pay
-for it).  They give each reference user one received-power table
+search per tier on the torus (``_nearest``): a cell list of about two nodes
+per cell, exact wherever the k-th nearest lies within one cell side, and a
+comparison with every node elsewhere and in a tier of at most
+``_BRUTE_TARGETS`` nodes.  It is numpy only, so a run loads no scipy
+module.  They give each reference user one received-power table
 (``_geometry``): per tier, the nearest node and its mean received power
 P d^-beta.  The serving node is the strongest in the table, and every
 (case, serving tier) reads its signal power from the same table.
@@ -100,11 +102,18 @@ _ROW_BLOCK = 32
 # the largest mean node count of a window.  Every node drawn can be a column of
 # the weight pass (each user transmits where alpha is below the activity
 # threshold), and a column holds ~1.1 KB there: three _ROW_BLOCK-row float64
-# buffers and _fading_average's squares of the rest.  With every user
-# transmitting, simulate's peak RSS grew by 1144 B per mean node between 17000
-# and 24000 m windows, so 2^18 nodes keep it near 350 MiB; at the default
-# config's 0.00039 nodes per m^2 that is a side of 25939 m
+# buffers and _fading_average's kept buffer of the squares of the rest.  With
+# every user transmitting, simulate's peak RSS grew by 1144 B per mean node
+# between 17000 and 24000 m windows (163 and 285 MiB), so 2^18 nodes keep it
+# near 325 MiB; at the default config's 0.00039 nodes per m^2 that is a side
+# of 25939 m
 _MAX_MEAN_COUNT = float(2**18)
+# _nearest compares every point with every target in a tier of at most
+# _BRUTE_TARGETS targets, in chunks of at most _BRUTE_PAIRS (point, target)
+# pairs: 128 KiB per array, small enough to be reused from the heap rather
+# than mapped afresh for each chunk
+_BRUTE_TARGETS = 64
+_BRUTE_PAIRS = 2**14
 
 
 @dataclass(frozen=True)
@@ -177,14 +186,119 @@ def sample_topology(cfg: NetworkConfig, window: float, seed: int) -> SpatialReal
     return SpatialRealization(window, users, relays, bs, cache_flags, active_flags)
 
 
+def _torus_sq(px: np.ndarray, py: np.ndarray, tx: np.ndarray, ty: np.ndarray,
+              window: float) -> np.ndarray:
+    """Squared torus distances dx^2 + dy^2, each offset |p - t| wrapped to
+    min(|p - t|, window - |p - t|); the arrays broadcast."""
+    dx = np.abs(px - tx)
+    np.minimum(dx, window - dx, out=dx)
+    dy = np.abs(py - ty)
+    np.minimum(dy, window - dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _brute_nearest(points: np.ndarray, targets: np.ndarray, window: float, k: int,
+                   d: np.ndarray, j: np.ndarray) -> None:
+    """``_nearest`` over every target, into ``d`` and ``j`` (points, k),
+    which hold inf and len(targets) on entry.  Points go in chunks of at most
+    ``_BRUTE_PAIRS`` (point, target) pairs."""
+    n = len(targets)
+    if n == 0:
+        return
+    step = max(1, _BRUTE_PAIRS // n)
+    tx, ty = targets.T
+    for start in range(0, len(points), step):
+        chunk = slice(start, start + step)
+        sq = _torus_sq(points[chunk, :1], points[chunk, 1:], tx, ty, window)
+        at = np.arange(len(sq))
+        for i in range(min(k, n)):
+            col = sq.argmin(axis=1)
+            d[chunk, i], j[chunk, i] = sq[at, col], col
+            sq[at, col] = math.inf
+
+
+def _cell_nearest(points: np.ndarray, targets: np.ndarray, window: float, k: int,
+                  d: np.ndarray, j: np.ndarray) -> float:
+    """``_nearest`` over the targets near each point, into ``d`` (squared
+    distances) and ``j`` (points, k), which hold inf and len(targets) on
+    entry; returns the side of a cell.
+
+    The targets are binned into g x g cells, about two per cell, and sorted
+    by cell with a copy of the first and last column of cells beyond either
+    end of each row, so that the three cells of a row around any cell are
+    one run.  A point's candidates are three runs, one per row around its
+    own cell, in one flat array that ``np.minimum.reduceat`` reduces per
+    point; for the next nearest, the minimum found is masked and the array
+    reduced again."""
+    g = math.isqrt(len(targets) // 2)
+    scale = g / window
+    tcx, tcy = np.minimum((targets * scale).astype(np.intp), g - 1).T
+    # cell (x, y) is column y + 1 of row x; columns 0 and g + 1 hold copies
+    ghost = np.concatenate((np.flatnonzero(tcy == g - 1), np.flatnonzero(tcy == 0)))
+    cell = np.concatenate((tcx * (g + 2) + tcy + 1,
+                           tcx[ghost] * (g + 2) + np.where(tcy[ghost] == 0, g + 1, 0)))
+    order = np.argsort(cell, kind="stable")
+    index = np.concatenate((np.arange(len(targets)), ghost))[order]
+    tx, ty = targets[index].T
+    bound = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=g * (g + 2)))))
+    # per point, the runs of columns y .. y + 2 (cells y - 1 .. y + 1) in rows
+    # x - 1 .. x + 1
+    cx, cy = np.minimum((points * scale).astype(np.intp), g - 1).T
+    left = (cx[:, None] + (-1, 0, 1)) % g * (g + 2) + cy[:, None]
+    start, lengths = bound[left].ravel(), (bound[left + 3] - bound[left]).ravel()
+    cand = np.arange(lengths.sum()) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+    row_len = lengths.reshape(left.shape).sum(axis=1)
+    row = np.repeat(np.arange(len(points)), row_len)
+    px, py = points.T
+    sq = _torus_sq(px[row], py[row], tx[cand], ty[cand], window)
+    filled = np.flatnonzero(row_len)
+    if len(filled):
+        starts = (np.cumsum(row_len) - row_len)[filled]
+        repeats = row_len[filled]
+        for i in range(k):
+            best = np.minimum.reduceat(sq, starts)
+            hit = np.flatnonzero(sq == np.repeat(best, repeats))
+            # the first candidate at each point's minimum (one, unless two
+            # targets are equally far)
+            hit = hit[np.flatnonzero(np.diff(row[hit], prepend=-1))]
+            d[filled, i], j[filled, i] = best, index[cand[hit]]
+            sq[hit] = math.inf
+    return 1.0 / scale
+
+
 def _nearest(points: np.ndarray, targets: np.ndarray, window: float,
              k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and indices of the k nearest targets to each point, from a
-    k-d tree that is periodic on the torus.  A missing neighbour is at
-    distance inf with index len(targets)."""
-    from scipy.spatial import cKDTree
+    """Distances and indices of the k nearest targets to each point on the
+    torus: arrays (points,) at k = 1, (points, k) otherwise.  A missing
+    neighbour is at distance inf with index len(targets); equally far
+    targets come in no set order.
 
-    return cKDTree(targets, boxsize=window).query(points, k=k)
+    Each point is compared with the targets in the 3 x 3 cells around its
+    own (``_cell_nearest``).  Every target outside them is more than one
+    cell side away, so a point whose k-th distance is at most one side,
+    less a relative 1e-9 that covers the rounding of the cell index and of
+    the distances, has its exact k nearest.  Every other point, and every
+    point of a tier of at most ``_BRUTE_TARGETS`` targets, is compared with
+    all targets.
+    """
+    n = len(targets)
+    d = np.full((len(points), k), math.inf)
+    j = np.full((len(points), k), n)
+    if n <= _BRUTE_TARGETS or len(points) == 0:
+        _brute_nearest(points, targets, window, k, d, j)
+    else:
+        limit = _cell_nearest(points, targets, window, k, d, j) * (1.0 - 1e-9)
+        inexact = np.flatnonzero(~(d[:, -1] <= limit * limit))
+        if len(inexact):
+            fd, fj = np.full((len(inexact), k), math.inf), np.full((len(inexact), k), n)
+            _brute_nearest(points[inexact], targets, window, k, fd, fj)
+            d[inexact], j[inexact] = fd, fj
+    j[d == math.inf] = n
+    np.sqrt(d, out=d)
+    return (d[:, 0], j[:, 0]) if k == 1 else (d, j)
 
 
 def _nearest_cache_user(real: SpatialRealization,
@@ -331,8 +445,18 @@ def _weight_blocks(real: SpatialRealization, cfg: NetworkConfig, geo: _Geometry,
         yield block, sq, signal[block], noise[block]
 
 
+def _kept(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` over ``work[name]``, a flat buffer that
+    grows to fit and is kept across calls."""
+    size = math.prod(shape)
+    if name not in work or len(work[name]) < size:
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
 def _fading_average(w: np.ndarray, signal: np.ndarray, n: np.ndarray,
-                    taus: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+                    taus: tuple[float, ...], work: dict[str, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ergodic rate E[ln(1 + SINR)] and outage P(SINR <= tau) of each row,
     averaged over Rayleigh fading given the row's topology.
 
@@ -346,8 +470,12 @@ def _fading_average(w: np.ndarray, signal: np.ndarray, n: np.ndarray,
     place (a partition that puts its ``_EXACT_TERMS`` largest weights last).
     Returns the rates (rows,) and the outage (rows, len(taus)).  All rows
     are evaluated at once, so callers pass a block of ``_ROW_BLOCK`` rows
-    (``_weight_blocks``).
+    (``_weight_blocks``).  The two block-size arrays, the squares of the
+    rest and the top weights times the theta grid, go into the buffers of
+    ``work`` (``_kept``), which a caller keeps across blocks so that no
+    block allocates them afresh.
     """
+    work = {} if work is None else work
     rows, nodes = w.shape
     inv = 1.0 / signal
     k = min(_EXACT_TERMS, nodes)
@@ -358,7 +486,7 @@ def _fading_average(w: np.ndarray, signal: np.ndarray, n: np.ndarray,
     else:
         a_next = np.zeros(rows)
     top, rest = w[:, nodes - k:], w[:, :nodes - k]
-    rest2 = rest * rest
+    rest2 = np.multiply(rest, rest, out=_kept(work, "rest2", rest.shape))
     inv2 = inv * inv
     first = rest.sum(axis=1) * inv + n
     second = rest2.sum(axis=1) * inv2
@@ -375,7 +503,8 @@ def _fading_average(w: np.ndarray, signal: np.ndarray, n: np.ndarray,
 
     # every top weight times every theta / S, as einsum forms it at half the
     # cost of a broadcast multiply
-    terms = np.einsum("rk,rc->rkc", top, theta * inv[:, None])
+    terms = np.einsum("rk,rc->rkc", top, theta * inv[:, None],
+                      out=_kept(work, "terms", (rows, k, theta.shape[1])))
     log_p = -np.log1p(terms, out=terms).sum(axis=1)
     log_p -= theta * first[:, None]
     # the rest through the series of log1p where theta a_next <= 1/2; the
@@ -444,6 +573,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
     if len(set(tau_grid)) != len(tau_grid):  # one estimate per (case, threshold)
         raise ValueError("outage thresholds must be distinct")
     children = np.random.SeedSequence(seed).spawn(n_topologies)
+    work: dict[str, np.ndarray] = {}  # _fading_average's buffers, kept across blocks
     # per estimate, keyed (summary field, its key there), one value per
     # topology: NaN where the topology has no sample of it
     acc: dict[tuple, list[float]] = {}
@@ -495,7 +625,7 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         rows = np.concatenate(picked)
         rate, outage = np.empty(len(rows)), np.empty((len(rows), len(tau_grid)))
         for block, w, signal, n in _weight_blocks(real, cfg, geo, rows, case_ids, tiers):
-            rate[block], outage[block] = _fading_average(w, signal, n, tau_grid)
+            rate[block], outage[block] = _fading_average(w, signal, n, tau_grid, work)
 
         for case_id in SERVING_TIERS:
             members = case_ids == case_id

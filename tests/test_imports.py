@@ -1,6 +1,7 @@
 """``import hetcache`` loads numpy and the standard library only, and no
-scipy module: the simulator's k-d tree, QUADPACK and ``gauss_2f1``'s
-``scipy.special`` load on first use.  Each check runs in a fresh
+scipy module, nor does a Monte Carlo run: only ``gauss_2f1`` (its
+``scipy.special``) and ``integrate_interval`` (QUADPACK) load scipy, on
+first use.  Each check runs in a fresh
 interpreter, since this test process has long since imported all of them.
 The modules import no private name of one another."""
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ON_DEMAND = ("scipy.special", "scipy.spatial", "scipy.integrate", "scipy.sparse")
+ON_DEMAND = ("scipy.special", "scipy.integrate")
 
 
 def _fresh(code: str) -> dict:
@@ -40,26 +41,27 @@ def test_import_leaves_on_demand_modules_unloaded():
 
 
 def test_on_demand_modules_load_on_first_use():
-    # gauss_2f1 runs first: the k-d tree's scipy.spatial imports scipy.special too
+    # the Monte Carlo run first, which loads no scipy module at all
     out = _fresh(
         "import json, math, sys\n"
         "from hetcache import NetworkConfig, gauss_2f1, integrate_interval, run_monte_carlo\n"
+        "def scipy(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
         f"def loaded(): return [m for m in {ON_DEMAND!r} if m in sys.modules]\n"
-        "before = loaded()\n"
-        "f = gauss_2f1(1.0, 0.5, 1.5, -1.0)\n"
-        "after_2f1 = loaded()\n"
         "mc = run_monte_carlo(NetworkConfig(), n_topologies=1, window=1000.0,\n"
         "                     max_users=5, max_reference_users=5)\n"
+        "after_mc = scipy()\n"
+        "f = gauss_2f1(1.0, 0.5, 1.5, -1.0)\n"
+        "after_2f1 = loaded()\n"
         "value, _ = integrate_interval(math.exp, 0.0, 1.0)\n"
-        "print(json.dumps({'f': f, 'rate': mc.rates[1].value, 'value': value, 'before': before,\n"
-        "                  'after_2f1': after_2f1, 'loaded': loaded()}))\n"
+        "print(json.dumps({'f': f, 'rate': mc.rates[1].value, 'value': value,\n"
+        "                  'after_mc': after_mc, 'after_2f1': after_2f1, 'loaded': loaded()}))\n"
     )
-    assert out["before"] == []
+    assert out["rate"] > 0.0
+    assert out["after_mc"] == []
     assert out["f"] == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert out["after_2f1"] == ["scipy.special"]
-    assert out["rate"] > 0.0
     assert out["value"] == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert {"scipy.spatial", "scipy.integrate"} <= set(out["loaded"])
+    assert out["loaded"] == list(ON_DEMAND)
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -628,3 +628,70 @@ def test_run_monte_carlo_alpha_zero_drops_d2d_cases(cfg):
     for case_id in (2, 3):
         for est in (s.rates[case_id], *(s.outage[(case_id, t)] for t in taus)):
             assert est.n_samples == 0 and math.isnan(est.value), case_id
+
+
+def _tree_nearest(points, targets, window, k):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(targets, boxsize=window).query(points, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("window", [300.0, 1000.0, 6000.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 1.0])
+def test_nearest_matches_a_periodic_kd_tree(cfg, alpha, window, k):
+    # every tier _geometry queries, from every user; the same indices as
+    # scipy's periodic k-d tree and distances within 1 ulp
+    real = sample_topology(cfg.with_updates(alpha=alpha), window, 11)
+    points = np.vstack((real.users, [[0.0, 0.0], [0.0, window / 2.0]]))
+    for targets in (real.users[real.cache_flags], real.relays, real.bs):
+        d, j = montecarlo._nearest(points, targets, window, k)
+        ref_d, ref_j = _tree_nearest(points, targets, window, k)
+        assert d.shape == ref_d.shape and j.shape == ref_j.shape
+        np.testing.assert_array_equal(j, ref_j)
+        np.testing.assert_array_max_ulp(d, ref_d, maxulp=1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n_targets", [0, 1, 3, 500])
+def test_nearest_of_few_and_clustered_targets(n_targets, k):
+    # no target, one target (no second at k = 2), and a cluster in one
+    # corner, which leaves most points without k targets within a cell side:
+    # they fall back to comparing every target
+    window = 1000.0
+    rng = np.random.default_rng(5)
+    targets = rng.uniform(0.0, 40.0, size=(n_targets, 2))
+    targets[:1] = 0.0
+    points = np.vstack((rng.uniform(0.0, window, size=(300, 2)), [[0.0, 0.0], [0.0, 999.0]]))
+    d, j = montecarlo._nearest(points, targets, window, k)
+    if n_targets == 0:
+        assert (d == np.inf).all() and (j == 0).all()
+        return
+    ref_d, ref_j = _tree_nearest(points, targets, window, k)
+    np.testing.assert_array_equal(j, ref_j)
+    np.testing.assert_array_max_ulp(d, ref_d, maxulp=1)
+
+
+def test_fading_average_reuses_its_block_buffers():
+    # a warm call allocates less than one block: the squares of the rest and
+    # the top weights times the theta grid go into the kept buffers
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    w = rng.random((32, 2000))
+    signal, n, taus = rng.random(32) + 0.5, np.zeros(32), (0.1, 0.3)
+    work = {}
+    expect = _fading_average(w.copy(), signal, n, taus, work)
+    block = w.copy()
+    tracemalloc.start()
+    try:
+        got = _fading_average(block, signal, n, taus, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes, peak
+    for a, b in zip(got, expect):
+        np.testing.assert_array_equal(a, b)
+    # and the buffers change no result
+    for a, b in zip(_fading_average(w.copy(), signal, n, taus), expect):
+        np.testing.assert_array_equal(a, b)
