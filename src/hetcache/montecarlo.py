@@ -600,9 +600,15 @@ def run_monte_carlo(cfg: NetworkConfig, n_topologies: int = 200, n_fading: int =
         extra = np.flatnonzero(real.cache_flags)
         if len(extra) > max_reference_users:
             extra = np.sort(rng.choice(extra, size=max_reference_users, replace=False))
-        ref = np.union1d(uniform, extra)
+        # the sorted union as a mask over the users: np.union1d would import
+        # all of numpy.ma (its unique step asks np.ma.is_masked) on every run
+        chosen = np.zeros(len(real.users), dtype=bool)
+        chosen[uniform] = True
+        in_uniform = chosen.copy()
+        chosen[extra] = True
+        ref = np.flatnonzero(chosen)
         geo = _geometry(real, cfg, ref)
-        uniform_rows = np.isin(ref, uniform)
+        uniform_rows = in_uniform[ref]
 
         # association fractions only over the uniform subsample (the cache
         # top-up would bias them)

@@ -24,7 +24,6 @@ trace) alone; every other experiment takes no seed.
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -367,8 +366,11 @@ def flag_type(parse: Callable[[str], object], rule: Callable[[object], bool], do
             if value is not None and rule(value):
                 return value
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+            message = str(exc)
+        else:
+            message = f"must be {domain}, got {text}"
+        import argparse  # only a bad value needs it; cli imports it for the parser
+        raise argparse.ArgumentTypeError(message) from None
     return convert
 
 

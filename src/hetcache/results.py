@@ -8,6 +8,12 @@ exactly, and the rows again, each as an object over the columns in column
 order.  It is written as one line of JSON; ``python -m json.tool <name>.json``
 prints it indented.
 
+The version string is ``git describe`` of the checkout holding the package,
+taken on the first envelope of a process.  Only where git fails (an
+installed copy, or no git) is it the installed version, and only then is
+``importlib.metadata`` imported; importing this module loads neither it nor
+``subprocess``.
+
 Each cell is formatted once, into a CSV text and a JSON text, and both files
 are written from those texts.  A column of finite plain floats needs one
 text per cell, since json writes a float as its repr, and a constant such
@@ -24,10 +30,8 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
-import importlib.metadata
 import json
 import math
-import subprocess
 from operator import is_, itemgetter
 from pathlib import Path
 
@@ -38,6 +42,7 @@ import numpy as np
 def _version_string() -> str:
     """Git description of the checkout holding this package (not of the
     caller's working directory), else the installed version; once per process."""
+    import subprocess
     try:
         out = subprocess.run(
             ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty"],
@@ -45,6 +50,7 @@ def _version_string() -> str:
         )
         return out.stdout.strip()
     except Exception:
+        import importlib.metadata  # ~15 ms of email, socket and calendar
         try:
             return importlib.metadata.version("hetcache")
         except importlib.metadata.PackageNotFoundError:

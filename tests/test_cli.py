@@ -213,6 +213,26 @@ def test_version_stamp_ignores_working_directory(tmp_path, monkeypatch):
     assert results._version_string() == here
 
 
+def test_version_stamp_falls_back_to_the_installed_version(monkeypatch):
+    # where git cannot run, the stamp is the installed version, else "unknown"
+    import importlib.metadata
+    import subprocess
+
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    try:
+        expect = importlib.metadata.version("hetcache")
+    except importlib.metadata.PackageNotFoundError:
+        expect = "unknown"
+    monkeypatch.setattr(subprocess, "run", no_git)
+    results._version_string.cache_clear()
+    try:
+        assert results._version_string() == expect
+    finally:
+        results._version_string.cache_clear()
+
+
 def test_cli_association_writes_csv_and_json(tmp_path):
     rc = main(["association", "--out", str(tmp_path)])
     assert rc == 0

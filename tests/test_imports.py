@@ -1,9 +1,14 @@
 """``import hetcache`` loads numpy and the standard library only, and no
 scipy module, nor does a Monte Carlo run: only ``gauss_2f1`` (its
 ``scipy.special``) and ``integrate_interval`` (QUADPACK) load scipy, on
-first use.  Each check runs in a fresh
-interpreter, since this test process has long since imported all of them.
-The modules import no private name of one another."""
+first use.  Nor does a run load a module it does not need: no
+``importlib.metadata`` (with ``email``) or ``subprocess`` until an envelope
+asks for the version string, no ``argparse`` before ``hetcache.cli``, and
+no ``numpy.ma`` in a Monte Carlo run.  Each check runs in a fresh
+interpreter, since this test process has long since imported all of them,
+and counts only the modules that the interpreter did not hold at its start
+(a site hook may preload some).  The modules import no private name of one
+another."""
 
 import ast
 import json
@@ -17,6 +22,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ON_DEMAND = ("scipy.special", "scipy.integrate")
+VERSION_MODULES = ("importlib.metadata", "email", "subprocess")
 
 
 def _fresh(code: str) -> dict:
@@ -38,6 +44,45 @@ def test_import_leaves_on_demand_modules_unloaded():
         "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))\n"
     )
     assert loaded == []
+
+
+def _new_modules(code: str) -> list[str]:
+    """The modules that running code loads in a fresh interpreter, beyond
+    those that it holds before the code starts."""
+    return _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "new = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(new))\n"
+    )
+
+
+def _among(modules: list[str], packages: tuple[str, ...]) -> list[str]:
+    # each package and its submodules
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+@pytest.mark.parametrize("module", ["hetcache", "hetcache.presets", "hetcache.results",
+                                    "hetcache.cli"])
+def test_import_defers_what_only_some_runs_need(module):
+    # the version string's modules load with the first envelope, argparse with the parser
+    unloaded = VERSION_MODULES + (() if module == "hetcache.cli" else ("argparse",))
+    new = _new_modules(f"import {module}")
+    assert module in new
+    assert _among(new, unloaded) == []
+
+
+def test_monte_carlo_run_loads_no_masked_arrays():
+    # the reference set is built without np.union1d, whose unique step imports numpy.ma
+    new = _new_modules(
+        "from hetcache import NetworkConfig, run_monte_carlo\n"
+        "run_monte_carlo(NetworkConfig(), n_topologies=1, n_fading=2, window=1000.0,\n"
+        "                max_users=5, max_reference_users=5, tau_grid=(0.1,))"
+    )
+    assert "hetcache.montecarlo" in new and "numpy" in new
+    assert _among(new, ("numpy.ma",)) == []
 
 
 def test_on_demand_modules_load_on_first_use():
